@@ -5,14 +5,17 @@ state and check their growth classes.
 Submodules:
     convexgeom  -- convex bodies, regions, cones, support functions
     legendre    -- piecewise-linear convex functions and conjugation
-    contour     -- oriented contours and adaptive path integration
+    contour     -- oriented contours; periodic trapezoid rule on full
+                   circles, adaptive Gauss-Legendre on other paths
     transforms  -- Polya and Meril contour transforms, residue oracle
     growth      -- exponential growth-class sampling and verdicts
     dolbeault   -- cutoff-based area-integral oracle
-    cli         -- scenario runner
+    cli         -- scenario runner (imported on first access)
 """
 
-from . import convexgeom, legendre, contour, transforms, growth, dolbeault, cli
+import importlib
+
+from . import convexgeom, legendre, contour, transforms, growth, dolbeault
 
 __all__ = [
     "convexgeom",
@@ -25,3 +28,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # cli is loaded lazily, so that ``python -m convlap.cli`` runs it as
+    # __main__ without finding it already imported by the package.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,20 +1,32 @@
-"""Oriented contours and adaptive complex line integration.
+"""Oriented contours and complex line integration by two rules.
 
 Contours are ordered lists of segments and circular arcs; orientation is
 the list order (arcs sweep from their start angle to their end angle,
 counterclockwise when the sweep is positive).  Boundary contours of
 thickened convex sets leave the set on the left.
 
-Integration is composite 15-point Gauss-Legendre with dyadic adaptive
-subdivision against an absolute target.  Subdivision order and node
-order are fixed, and accumulation is sequential, so results are bitwise
-reproducible for identical inputs.
+A contour that is one full circle is integrated with the nested periodic
+trapezoid rule (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Rev. 2014), vectorised in numpy: the integrand
+is called once per level on the whole node array.  Nodes and weights are
+cached per (circle, node count), and the node count doubles from 64 (or
+the caller's minimum) up to 4096.  The error estimate is the gap between
+the n- and 2n-node sums, both read off one set of 2n nodes, plus a
+roundoff floor of 16 eps sum |f_k w_k|.
+
+Every other contour is integrated piece by piece with composite
+15-point Gauss-Legendre and dyadic adaptive subdivision against an
+absolute target, calling the integrand on one point at a time.
+
+Node order, subdivision order and accumulation are fixed, so results of
+both rules are bitwise reproducible for identical inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +51,12 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _GL_NODES = tuple(float(x) for x in _GL_NODES)
 _GL_WEIGHTS = tuple(float(x) for x in _GL_WEIGHTS)
+
+# Node counts of the periodic trapezoid rule on a full circle: the first
+# level (unless the caller asks for more) and the cap.
+_TRAPEZOID_MIN_NODES = 64
+_TRAPEZOID_MAX_NODES = 4096
+_EPS = float(np.finfo(float).eps)
 
 
 def _cis(t: float) -> complex:
@@ -272,8 +290,8 @@ class IntegralResult:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive subdivision hit its depth limit; .partial holds the
-    best value accumulated so far."""
+    """Adaptive subdivision hit its depth limit, or the trapezoid rule
+    its node cap; .partial holds the best value accumulated so far."""
 
     def __init__(self, message: str, partial: complex):
         super().__init__(message)
@@ -306,13 +324,62 @@ def _adaptive(g, piece, t0, t1, whole, tol, depth, max_depth):
     return lv + rv, le + re_
 
 
+def _is_full_circle(c: OrientedContour) -> bool:
+    """Whether c is one arc sweeping exactly once around its center."""
+    return (len(c.pieces) == 1 and isinstance(c.pieces[0], Arc)
+            and abs(c.pieces[0].angle1 - c.pieces[0].angle0) == 2 * math.pi)
+
+
+@lru_cache(maxsize=64)
+def _trapezoid_nodes(arc: Arc, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z_k = z(t_k), t_k = k/n, of the n-point periodic trapezoid
+    rule on a full-circle arc, and its weights z'(t_k)/n.  Cached per
+    (arc, n); the arrays are read-only."""
+    theta = arc.angle0 + (arc.angle1 - arc.angle0) * (np.arange(n) / n)
+    unit = np.cos(theta) + 1j * np.sin(theta)
+    nodes = arc.center + arc.radius * unit
+    weights = (1j * (arc.angle1 - arc.angle0) * arc.radius / n) * unit
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _trapezoid(arc: Arc, g, abs_tol: float, min_nodes: int) -> IntegralResult:
+    """Nested periodic trapezoid rule; g maps a node array to values."""
+    n = _TRAPEZOID_MIN_NODES
+    while n < min(min_nodes, _TRAPEZOID_MAX_NODES):
+        n *= 2
+    while True:
+        nodes, weights = _trapezoid_nodes(arc, n)
+        f = g(nodes)
+        fine = complex(f @ weights)
+        # The n/2-node rule is the even-indexed half, at twice the weight.
+        coarse = 2.0 * complex(f[::2] @ weights[::2])
+        floor = 16.0 * _EPS * float(np.abs(f).sum()) * abs(weights[0])
+        gap = abs(fine - coarse)
+        if gap <= max(abs_tol, floor):
+            return IntegralResult(fine, gap + floor)
+        if n >= _TRAPEZOID_MAX_NODES:
+            raise QuadratureError(
+                f"trapezoid rule not settled at {n} nodes: gap {gap:.3e} "
+                f"above the target and the roundoff floor {floor:.3e}",
+                fine)
+        n *= 2
+
+
 def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
-              max_depth: int = 26) -> IntegralResult:
+              max_depth: int = 26, min_nodes: int = 0) -> IntegralResult:
     """Integral of g(z) dz along the contour with an error estimate.
 
-    Pieces are processed in order and each receives a share of the
-    absolute target proportional to its length.
+    A full circle takes the periodic trapezoid rule (see the module
+    docstring) with at least min_nodes nodes; g is then called on numpy
+    arrays of nodes and must return arrays.  Any other contour takes
+    adaptive Gauss-Legendre with scalar calls of g: each piece receives
+    a share of the absolute target proportional to its length, and
+    max_depth bounds the subdivision.
     """
+    if _is_full_circle(c):
+        return _trapezoid(c.pieces[0], g, abs_tol, min_nodes)
     total_len = c.length
     value = 0j
     err = 0.0

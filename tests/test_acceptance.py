@@ -116,6 +116,22 @@ def test_criterion_1_polya_residue_equivalence(corpus):
              f"21x21 grid", time.perf_counter() - t0, 30.0)
 
 
+def test_polya_error_estimate_covers_the_oracle_gap(corpus):
+    # At r = 2 on a 9x9 grid and on rings out to |w| = 15, where the
+    # e^{r|w|} roundoff of the circle dominates the value, the returned
+    # error never falls below the gap to the residue oracle.
+    grid = _square_grid(3.0, 9)
+    rings = [rad * complex(math.cos(0.3 + k * math.pi / 4),
+                           math.sin(0.3 + k * math.pi / 4))
+             for rad in (6.0, 8.0, 10.0, 12.5, 15.0) for k in range(8)]
+    for abs_tol in (1e-13, 1e-11):
+        for body, u in corpus:
+            v = polya_transform(u, body, 2.0, abs_tol=abs_tol)
+            for w in grid + rings:
+                value, err = v.with_error(w)
+                assert abs(value - residue_oracle(u, w)) <= err, (u, w)
+
+
 def test_criterion_2_contour_independence(corpus):
     t0 = time.perf_counter()
     grid = _square_grid(1.5, 5)

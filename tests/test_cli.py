@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,3 +190,22 @@ def test_seed_changes_only_sampling(tmp_path):
     r1 = (tmp_path / "s1" / "report.txt").read_text()
     r2 = (tmp_path / "s2" / "report.txt").read_text()
     assert "seed: 1" in r1 and "seed: 2" in r2
+
+
+def test_module_entry_point_imports_cli_once():
+    # The package loads cli lazily, so running it as a module does not
+    # find it already imported (a RuntimeWarning, an error here).
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "convlap.cli",
+         "--help"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "usage" in proc.stdout
+
+
+def test_cli_still_resolves_from_the_package():
+    import convlap
+
+    assert convlap.cli.main is main
+    with pytest.raises(AttributeError):
+        convlap.no_such_module

@@ -245,3 +245,84 @@ def test_quadrature_is_deterministic():
     b = integrate(c, g)
     assert a.value == b.value
     assert a.error == b.error
+
+
+# ---- periodic trapezoid rule on full circles ----
+
+def test_full_circle_integrand_sees_node_arrays():
+    # On a full circle g is called on whole node arrays, one per level,
+    # and the first level has at least min_nodes nodes.
+    sizes = []
+
+    def g(z):
+        sizes.append(len(z))
+        return 1.0 / (z - 0.3)
+
+    res = integrate(circle_contour(0j, 1.0), g, min_nodes=300)
+    assert abs(res.value - TWO_PI_I) <= 1e-12
+    assert sizes and sizes[0] >= 300
+    assert all(n <= 4096 for n in sizes)
+
+
+def test_trapezoid_matches_residues_and_orientation():
+    # exp(w z)/(z - a)^2 has residue w e^{wa}; the reversed circle
+    # negates the integral.
+    w, a = 1.5 - 0.5j, 0.2 + 0.1j
+
+    def g(z):
+        return np.exp(w * z) / (z - a) ** 2
+
+    want = TWO_PI_I * w * cmath.exp(w * a)
+    c = circle_contour(0.1j, 1.2)
+    fwd = integrate(c, g, abs_tol=1e-13)
+    back = integrate(c.reversed(), g, abs_tol=1e-13)
+    assert abs(fwd.value - want) <= 1e-12
+    assert abs(fwd.value - want) <= fwd.error
+    assert abs(back.value + want) <= 1e-12
+
+
+def test_trapezoid_error_bounds_the_true_error_as_the_kernel_grows():
+    # e^{z w} over C(0, 2): the estimate covers the exact gap 2 pi i at
+    # every |w| the node rule is asked for.
+    c = circle_contour(0j, 2.0)
+    for mag in (0.5, 3.0, 8.0, 15.0):
+        for t in np.linspace(0.0, 2.0 * math.pi, 7):
+            w = mag * cmath.exp(1j * t)
+            M = 2.0 * mag
+            res = integrate(c, lambda z: np.exp(z * w - M) / z,
+                            abs_tol=1e-13, min_nodes=math.ceil(64 * M))
+            assert abs(res.value - TWO_PI_I * math.exp(-M)) <= res.error
+
+
+def test_trapezoid_raises_at_the_node_cap():
+    # A kink on the circle converges only algebraically: 4096 nodes
+    # cannot reach a 1e-15 target.
+    c = circle_contour(0j, 1.0)
+    with pytest.raises(QuadratureError) as exc:
+        integrate(c, lambda z: np.abs(z.real - 0.3) ** 0.5 + 0j,
+                  abs_tol=1e-15)
+    assert isinstance(exc.value.partial, complex)
+
+
+def test_trapezoid_is_deterministic():
+    c = circle_contour(0.2 + 0j, 1.5)
+
+    def g(z):
+        return np.exp((0.4 - 2.0j) * z) / (z - 0.5j)
+
+    a = integrate(c, g, min_nodes=500)
+    b = integrate(c, g, min_nodes=500)
+    assert (a.value, a.error) == (b.value, b.error)
+
+
+def test_arcs_short_of_a_full_turn_keep_gauss_legendre():
+    # The integrand is called on single points off full circles.
+    seen = []
+
+    def g(z):
+        seen.append(type(z))
+        return 1.0 / (z - 0.1)
+
+    arc = OrientedContour([Arc(0j, 1.0, 0.0, 1.5 * math.pi)])
+    integrate(arc, g)
+    assert seen and all(t is complex for t in seen)

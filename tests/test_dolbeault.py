@@ -110,6 +110,23 @@ def test_error_estimate_dominates_true_error():
         assert abs(got.value - residue_oracle(u, w)) <= got.error
 
 
+def test_extrapolated_value_beats_the_fine_pass():
+    # Poles near the inner band edge and a large e^{zw}: the grid-512
+    # fourth-order pass alone misses the residue by about 1e-4, its
+    # Richardson extrapolation with the half-resolution pass does not.
+    u = MeromorphicDatum([(-0.537 - 0.191j, 1, -0.331 - 0.430j),
+                          (-0.583 - 0.508j, 3, 1.945 - 1.177j),
+                          (0.163 - 0.312j, 3, -0.151 + 1.001j),
+                          (-0.069 - 0.438j, 2, 0.437 + 0.013j),
+                          (-0.573 - 0.404j, 3, 1.875 - 1.770j)])
+    p = CutoffProfile(UNIT_DISK, 1.0)
+    w = -1.884 + 1.371j
+    got = area_laplace(u, p, w, grid=512)
+    gap = abs(got.value - residue_oracle(u, w))
+    assert gap <= 1e-6
+    assert gap <= got.error
+
+
 def test_pole_placement_rejected():
     p = CutoffProfile(UNIT_DISK, 1.0)
     with pytest.raises(ValueError, match="band"):

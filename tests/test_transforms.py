@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from convlap import contour, transforms
 from convlap.convexgeom import ConvexBody, ConvexRegion, thicken
 from convlap.transforms import (
     ConvergenceError,
@@ -335,3 +336,91 @@ def test_datum_validation():
     u = MeromorphicDatum([(1 + 0j, 2, 3.0)])
     assert u(2 + 0j) == pytest.approx(3.0)
     assert u.max_pole_modulus == 1.0
+
+
+# ---- array evaluation and pole orders ----
+
+def test_datum_evaluates_arrays_elementwise():
+    u = MeromorphicDatum([(0.3 + 0j, 2, 1.5 - 0.5j), (-0.2j, 1, 2.0)])
+    z = np.array([1.0 + 0j, 2j, -1.5 + 0.5j])
+    got = u(z)
+    assert isinstance(got, np.ndarray) and got.shape == z.shape
+    for zk, gk in zip(z, got):
+        assert gk == pytest.approx(u(complex(zk)), rel=1e-15)
+    assert type(u(1.0)) is complex
+    assert type(u(np.complex128(1j))) is complex
+
+
+def test_datum_accepts_numpy_integer_orders():
+    u = MeromorphicDatum([(0.1, np.int64(2), 1.0), (0j, np.int32(1), 1.0)])
+    assert u.terms == ((0.1 + 0j, 2, 1 + 0j), (0j, 1, 1 + 0j))
+    assert all(type(m) is int for _, m, _ in u.terms)
+    for m in (True, np.bool_(True), 2.0, np.float64(2.0), 1.5, np.int64(0)):
+        with pytest.raises(ValueError):
+            MeromorphicDatum([(0j, m, 1.0)])
+
+
+# ---- overflow ----
+
+def test_polya_overflow_is_named_before_quadrature(monkeypatch):
+    u = MeromorphicDatum([(0.5 + 0j, 1, 1.0)])
+    v = polya_transform(u, ConvexBody([0j], rounding=1.0), 2.0)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(transforms, "integrate", no_quadrature)
+    with pytest.raises(OverflowError, match=r"\|w\| = 400\b.*log_abs"):
+        v(400)
+    assert v.log_abs(400) == pytest.approx(math.log(2 * math.pi) + 200.0,
+                                           rel=1e-12)
+
+
+def test_residue_oracle_overflow_is_named():
+    u = MeromorphicDatum([(0.5 + 0j, 1, 1.0), (0j, 2, 1.0)])
+    v = residue_transform(u)
+    w = 1500 + 0j  # Re(a w) = 750
+    with pytest.raises(OverflowError, match=r"\|w\| = 1500\b.*log_abs"):
+        residue_oracle(u, w)
+    with pytest.raises(OverflowError, match="log_abs"):
+        v(w)
+    assert math.isfinite(v.log_abs(w))
+    assert v.log_abs(w) == pytest.approx(math.log(2 * math.pi) + 750.0,
+                                         rel=1e-12)
+
+
+# ---- Polya on the cached-node trapezoid rule ----
+
+def test_polya_evaluation_is_bitwise_reproducible():
+    u = MeromorphicDatum([(0.25j, 2, 1.5 - 0.5j), (-0.2 + 0j, 3, 1.0)])
+    ws = [0.3 + 0.1j, -2.0 + 1.5j, 6.0j, 10.0 - 4.0j]
+    v = polya_transform(u, DISK_HALF, 2.0)
+    first = [v.with_error(w) for w in ws]
+    assert [v.with_error(w) for w in ws] == first
+    assert [v.with_error(w) for w in reversed(ws)] == first[::-1]
+    # Rebuilt from scratch, node arrays included.
+    contour._trapezoid_nodes.cache_clear()
+    rebuilt = polya_transform(MeromorphicDatum(u.terms), DISK_HALF, 2.0)
+    assert [rebuilt.with_error(w) for w in ws] == first
+
+
+def test_polya_evaluates_u_once_per_node_level(monkeypatch):
+    sizes = []
+    call = MeromorphicDatum.__call__
+
+    def counting(self, z):
+        sizes.append(len(z) if isinstance(z, np.ndarray) else None)
+        return call(self, z)
+
+    monkeypatch.setattr(MeromorphicDatum, "__call__", counting)
+    u = MeromorphicDatum([(0.2 + 0.1j, 2, 1.0), (-0.1 + 0j, 1, 0.5j)])
+    v = polya_transform(u, DISK_HALF, 2.0)
+    assert sizes == []  # nodes are built at the first evaluation
+    ws = w_grid(3.0, 9) + [8.0 * cmath.exp(0.4j * k) for k in range(16)]
+    for w in ws:
+        residue = residue_oracle(u, w)
+        assert abs(v(w) - residue) <= 1e-9 * (1 + abs(residue))
+    # One array call per node count used, none per w.
+    assert None not in sizes
+    assert len(sizes) == len(set(sizes))
+    assert 1 <= len(sizes) <= 7
