@@ -1,22 +1,27 @@
-"""Exact small-scale optimization over planar polyhedra.
+"""Planar polyhedra: one half-plane intersection behind every query.
 
 Everything here works on plain Euclidean (x, y) data; complex-plane pairing
 conventions are the caller's business.  A half-plane is a triple
 (nx, ny, d) meaning nx*x + ny*y <= d with (nx, ny) of unit length.  An
 affine piece is a triple (gx, gy, k) meaning gx*x + gy*y + k.
 
-The central routine maximizes a minimum of affine pieces over an
-intersection of half-planes by exhaustive enumeration of basic points:
-pairwise line intersections plus 1-D refinements along every line.  That
-is exact (up to float arithmetic) for the sizes this package deals in,
-and avoids pulling in an external solver.
+halfplane_polygon intersects half-planes by sorting their normals by
+angle and sweeping them with a stack (unbounded sets) or a deque (bounded
+ones), as in de Berg et al., *Computational Geometry*, ch. 4.  Vertices,
+recession cones and the maximum of a minimum of affine pieces are all
+read off the resulting Polygon.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
+
+# Unit normals whose cross product is at most this count as parallel.
+_PARALLEL = 1e-12
 
 # Angular descriptions of closed convex cones of directions, used for
 # recession reasoning.  Forms:
@@ -41,164 +46,193 @@ def ang_dist(a: float, b: float) -> float:
     return abs(_norm_angle(a - b))
 
 
-def angular_hull(angles, tol: float = 1e-12):
-    """Smallest cone of directions containing every given direction."""
-    uniq: list[float] = []
-    for a in angles:
-        a = _norm_angle(a)
-        if not any(ang_dist(a, b) <= tol for b in uniq):
-            uniq.append(a)
-    if not uniq:
-        raise ValueError("angular_hull needs at least one direction")
-    if len(uniq) == 1:
-        return ("arc", uniq[0], uniq[0])
-    uniq.sort()
-    # Largest circular gap between consecutive directions decides the hull.
-    gaps = []
-    for i in range(len(uniq)):
-        nxt = uniq[(i + 1) % len(uniq)]
-        gap = (nxt - uniq[i]) % TWO_PI
-        gaps.append((gap, i))
-    gap, i = max(gaps)
-    if gap < math.pi - tol:
-        return ("full",)
-    lo = uniq[(i + 1) % len(uniq)]
-    width = TWO_PI - gap
-    if abs(gap - math.pi) <= tol:
-        # Complement arc of width exactly pi: two antipodal directions
-        # alone generate a line, anything strictly between them widens
-        # the hull to a closed half-plane of directions.
-        interior = [a for a in uniq
-                    if tol < (a - lo) % TWO_PI < width - tol]
-        if not interior:
-            return ("line", lo)
-        return ("arc", lo, lo + width)
-    return ("arc", lo, lo + width)
+class Polygon(NamedTuple):
+    """A nonempty intersection of half-planes: conv(points) + cone(rays).
 
+    A set containing no line lists its vertices counterclockwise.  When it
+    is bounded, rays is empty and edges[i] is the half-plane carrying the
+    edge from vertices[i] to vertices[i+1] (cyclically).  When it is
+    unbounded, rays is (d_in, d_out), the unit directions toward infinity
+    of its entry and exit rays; edges[0] carries the entry ray, edges[i]
+    the edge from vertices[i-1] to vertices[i], and edges[-1] the exit
+    ray.  A point, a segment or a ray keeps this form.
 
-def cone_polar_euclid(cone):
-    """Euclidean polar {v : u.v <= 0 for all u in cone} of a direction cone."""
-    kind = cone[0]
-    if kind == "zero":
-        return ("full",)
-    if kind == "full":
-        return ("zero",)
-    if kind == "line":
-        return ("line", _norm_angle(cone[1] + 0.5 * math.pi))
-    _, lo, hi = cone
-    plo = hi + 0.5 * math.pi
-    phi = lo + 1.5 * math.pi
-    lo2 = _norm_angle(plo)
-    return ("arc", lo2, lo2 + max(phi - plo, 0.0))
-
-
-def recession_cone(halfplanes, tol: float = 1e-12):
-    """Directions v with n.v <= 0 for every half-plane normal n."""
-    if not halfplanes:
-        return ("full",)
-    hull = angular_hull([math.atan2(ny, nx) for nx, ny, _ in halfplanes], tol)
-    return cone_polar_euclid(hull)
-
-
-def cone_contains(cone, theta: float, tol: float = 1e-9) -> bool:
-    kind = cone[0]
-    if kind == "full":
-        return True
-    if kind == "zero":
-        return False
-    if kind == "line":
-        d = ang_dist(theta, cone[1])
-        return d <= tol or d >= math.pi - tol
-    _, lo, hi = cone
-    return (theta - lo) % TWO_PI <= (hi - lo) + tol
-
-
-def _arc_sup_min_cosines(pieces, arc, tol: float = 1e-12) -> float:
-    """sup over directions u(theta) in the arc of min_i g_i.u(theta).
-
-    pieces: gradient vectors (gx, gy).  Used as the unboundedness
-    certificate: a positive value names a recession direction along which
-    every affine piece strictly grows.
+    A set containing a line (the plane, a half-plane, a slab, a line) has
+    no vertices: edges holds its 0-2 boundary half-planes and rays
+    generates its recession cone.
     """
-    amps = [math.hypot(gx, gy) for gx, gy in pieces]
-    phases = [math.atan2(gy, gx) for gx, gy in pieces]
-    if any(a == 0.0 for a in amps):
-        # A zero gradient caps the min by a constant: never grows.
-        return 0.0
 
-    def val(theta: float) -> float:
-        return min(a * math.cos(theta - p) for a, p in zip(amps, phases))
+    vertices: tuple
+    rays: tuple
+    edges: tuple
 
-    kind = arc[0]
-    if kind == "zero":
-        return -math.inf
-    if kind == "line":
-        return max(val(arc[1]), val(arc[1] + math.pi))
-    if kind == "full":
-        lo, hi = 0.0, TWO_PI
-    else:
-        _, lo, hi = arc
-    cands = [lo, hi]
-    for p in phases:
-        for k in (-1, 0, 1):
-            t = p + k * TWO_PI
-            if lo - tol <= t <= hi + tol:
-                cands.append(min(max(t, lo), hi))
-    # Crossings of two cosine curves: a*cos(t-p) = b*cos(t-q) reduces to
-    # A*cos(t) + B*sin(t) = 0.
-    n = len(pieces)
-    for i in range(n):
-        for j in range(i + 1, n):
-            A = amps[i] * math.cos(phases[i]) - amps[j] * math.cos(phases[j])
-            B = amps[i] * math.sin(phases[i]) - amps[j] * math.sin(phases[j])
-            if abs(A) <= tol and abs(B) <= tol:
-                continue
-            base = math.atan2(A, -B)
-            for k in (-2, -1, 0, 1, 2):
-                for off in (0.0, math.pi):
-                    t = base + off + k * TWO_PI
-                    if lo - tol <= t <= hi + tol:
-                        cands.append(min(max(t, lo), hi))
-    return max(val(t) for t in cands)
+    @property
+    def points(self) -> tuple:
+        """The vertices, or else a point on each boundary line, or else
+        the origin: with the rays, they generate the set."""
+        if self.vertices:
+            return self.vertices
+        return (tuple((nx * d, ny * d) for nx, ny, d in self.edges)
+                or ((0.0, 0.0),))
 
 
-def _line_through(h1, h2, tol: float):
+def _cross(h1, h2) -> float:
+    return h1[0] * h2[1] - h1[1] * h2[0]
+
+
+def _line_through(h1, h2):
     """Intersection point of two half-plane boundary lines, or None."""
     n1x, n1y, d1 = h1
     n2x, n2y, d2 = h2
     det = n1x * n2y - n1y * n2x
-    if abs(det) <= tol:
+    if abs(det) <= _PARALLEL:
         return None
     x = (d1 * n2y - d2 * n1y) / det
     y = (n1x * d2 - n2x * d1) / det
     return (x, y)
 
 
+def _outside(h, pt, slack: float) -> bool:
+    return h[0] * pt[0] + h[1] * pt[1] > h[2] + slack
+
+
 def _feasible(pt, halfplanes, slack: float) -> bool:
-    x, y = pt
-    return all(nx * x + ny * y <= d + slack for nx, ny, d in halfplanes)
+    return not any(_outside(h, pt, slack) for h in halfplanes)
+
+
+def halfplane_polygon(halfplanes, tol: float = 1e-9):
+    """Intersect half-planes into a Polygon; None when the set is empty.
+
+    tol, scaled by 1 + max |d|, is how far a point may violate a
+    half-plane and still count as inside it.
+    """
+    slack = tol * (1.0 + max((abs(d) for _, _, d in halfplanes),
+                             default=0.0))
+    # Sort normals by angle; of parallel ones keep the tightest.
+    lines: list = []
+    for h in sorted(halfplanes, key=lambda h: math.atan2(h[1], h[0])):
+        if lines and _same_direction(lines[-1], h):
+            lines[-1] = min(lines[-1], h, key=lambda g: g[2])
+        else:
+            lines.append(h)
+    if len(lines) > 1 and _same_direction(lines[-1], lines[0]):
+        lines[0] = min(lines.pop(), lines[0], key=lambda g: g[2])
+    if not lines:
+        return Polygon((), ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
+                            (0.0, -1.0)), ())
+    if len(lines) == 1:
+        nx, ny, _ = lines[0]
+        return Polygon((), ((ny, -nx), (-ny, nx), (-nx, -ny)),
+                       tuple(lines))
+    # The widest turn between consecutive normals decides the shape: less
+    # than pi and the set is bounded (or empty); otherwise the boundary is
+    # one chain that starts with the normal right after that gap.
+    m = len(lines)
+    angles = [math.atan2(ny, nx) for nx, ny, _ in lines]
+    gap, i = max(((angles[(i + 1) % m] - angles[i]) % TWO_PI, i)
+                 for i in range(m))
+    if gap < math.pi - _PARALLEL:
+        return _closed_polygon(lines, slack)
+    lines = lines[i + 1:] + lines[:i + 1]
+    first, last = lines[0], lines[-1]
+    if abs(_cross(first, last)) <= _PARALLEL:
+        # Antiparallel ends bound a slab, which the others only cut.
+        if first[2] + last[2] < -slack:
+            return None
+        if m == 2:
+            nx, ny, _ = first
+            return Polygon((), ((ny, -nx), (-ny, nx)), (first, last))
+    return _open_polygon(lines, slack)
+
+
+def _same_direction(h1, h2) -> bool:
+    return (abs(_cross(h1, h2)) <= _PARALLEL
+            and h1[0] * h2[0] + h1[1] * h2[1] > 0.0)
+
+
+def _open_polygon(lines, slack: float):
+    """Boundary chain of an unbounded set; lines sorted from the entry
+    ray's half-plane to the exit ray's, spanning at most pi."""
+    stack: list = []
+    for h in lines:
+        while (len(stack) >= 2
+               and _outside(h, _line_through(stack[-2], stack[-1]),
+                            slack)):
+            stack.pop()
+        stack.append(h)
+    corners = [_line_through(a, b) for a, b in zip(stack, stack[1:])]
+    if None in corners:  # antiparallel ends left alone, by rounding
+        return None
+    # A middle edge of zero length carries nothing: drop it and one of
+    # its equal end points.
+    keep = [0] + [k for k in range(1, len(stack) - 1)
+                  if math.dist(corners[k - 1], corners[k]) > slack]
+    (nx0, ny0, _), (nx1, ny1, _) = stack[0], stack[-1]
+    return Polygon(tuple(corners[k] for k in keep),
+                   ((ny0, -nx0), (-ny1, nx1)),
+                   tuple(stack[k] for k in keep) + (stack[-1],))
+
+
+def _closed_polygon(lines, slack: float):
+    """Boundary cycle of a set whose normals positively span the plane;
+    lines sorted by angle.  None when the set is empty."""
+    dq: deque = deque()
+    for h in lines:
+        while (len(dq) >= 2
+               and _outside(h, _line_through(dq[-2], dq[-1]), slack)):
+            dq.pop()
+        while (len(dq) >= 2
+               and _outside(h, _line_through(dq[0], dq[1]), slack)):
+            dq.popleft()
+        # Consecutive edges of a nonempty bounded set turn by less than pi.
+        if dq and _cross(dq[-1], h) <= _PARALLEL:
+            return None
+        dq.append(h)
+    while (len(dq) >= 3
+           and _outside(dq[0], _line_through(dq[-2], dq[-1]), slack)):
+        dq.pop()
+    while (len(dq) >= 3
+           and _outside(dq[-1], _line_through(dq[0], dq[1]), slack)):
+        dq.popleft()
+    if len(dq) < 3 or _cross(dq[-1], dq[0]) <= _PARALLEL:
+        return None
+    corners = [_line_through(dq[k - 1], dq[k]) for k in range(len(dq))]
+    if not all(_feasible(c, lines, slack) for c in corners):
+        return None
+    n = len(dq)
+    keep = [k for k in range(n)
+            if math.dist(corners[k], corners[(k + 1) % n]) > slack] or [0]
+    return Polygon(tuple(corners[k] for k in keep), (),
+                   tuple(dq[k] for k in keep))
 
 
 def polygon_vertices(halfplanes, tol: float = 1e-9):
-    """Feasible pairwise boundary intersections, deduplicated and sorted.
+    """Vertices of the intersection, counterclockwise; none when it is
+    empty or contains a line."""
+    poly = halfplane_polygon(halfplanes, tol)
+    return [] if poly is None else list(poly.vertices)
 
-    For a region containing no line these are exactly the extreme points.
-    """
-    scale = 1.0 + max((abs(d) for _, _, d in halfplanes), default=0.0)
-    slack = tol * scale
-    pts: list[tuple[float, float]] = []
-    n = len(halfplanes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = _line_through(halfplanes[i], halfplanes[j], 1e-12)
-            if p is not None and _feasible(p, halfplanes, slack):
-                pts.append(p)
-    pts.sort()
-    out: list[tuple[float, float]] = []
-    for p in pts:
-        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) <= slack for q in out):
-            out.append(p)
-    return out
+
+def recession_cone(halfplanes):
+    """Directions v with z + t*v inside a nonempty intersection for all
+    t >= 0, as an angular cone description."""
+    poly = halfplane_polygon(halfplanes)
+    if poly is None:
+        raise ValueError("the half-planes have empty intersection")
+    if not poly.rays:
+        return ("zero",)
+    if not poly.edges:
+        return ("full",)
+    (ix, iy), (ox, oy) = poly.rays[:2]
+    lo = math.atan2(oy, ox)
+    if poly.vertices:
+        # From the exit ray counterclockwise to the entry ray; a turn past
+        # pi is rounding across a single ray.
+        width = (math.atan2(iy, ix) - lo) % TWO_PI
+        return ("arc", lo, lo + (width if width <= math.pi else 0.0))
+    if len(poly.edges) == 1:
+        return ("arc", lo, lo + math.pi)
+    return ("line", lo)
 
 
 def maximize_min_affine(pieces, halfplanes, tol: float = 1e-11):
@@ -206,118 +240,36 @@ def maximize_min_affine(pieces, halfplanes, tol: float = 1e-11):
 
     Returns (value, argpoint).  value is -inf when the polyhedron is
     empty, +inf when the objective is unbounded above on it (argpoint is
-    then None).  When finite, the supremum is attained at one of the
-    enumerated basic points, so the result is exact up to rounding.
+    then None).  The polyhedron splits into the cells where each piece is
+    the minimum: the supremum is +inf when a cell has a ray along which
+    its piece grows, and otherwise the largest objective value at a
+    cell's points, so it is exact up to rounding.
     """
     if not pieces:
         raise ValueError("need at least one affine piece")
-    scale = 1.0 + max(
-        max((abs(d) for _, _, d in halfplanes), default=0.0),
-        max(abs(k) for _, _, k in pieces),
-    )
-    slack = tol * scale
-
-    def objective(pt) -> float:
-        x, y = pt
-        return min(gx * x + gy * y + k for gx, gy, k in pieces)
-
-    # Candidate basic points.  Lines: every half-plane boundary and every
-    # bisector of a pair of pieces with distinct gradients.
-    line_hp: list[tuple[float, float, float]] = list(halfplanes)
-    np_ = len(pieces)
-    for i in range(np_):
-        for j in range(i + 1, np_):
-            gx = pieces[i][0] - pieces[j][0]
-            gy = pieces[i][1] - pieces[j][1]
-            k = pieces[j][2] - pieces[i][2]
-            norm = math.hypot(gx, gy)
-            if norm <= 1e-14 * (1.0 + math.hypot(pieces[i][0], pieces[i][1])):
-                continue
-            line_hp.append((gx / norm, gy / norm, k / norm))
-
-    cands: list[tuple[float, float]] = []
-    if not halfplanes:
-        cands.append((0.0, 0.0))
-
-    nl = len(line_hp)
-    for i in range(nl):
-        for j in range(i + 1, nl):
-            p = _line_through(line_hp[i], line_hp[j], 1e-12)
-            if p is not None and _feasible(p, halfplanes, slack):
-                cands.append(p)
-
-    # 1-D refinement along every line: clip to the polyhedron, then keep
-    # the clip endpoints, crossings with the other lines, and an anchor.
-    for idx, (nx0, ny0, d0) in enumerate(line_hp):
-        p0x, p0y = nx0 * d0, ny0 * d0
-        dx, dy = -ny0, nx0
-        t_lo, t_hi = -math.inf, math.inf
-        empty = False
-        for nx, ny, d in halfplanes:
-            a = nx * dx + ny * dy
-            b = d - (nx * p0x + ny * p0y)
-            if abs(a) <= 1e-14:
-                if b < -slack:
-                    empty = True
-                    break
-            elif a > 0:
-                t_hi = min(t_hi, b / a)
-            else:
-                t_lo = max(t_lo, b / a)
-        if empty or t_lo > t_hi + slack:
-            continue
-        ts: list[float] = []
-        if math.isfinite(t_lo):
-            ts.append(t_lo)
-        if math.isfinite(t_hi):
-            ts.append(t_hi)
-        if math.isfinite(t_lo) and math.isfinite(t_hi):
-            ts.append(0.5 * (t_lo + t_hi))
-        else:
-            anchor = 0.0
-            if math.isfinite(t_lo):
-                anchor = max(anchor, t_lo)
-            if math.isfinite(t_hi):
-                anchor = min(anchor, t_hi)
-            ts.append(anchor)
-        for jdx, (nx, ny, d) in enumerate(line_hp):
-            if jdx == idx:
-                continue
-            a = nx * dx + ny * dy
-            if abs(a) <= 1e-14:
-                continue
-            t = (d - (nx * p0x + ny * p0y)) / a
-            if t_lo - slack <= t <= t_hi + slack:
-                t = min(max(t, t_lo if math.isfinite(t_lo) else t),
-                        t_hi if math.isfinite(t_hi) else t)
-                ts.append(t)
-        for t in ts:
-            if not math.isfinite(t):
-                continue
-            p = (p0x + t * dx, p0y + t * dy)
-            if _feasible(p, halfplanes, slack):
-                cands.append(p)
-
-    if not cands:
-        return -math.inf, None
-
-    # Unboundedness: a recession direction along which every piece grows.
-    # Checked only on a nonempty polyhedron (candidates prove feasibility).
-    rec = recession_cone(halfplanes)
-    grads = [(gx, gy) for gx, gy, _ in pieces]
-    if rec[0] != "zero":
-        gscale = max(math.hypot(gx, gy) for gx, gy in grads)
-        if gscale > 0.0 and _arc_sup_min_cosines(grads, rec) > 1e-11 * gscale:
-            return math.inf, None
-
-    cands.sort()
+    grow = tol * max(math.hypot(gx, gy) for gx, gy, _ in pieces)
     best = -math.inf
     best_pt = None
-    for p in cands:
-        v = objective(p)
-        if v > best:
-            best = v
-            best_pt = p
+    for gx, gy, k in pieces:
+        cell = list(halfplanes)
+        for hx, hy, kj in pieces:
+            ax, ay = gx - hx, gy - hy
+            norm = math.hypot(ax, ay)
+            if norm > 1e-14 * (1.0 + math.hypot(gx, gy)):
+                cell.append((ax / norm, ay / norm, (kj - k) / norm))
+            elif kj < k:
+                break  # a piece with this gradient lies below it everywhere
+        else:
+            poly = halfplane_polygon(cell, tol)
+            if poly is None:
+                continue
+            if any(gx * dx + gy * dy > grow for dx, dy in poly.rays):
+                return math.inf, None
+            for x, y in poly.points:
+                v = min(hx * x + hy * y + kj for hx, hy, kj in pieces)
+                if v > best:
+                    best = v
+                    best_pt = (x, y)
     return best, best_pt
 
 
@@ -330,32 +282,3 @@ def interior_slack(halfplanes, tol: float = 1e-11):
     pieces = [(-nx, -ny, d) for nx, ny, d in halfplanes]
     val, _ = maximize_min_affine(pieces, [], tol)
     return val
-
-
-def prune_redundant(halfplanes, tol: float = 1e-9):
-    """Drop constraints implied by the others (sequentially, in order).
-
-    Exact duplicates are removed first so that a constraint never
-    justifies its own twin's removal.
-    """
-    hp: list[tuple[float, float, float]] = []
-    for h in halfplanes:
-        if not any(
-            abs(h[0] - g[0]) <= tol and abs(h[1] - g[1]) <= tol
-            and abs(h[2] - g[2]) <= tol * (1.0 + abs(g[2]))
-            for g in hp
-        ):
-            hp.append(h)
-    keep = list(hp)
-    i = 0
-    while i < len(keep):
-        others = keep[:i] + keep[i + 1:]
-        if not others:
-            break
-        nx, ny, d = keep[i]
-        val, _ = maximize_min_affine([(nx, ny, -d)], others)
-        if val <= tol * (1.0 + abs(d)):
-            keep.pop(i)
-        else:
-            i += 1
-    return keep

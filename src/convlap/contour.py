@@ -30,8 +30,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _lp
-from .convexgeom import ConvexBody, ConvexRegion, boundary_walk
+from .convexgeom import (
+    ConvexBody,
+    ConvexRegion,
+    boundary_walk,
+    region_is_bounded,
+)
 
 __all__ = [
     "Segment",
@@ -251,8 +255,7 @@ def region_boundary_contour(s, truncation: float | None = None,
         return (out, None) if with_closing_arc else out
     if not isinstance(s, ConvexRegion):
         raise TypeError(f"unsupported set type {type(s).__name__}")
-    rec = _lp.recession_cone(_lp.prune_redundant(list(s.halfplanes)))
-    if rec[0] == "zero":
+    if region_is_bounded(s):
         walk = boundary_walk(s)
         out = OrientedContour(
             _offset_closed_pieces(walk.normals, walk.corners, s.rounding))

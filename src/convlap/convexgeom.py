@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import _lp
-from ._lp import TWO_PI, _norm_angle, ang_dist
+from ._lp import _norm_angle, ang_dist
 
 __all__ = [
     "ConvexBody",
@@ -179,35 +179,9 @@ class Cone:
                 return False
         return True
 
-    @property
-    def halfplane_normals(self) -> tuple[tuple[float, float], ...]:
-        """Normals of a half-plane representation (offsets all zero)."""
-        a, hw = self.axis, self.half_width
-        if self.kind == "plane":
-            return ()
-        if self.kind == "zero":
-            return ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-        if self.kind == "line":
-            p = a + 0.5 * math.pi
-            return (_dir(p), _dir(p + math.pi))
-        if hw >= 0.5 * math.pi - 1e-15:
-            return (_dir(a + math.pi),)
-        if hw <= 1e-15:
-            p = a + 0.5 * math.pi
-            return (_dir(p), _dir(p + math.pi), _dir(a + math.pi))
-        return (_dir(a - hw - 0.5 * math.pi), _dir(a + hw + 0.5 * math.pi))
-
-    def as_region(self) -> ConvexRegion:
-        return ConvexRegion(
-            [(nx, ny, 0.0) for nx, ny in self.halfplane_normals])
-
 
 def _cis(theta: float) -> complex:
     return complex(math.cos(theta), math.sin(theta))
-
-
-def _dir(theta: float) -> tuple[float, float]:
-    return (math.cos(theta), math.sin(theta))
 
 
 def _cone_from_desc(desc) -> Cone:
@@ -220,16 +194,6 @@ def _cone_from_desc(desc) -> Cone:
         return Cone("line", desc[1])
     _, lo, hi = desc
     return Cone("sector", 0.5 * (lo + hi), 0.5 * (hi - lo))
-
-
-def _desc_from_cone(c: Cone):
-    if c.kind == "zero":
-        return ("zero",)
-    if c.kind == "plane":
-        return ("full",)
-    if c.kind == "line":
-        return ("line", c.axis)
-    return ("arc", c.axis - c.half_width, c.axis + c.half_width)
 
 
 # ---- support functions ----
@@ -480,34 +444,7 @@ def boundary_walk(s) -> BoundaryWalk:
                          "a single chain")
     if not region_has_interior(s):
         raise ValueError("boundary walk needs a set with nonempty interior")
-    hp = _lp.prune_redundant(list(s.halfplanes))
-    if not hp:
-        raise ValueError("the whole plane has no boundary")
-    rec = _lp.recession_cone(hp)
-    angles = [math.atan2(ny, nx) for nx, ny, _ in hp]
-    if rec[0] == "zero":
-        order = sorted(range(len(hp)), key=lambda i: angles[i])
-        faces = [hp[i] for i in order]
-        n = len(faces)
-        corners = []
-        for i in range(n):
-            p = _lp._line_through(faces[i - 1], faces[i], 1e-12)
-            if p is None:
-                raise ValueError("degenerate facet pair in bounded region")
-            corners.append(complex(*p))
-        return BoundaryWalk(True, tuple(angles[i] for i in order),
-                            tuple(corners))
-    # Open chain: recession directions occupy an arc; facet normals are
-    # sorted starting just past it so the walk runs counterclockwise.
-    hi = rec[2] if rec[0] == "arc" else rec[1]
-    ref = hi + 0.5 * math.pi
-    order = sorted(range(len(hp)), key=lambda i: (angles[i] - ref) % TWO_PI)
-    faces = [hp[i] for i in order]
-    corners = []
-    for i in range(len(faces) - 1):
-        p = _lp._line_through(faces[i], faces[i + 1], 1e-12)
-        if p is None:
-            raise ValueError("degenerate facet pair in unbounded region")
-        corners.append(complex(*p))
-    return BoundaryWalk(False, tuple(angles[i] for i in order),
-                        tuple(corners))
+    poly = _lp.halfplane_polygon(s.halfplanes)
+    return BoundaryWalk(not poly.rays,
+                        tuple(math.atan2(ny, nx) for nx, ny, _ in poly.edges),
+                        tuple(complex(x, y) for x, y in poly.vertices))

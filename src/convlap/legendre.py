@@ -5,16 +5,20 @@ elsewhere; with no pieces it is the indicator of the domain.  The
 conjugate pairs z against w through Re(z*w) (complex product), so the
 conjugate of the indicator of a set is exactly its support function.
 
-Conjugation comes in three strengths:
+Three routines compute conjugates, all exact up to rounding:
 
-* conjugate_at: pointwise, exact.  Indicators and single pieces reduce
-  to support-function evaluations (valid for rounded domains too);
-  anything else becomes a small exact LP over the polyhedral domain.
+* conjugate_at: one value.  Indicators and single pieces reduce to
+  support-function evaluations (valid for rounded domains too); several
+  pieces maximize a minimum of affine pieces over the polyhedral domain.
 * symbolic_conjugate: the closed form h_domain(w - b) - c, available
   precisely for indicator or single-piece data.
-* conjugate: the full piecewise-linear conjugate as a new
-  PLConvexFunction, built from epigraph vertices and recession rays.
-  Needs a polyhedral domain whose epigraph has at least one vertex.
+* conjugate: the whole piecewise-linear conjugate as a new
+  PLConvexFunction on a polyhedral domain.  The cells where each piece
+  of f is the maximum give its pieces (one per cell vertex) and its
+  domain (one half-plane per cell ray).
+
+The cells, like every polyhedral query here, come from the half-plane
+intersection in _lp.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from . import _lp
-from ._lp import TWO_PI
 from .convexgeom import (
     Cone,
     ConvexBody,
@@ -180,73 +183,28 @@ def symbolic_conjugate(f: PLConvexFunction) -> ConjugateForm:
     return ConjugateForm(f.domain, shift, -offset, cone)
 
 
-def _epigraph_profile(gradients, rec):
-    """Constraint directions and slopes cutting dom(f*)'s recession part.
-
-    gradients: Euclidean gradients of the pieces.  rec: recession cone
-    description of the domain.  Returns a list of (theta, sigma) with
-    sigma the asymptotic slope max_i g_i . u(theta); the half-planes
-    w_hat . u(theta) <= sigma(theta) carve dom(f*) exactly once crossing
-    directions are included and no gap reaches pi.
-    """
-    def sigma(theta):
-        ux, uy = math.cos(theta), math.sin(theta)
-        return max(gx * ux + gy * uy for gx, gy in gradients)
-
-    if rec[0] == "zero":
-        return []
-    if rec[0] == "line":
-        return [(rec[1], sigma(rec[1])),
-                (rec[1] + math.pi, sigma(rec[1] + math.pi))]
-    if rec[0] == "full":
-        lo, hi, cyclic = 0.0, TWO_PI, True
-    else:
-        _, lo, hi = rec
-        cyclic = False
-    dirs: list[float] = [] if cyclic else [lo, hi]
-    n = len(gradients)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gx = gradients[i][0] - gradients[j][0]
-            gy = gradients[i][1] - gradients[j][1]
-            if math.hypot(gx, gy) <= 1e-14:
-                continue
-            base = math.atan2(gy, gx)
-            for off in (0.5 * math.pi, 1.5 * math.pi):
-                for k in (-1, 0, 1):
-                    t = base + off + k * TWO_PI
-                    if lo - 1e-12 <= t <= hi + 1e-12:
-                        dirs.append(min(max(t, lo), hi))
-    dirs.sort()
-    out = list(dirs)
-    # Fill gaps so no stretch of directions reaches pi/2; any filled
-    # direction contributes a true (possibly redundant) constraint.
-    if cyclic and not dirs:
-        dirs = [lo]
-        out = [lo]
-    gaps = []
-    m = len(dirs)
-    for i in range(m if cyclic else m - 1):
-        a = dirs[i]
-        b = dirs[(i + 1) % m] + (TWO_PI if cyclic and i == m - 1 else 0.0)
-        gaps.append((a, b))
-    for a, b in gaps:
-        width = b - a
-        if width <= 0.0:
-            continue
-        k = int(math.ceil(width / (0.45 * math.pi)))
-        for j in range(1, k):
-            out.append(a + width * j / k)
-    return [(t, sigma(t)) for t in out]
+def _distinct(items):
+    """Drop items equal, coordinate by coordinate, to an earlier one."""
+    tol = 1e-9 * (1.0 + max((abs(v) for it in items for v in it),
+                            default=0.0))
+    out: list = []
+    for it in items:
+        if all(max(abs(a - b) for a, b in zip(it, o)) > tol for o in out):
+            out.append(it)
+    return out
 
 
 def conjugate(f: PLConvexFunction) -> PLConvexFunction:
     """The conjugate as a PLConvexFunction.
 
-    Pieces come from the vertices of the epigraph of f (points where two
-    independent kink or facet lines meet), the domain from its recession
-    rays.  Raises UnsupportedConjugate when the data has no such
-    description (rounded domain, or an epigraph without vertices).
+    The domain splits into the cells where each piece (b, c) of f is the
+    maximum.  On a cell, sup Re(z*w) - f(z) is finite exactly when
+    Re(d*w) <= Re(d*b) along each of the cell's rays d, and is then
+    attained at one of its points p (its vertices, or a point of each
+    boundary line when the cell contains a line).  So the conjugate has a
+    piece (p, -f(p)) per point and a domain cut by a half-plane per ray.
+    Raises UnsupportedConjugate for a rounded domain and for the
+    indicator of an unbounded region.
     """
     pieces = _collapsed_pieces(f)
     if not pieces:
@@ -261,60 +219,29 @@ def conjugate(f: PLConvexFunction) -> PLConvexFunction:
             "support functions of unbounded regions are handled by "
             "symbolic_conjugate")
     hp = _domain_halfplanes(f.domain)
-    gradients = [(b.real, -b.imag) for b, _ in pieces]
-
-    # Candidate kink points: pairwise intersections of piece bisectors
-    # and domain facet lines, plus domain vertices, plus line anchors.
-    lines: list[tuple[float, float, float]] = list(hp)
-    n = len(pieces)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gx = gradients[i][0] - gradients[j][0]
-            gy = gradients[i][1] - gradients[j][1]
-            k = pieces[j][1] - pieces[i][1]
-            norm = math.hypot(gx, gy)
-            if norm <= 1e-14:
-                continue
-            lines.append((gx / norm, gy / norm, k / norm))
-    scale = 1.0 + max(abs(d) for _, _, d in lines)
-    slack = 1e-9 * scale
-    cands: list[tuple[float, float]] = []
-    nl = len(lines)
-    for i in range(nl):
-        for j in range(i + 1, nl):
-            p = _lp._line_through(lines[i], lines[j], 1e-12)
-            if p is not None and _lp._feasible(p, hp, slack):
-                cands.append(p)
-    for nx, ny, d in lines:
-        p = (nx * d, ny * d)
-        if _lp._feasible(p, hp, slack):
-            cands.append(p)
-    cands.sort()
-    kept: list[tuple[float, float]] = []
-    for p in cands:
-        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) <= slack
-                   for q in kept):
-            kept.append(p)
-    if not kept:
-        raise UnsupportedConjugate("epigraph has no usable vertex")
-
+    points: list[tuple[float, float]] = []
+    constraints: list[tuple[float, float, float]] = []
+    for b, c in pieces:
+        # Re(z*b2) + c2 <= Re(z*b) + c for every other piece (b2, c2).
+        cell = list(hp)
+        for b2, c2 in pieces:
+            q = b2 - b
+            if q != 0:
+                cell.append((q.real / abs(q), -q.imag / abs(q),
+                             (c - c2) / abs(q)))
+        poly = _lp.halfplane_polygon(cell)
+        if poly is None:
+            continue
+        points += poly.points
+        for dx, dy in poly.rays:
+            # Re(d*w) <= Re(d*b) as a half-plane in (u, v).
+            constraints.append((dx, -dy, (complex(dx, dy) * b).real))
     dual_pieces = []
-    for x, y in kept:
+    for x, y in _distinct(points):
         z = complex(x, y)
         val = max((z * b).real + c for b, c in pieces)
         dual_pieces.append((z, -val))
-
-    rec = _lp.recession_cone(hp)
-    constraints = []
-    seen_dirs: list[float] = []
-    for theta, sig in _epigraph_profile(gradients, rec):
-        if any(_lp.ang_dist(theta, t) <= 1e-12 for t in seen_dirs):
-            continue
-        seen_dirs.append(_lp._norm_angle(theta))
-        # w_hat . u(theta) <= sigma in (u, -v) coordinates becomes the
-        # half-plane (cos t, -sin t) . (u, v) <= sigma.
-        constraints.append((math.cos(theta), -math.sin(theta), sig))
-    dual_domain = ConvexRegion(constraints)
+    dual_domain = ConvexRegion(_distinct(constraints))
     return PLConvexFunction(dual_pieces, dual_domain)
 
 

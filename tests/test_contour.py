@@ -208,6 +208,20 @@ def test_open_boundary_rays_match_contour_ends():
     assert abs(abs(d_out) - 1.0) <= 1e-12
 
 
+def test_open_boundary_rays_follow_the_sector_edges():
+    # Entry ray along axis + half-angle, exit ray along axis - half-angle,
+    # with axes on a grid over [0, 2 pi) and over (-pi, pi], so the edge
+    # normals land on both sides of the branch cut of atan2.
+    axes = np.concatenate([np.linspace(0.0, 2 * math.pi, 72, endpoint=False),
+                           np.linspace(-math.pi, math.pi, 73)[1:]])
+    for axis in axes:
+        for gamma in np.linspace(0.2, 1.4, 13)[1:-1]:
+            s = thicken(make_sector(0j, float(axis), float(gamma)), 0.1)
+            (_, d_in), (_, d_out) = open_boundary_rays(s)
+            assert abs(d_in - cmath.exp(1j * (axis + gamma))) <= 1e-9
+            assert abs(d_out - cmath.exp(1j * (axis - gamma))) <= 1e-9
+
+
 def test_incremental_ray_extension_matches_larger_truncation():
     # Integral over the R2-truncated chain equals the R1 integral plus
     # the two ray extensions, piece for piece.

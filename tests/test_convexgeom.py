@@ -16,6 +16,7 @@ from convlap.convexgeom import (
     ConeError,
     ConvexBody,
     ConvexRegion,
+    affine_dimension,
     asymptotic_cone,
     bisector,
     boundary_walk,
@@ -300,6 +301,56 @@ def test_bisector_lies_in_interior():
         c = Cone("sector", axis, half)
         xi = bisector(c)
         assert c.strictly_contains(xi, margin=1e-9)
+
+
+# ---- degenerate and redundant regions ----
+
+def test_degenerate_regions_keep_their_shape():
+    # A point, a segment and a ray cut out with extra half-planes through
+    # their end points, then a line, a slab and a half-plane.
+    point = ConvexRegion([(1, 0, 1), (-1, 0, -1), (0, 1, 2), (0, -1, -2),
+                          (1, 1, 3)])
+    segment = ConvexRegion([(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1),
+                            (1, 1, 1)])
+    ray = ConvexRegion([(1, 0, 0), (-1, 0, 0), (0, -1, 0), (-1, -1, 0)])
+    line = ConvexRegion([(1, 1, 1), (-1, -1, -1)])
+    slab = ConvexRegion([(0, 1, 1), (0, -1, 1)])
+    half = ConvexRegion([(0, 1, 1)])
+    for reg, dim, kind in ((point, 0, "zero"), (segment, 1, "zero"),
+                           (ray, 1, "sector"), (line, 1, "line"),
+                           (slab, 2, "line"), (half, 2, "sector")):
+        assert affine_dimension(reg) == dim
+        assert asymptotic_cone(reg).kind == kind
+    # Re(z*w) = x*u - y*v.
+    assert support_function(point, 1 + 1j) == pytest.approx(-1.0)
+    assert support_function(segment, 1j) == pytest.approx(1.0)
+    assert support_function(ray, 1j) == pytest.approx(0.0)
+    assert support_function(ray, -1j) == math.inf
+    assert support_function(line, 1 - 1j) == pytest.approx(1.0)
+    assert support_function(line, 1 + 1j) == math.inf
+    assert asymptotic_cone(ray).axis == pytest.approx(math.pi / 2)
+    assert asymptotic_cone(ray).half_width == pytest.approx(0.0, abs=1e-12)
+    assert asymptotic_cone(half).half_width == pytest.approx(math.pi / 2)
+
+
+def test_boundary_walk_skips_redundant_halfplanes():
+    # The square's sides plus a diagonal touching one corner and a looser
+    # copy of one side.
+    square = ConvexRegion([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1),
+                           (1, 1, 2), (1, 0, 3)])
+    walk = boundary_walk(square)
+    assert walk.closed
+    assert len(walk.normals) == 4
+    assert sorted((c.real, c.imag) for c in walk.corners) == pytest.approx(
+        [(-1, -1), (-1, 1), (1, -1), (1, 1)])
+    # A sector about the positive reals with a cut through its apex that
+    # touches nothing else.
+    c, s = math.cos(0.5 + math.pi / 2), math.sin(0.5 + math.pi / 2)
+    sector = ConvexRegion([(c, s, 0.0), (c, -s, 0.0), (-1.0, 0.0, 0.0)])
+    walk = boundary_walk(sector)
+    assert not walk.closed
+    assert len(walk.normals) == 2
+    assert walk.corners == pytest.approx([0j])
 
 
 # ---- validation ----

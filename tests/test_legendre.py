@@ -19,6 +19,7 @@ from convlap.convexgeom import (
     asymptotic_cone,
     bisector,
     polar_cone,
+    signed_distance,
     support_function,
     thicken,
 )
@@ -273,6 +274,42 @@ def test_biconjugation_recovers_interior_values():
         for _ in range(100):
             z = complex(*rng.uniform(-0.95, 0.95, 2))
             assert conjugate_at(g, z) == pytest.approx(f.value(z), abs=1e-9)
+
+
+def test_cross_norm_biconjugate_on_the_square_is_minimal():
+    # Acceptance criterion 4's f: one piece of f** per corner of the
+    # square, and the square's four sides as its domain.
+    f = PLConvexFunction(CROSS_PIECES, SQUARE)
+    g = conjugate(conjugate(f))
+    assert len(g.pieces) == 4
+    assert len(g.domain.halfplanes) == 4
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        z = complex(*rng.uniform(-0.99, 0.99, 2))
+        assert abs(g.value(z) - f.value(z)) <= 1e-12
+
+
+def test_generated_biconjugates_recover_f():
+    # 2-6 random pieces on a rotated regular 3-5-gon inscribed in the
+    # unit circle, compared on interior points, gap scaled by 1 + |f|.
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        sides = int(rng.integers(3, 6))
+        rot = rng.uniform(0.0, 2.0 * math.pi)
+        body = ConvexBody([complex(math.cos(rot + 2 * math.pi * k / sides),
+                                   math.sin(rot + 2 * math.pi * k / sides))
+                           for k in range(sides)])
+        f = PLConvexFunction(
+            [(complex(*rng.uniform(-2, 2, 2)), float(rng.uniform(-1, 1)))
+             for _ in range(int(rng.integers(2, 7)))], body)
+        g = conjugate(conjugate(f))
+        checked = 0
+        while checked < 30:
+            z = complex(*rng.uniform(-1, 1, 2))
+            if signed_distance(body, z) < -1e-6:
+                a = f.value(z)
+                assert abs(g.value(z) - a) <= 1e-9 * (1.0 + abs(a))
+                checked += 1
 
 
 def test_conjugate_of_indicator_body_lists_vertices():
