@@ -5,8 +5,8 @@ state and check their growth classes.
 Submodules:
     convexgeom  -- convex bodies, regions, cones, support functions
     legendre    -- piecewise-linear convex functions and conjugation
-    contour     -- oriented contours; periodic trapezoid rule on full
-                   circles, adaptive Gauss-Legendre on other paths
+    contour     -- oriented contours; nested periodic trapezoid rule on
+                   full circles, Gauss-Kronrod panels on other pieces
     transforms  -- Polya and Meril contour transforms, residue oracle
     growth      -- exponential growth-class sampling and verdicts
     dolbeault   -- cutoff-based area-integral oracle

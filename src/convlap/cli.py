@@ -48,6 +48,7 @@ from .convexgeom import (
     polar_cone,
     region_contains_line,
     region_is_bounded,
+    sector,
     signed_distance,
     support_function,
 )
@@ -195,12 +196,7 @@ def _parse_set(doc, path: str):
         gamma = _as_real(obj.get("half_angle"), path + ".half_angle")
         if not 0.0 < gamma < 0.5 * math.pi:
             _fail(path + ".half_angle", "must lie in (0, pi/2)")
-        hp = []
-        for sgn in (-1.0, 1.0):
-            t = axis + sgn * (gamma + 0.5 * math.pi)
-            nx, ny = math.cos(t), math.sin(t)
-            hp.append((nx, ny, nx * apex.real + ny * apex.imag))
-        return ConvexRegion(hp)
+        return sector(apex, axis, gamma)
     _fail(path + ".type", "expected 'body', 'region', or 'sector'")
 
 

@@ -1,25 +1,24 @@
-"""Oriented contours and complex line integration by two rules.
+"""Oriented contours and complex line integration by nested rules.
 
 Contours are ordered lists of segments and circular arcs; orientation is
 the list order (arcs sweep from their start angle to their end angle,
 counterclockwise when the sweep is positive).  Boundary contours of
 thickened convex sets leave the set on the left.
 
-A contour that is one full circle is integrated with the nested periodic
-trapezoid rule (Trefethen & Weideman, "The exponentially convergent
-trapezoidal rule", SIAM Rev. 2014), vectorised in numpy: the integrand
-is called once per level on the whole node array.  Nodes and weights are
-cached per (circle, node count), and the node count doubles from 64 (or
-the caller's minimum) up to 4096.  The error estimate is the gap between
-the n- and 2n-node sums, both read off one set of 2n nodes, plus a
-roundoff floor of 16 eps sum |f_k w_k|.
+Every piece is integrated by one loop over nested rules, vectorised in
+numpy: the integrand is called once per level on the whole node array.
+A level's rule, cached per (piece, level), holds nodes, weights and the
+weights of a coarser rule embedded in the same nodes.  A full circle
+takes the periodic trapezoid rule (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes
+(or the caller's minimum) doubling up to 4096, its even-indexed half as
+the coarse rule; other pieces take Gauss-Kronrod 15 on 1 to 2048 equal
+panels with the embedded Gauss-7 (Piessens et al., QUADPACK, 1983).
+The error estimate is the fine-coarse gap plus a roundoff floor of
+16 eps sum |f_k| max|w_k|.
 
-Every other contour is integrated piece by piece with composite
-15-point Gauss-Legendre and dyadic adaptive subdivision against an
-absolute target, calling the integrand on one point at a time.
-
-Node order, subdivision order and accumulation are fixed, so results of
-both rules are bitwise reproducible for identical inputs.
+Node order, level order and accumulation are fixed, so results are
+bitwise reproducible for identical inputs.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,14 +52,25 @@ __all__ = [
     "winding_number",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL_NODES = tuple(float(x) for x in _GL_NODES)
-_GL_WEIGHTS = tuple(float(x) for x in _GL_WEIGHTS)
+# Gauss-Kronrod (7, 15) on [-1, 1] (QUADPACK's qk15): the nonnegative
+# Kronrod nodes in decreasing order and their weights.
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+        0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+        0.20778495500789848, 0.0)
+_WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+        0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+        0.20443294007529889, 0.20948214108472782)
+# The 15 nodes and weights on [0, 1], ascending; the Gauss-7 nodes are
+# the odd-indexed ones.
+_GK_T = 0.5 + 0.5 * np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_W = 0.5 * np.array(_WGK[:-1] + _WGK[::-1])
+# Gauss-7 weights over the Kronrod weights of the same nodes.
+_G_OVER_K = 0.5 * np.polynomial.legendre.leggauss(7)[1] / _GK_W[1::2]
 
-# Node counts of the periodic trapezoid rule on a full circle: the first
-# level (unless the caller asks for more) and the cap.
 _TRAPEZOID_MIN_NODES = 64
-_TRAPEZOID_MAX_NODES = 4096
+# Level-0 node count and top level of the rule on a full circle (4096
+# trapezoid nodes at the top) and on other pieces (2048 panels).
+_LEVELS = {True: (_TRAPEZOID_MIN_NODES, 6), False: (len(_GK_T), 11)}
 _EPS = float(np.finfo(float).eps)
 
 
@@ -67,16 +78,22 @@ def _cis(t: float) -> complex:
     return complex(math.cos(t), math.sin(t))
 
 
+def _unit(a: np.ndarray) -> np.ndarray:
+    """e^{ia} for an array (or a number) of angles."""
+    return np.cos(a) + 1j * np.sin(a)
+
+
 @dataclass(frozen=True)
 class Segment:
     start: complex
     end: complex
 
-    def point(self, t: float) -> complex:
+    def point(self, t):
         return self.start + t * (self.end - self.start)
 
-    def derivative(self, t: float) -> complex:
-        return self.end - self.start
+    def point_and_derivative(self, t):
+        """z(t), and z'(t): a constant that broadcasts against t."""
+        return self.point(t), self.end - self.start
 
     @property
     def length(self) -> float:
@@ -95,13 +112,15 @@ class Arc:
     angle0: float
     angle1: float
 
-    def point(self, t: float) -> complex:
-        a = self.angle0 + t * (self.angle1 - self.angle0)
-        return self.center + self.radius * _cis(a)
+    def point(self, t):
+        return self.point_and_derivative(t)[0]
 
-    def derivative(self, t: float) -> complex:
-        a = self.angle0 + t * (self.angle1 - self.angle0)
-        return 1j * (self.angle1 - self.angle0) * self.radius * _cis(a)
+    def point_and_derivative(self, t):
+        """z(t) and z'(t), from one evaluation of e^{i angle}."""
+        sweep = self.angle1 - self.angle0
+        unit = _unit(self.angle0 + t * sweep)
+        return (self.center + self.radius * unit,
+                1j * sweep * self.radius * unit)
 
     @property
     def length(self) -> float:
@@ -293,110 +312,91 @@ class IntegralResult:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive subdivision hit its depth limit, or the trapezoid rule
-    its node cap; .partial holds the best value accumulated so far."""
+    """A piece's nested rule did not settle at its top level; .partial
+    holds the value accumulated so far, that piece's finest sum included."""
 
     def __init__(self, message: str, partial: complex):
         super().__init__(message)
         self.partial = partial
 
 
-def _gl15(g, piece, t0: float, t1: float) -> complex:
-    mid = 0.5 * (t0 + t1)
-    half = 0.5 * (t1 - t0)
-    acc = 0j
-    for x, wgt in zip(_GL_NODES, _GL_WEIGHTS):
-        t = mid + half * x
-        acc += wgt * g(piece.point(t)) * piece.derivative(t)
-    return acc * half
+def _is_full_circle(piece) -> bool:
+    """Whether piece is an arc sweeping exactly once around its center."""
+    return (isinstance(piece, Arc)
+            and abs(piece.angle1 - piece.angle0) == 2 * math.pi)
 
 
-def _adaptive(g, piece, t0, t1, whole, tol, depth, max_depth):
-    mid = 0.5 * (t0 + t1)
-    left = _gl15(g, piece, t0, mid)
-    right = _gl15(g, piece, mid, t1)
-    err = abs(left + right - whole)
-    if err <= tol or err <= 1e-16 * (1.0 + abs(whole)):
-        return left + right, err
-    if depth >= max_depth:
-        raise QuadratureError("integrand irregular on path", left + right)
-    lv, le = _adaptive(g, piece, t0, mid, left, 0.5 * tol,
-                       depth + 1, max_depth)
-    rv, re_ = _adaptive(g, piece, mid, t1, right, 0.5 * tol,
-                        depth + 1, max_depth)
-    return lv + rv, le + re_
+class _Rule(NamedTuple):
+    nodes: np.ndarray
+    weights: np.ndarray
+    coarse: slice | np.ndarray  # the coarse rule's nodes among `nodes`
+    coarse_weights: np.ndarray
+    floor_scale: float  # 16 eps times the largest |weight|
 
 
-def _is_full_circle(c: OrientedContour) -> bool:
-    """Whether c is one arc sweeping exactly once around its center."""
-    return (len(c.pieces) == 1 and isinstance(c.pieces[0], Arc)
-            and abs(c.pieces[0].angle1 - c.pieces[0].angle0) == 2 * math.pi)
-
-
-@lru_cache(maxsize=64)
-def _trapezoid_nodes(arc: Arc, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z_k = z(t_k), t_k = k/n, of the n-point periodic trapezoid
-    rule on a full-circle arc, and its weights z'(t_k)/n.  Cached per
-    (arc, n); the arrays are read-only."""
-    theta = arc.angle0 + (arc.angle1 - arc.angle0) * (np.arange(n) / n)
-    unit = np.cos(theta) + 1j * np.sin(theta)
-    nodes = arc.center + arc.radius * unit
-    weights = (1j * (arc.angle1 - arc.angle0) * arc.radius / n) * unit
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def _trapezoid(arc: Arc, g, abs_tol: float, min_nodes: int) -> IntegralResult:
-    """Nested periodic trapezoid rule; g maps a node array to values."""
-    n = _TRAPEZOID_MIN_NODES
-    while n < min(min_nodes, _TRAPEZOID_MAX_NODES):
-        n *= 2
-    while True:
-        nodes, weights = _trapezoid_nodes(arc, n)
-        f = g(nodes)
-        fine = complex(f @ weights)
-        # The n/2-node rule is the even-indexed half, at twice the weight.
-        coarse = 2.0 * complex(f[::2] @ weights[::2])
-        floor = 16.0 * _EPS * float(np.abs(f).sum()) * abs(weights[0])
-        gap = abs(fine - coarse)
-        if gap <= max(abs_tol, floor):
-            return IntegralResult(fine, gap + floor)
-        if n >= _TRAPEZOID_MAX_NODES:
-            raise QuadratureError(
-                f"trapezoid rule not settled at {n} nodes: gap {gap:.3e} "
-                f"above the target and the roundoff floor {floor:.3e}",
-                fine)
-        n *= 2
+@lru_cache(maxsize=256)
+def _rule(piece, level: int) -> _Rule:
+    """The piece's rule at a level (see the module docstring), at
+    parameters t in [0, 1]; cached, with read-only arrays."""
+    if _is_full_circle(piece):
+        n = _TRAPEZOID_MIN_NODES << level
+        nodes, dz = piece.point_and_derivative(np.arange(n) / n)
+        weights = dz * (1.0 / n)
+        # Coarse: every other node.  All weights share one modulus.
+        rule = _Rule(nodes, weights, slice(None, None, 2),
+                     2.0 * weights[::2], 16.0 * _EPS * abs(weights[0]))
+    else:
+        panels = 1 << level
+        t = ((np.arange(panels)[:, None] + _GK_T) / panels).ravel()
+        gauss = np.arange(t.size).reshape(panels, -1)[:, 1::2].ravel()
+        nodes, dz = piece.point_and_derivative(t)
+        weights = dz * np.tile(_GK_W / panels, panels)
+        rule = _Rule(nodes, weights, gauss,
+                     weights[gauss] * np.tile(_G_OVER_K, panels),
+                     16.0 * _EPS * float(np.abs(weights).max()))
+    for a in (x for x in rule if isinstance(x, np.ndarray)):
+        a.flags.writeable = False
+    return rule
 
 
 def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
-              max_depth: int = 26, min_nodes: int = 0) -> IntegralResult:
+              min_nodes: int = 0) -> IntegralResult:
     """Integral of g(z) dz along the contour with an error estimate.
 
-    A full circle takes the periodic trapezoid rule (see the module
-    docstring) with at least min_nodes nodes; g is then called on numpy
-    arrays of nodes and must return arrays.  Any other contour takes
-    adaptive Gauss-Legendre with scalar calls of g: each piece receives
-    a share of the absolute target proportional to its length, and
-    max_depth bounds the subdivision.
+    g maps a numpy array of nodes to an array of values.  Each piece
+    starts at its first rule level with at least min_nodes nodes and
+    doubles until the gap between its fine and coarse sums is within the
+    roundoff floor or within its share of abs_tol, proportional to its
+    length; past the top level QuadratureError is raised.  The estimate
+    is the sum of gap + floor over the pieces.
     """
-    if _is_full_circle(c):
-        return _trapezoid(c.pieces[0], g, abs_tol, min_nodes)
-    total_len = c.length
-    value = 0j
-    err = 0.0
-    for piece in c.pieces:
-        if piece.length == 0.0:
+    lengths = [p.length for p in c.pieces]
+    total_len = sum(lengths)
+    value, err = 0j, 0.0
+    for piece, length in zip(c.pieces, lengths):
+        if length == 0.0:
             continue
-        tol = abs_tol * piece.length / total_len
-        whole = _gl15(g, piece, 0.0, 1.0)
-        try:
-            v, e = _adaptive(g, piece, 0.0, 1.0, whole, tol, 0, max_depth)
-        except QuadratureError as exc:
-            raise QuadratureError(str(exc), value + exc.partial) from None
-        value += v
-        err += e
+        tol = abs_tol * (length / total_len)
+        size, top = _LEVELS[_is_full_circle(piece)]
+        level = 0
+        while size << level < min_nodes and level < top:
+            level += 1
+        while True:
+            nodes, weights, idx, coarse_weights, scale = _rule(piece, level)
+            f = g(nodes)
+            fine = complex(f @ weights)
+            coarse = complex(f[idx] @ coarse_weights)
+            floor = float(np.abs(f).sum()) * scale
+            gap = abs(fine - coarse)
+            if gap <= max(tol, floor):
+                break
+            if level >= top:
+                raise QuadratureError(
+                    f"rule not settled at {len(f)} nodes on {piece}: gap "
+                    f"{gap:.3e}, roundoff floor {floor:.3e}", value + fine)
+            level += 1
+        value += fine
+        err += gap + floor
     return IntegralResult(value, err)
 
 

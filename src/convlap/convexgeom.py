@@ -30,6 +30,7 @@ from ._lp import _norm_angle, ang_dist
 __all__ = [
     "ConvexBody",
     "ConvexRegion",
+    "sector",
     "Cone",
     "ConeError",
     "pairing_re",
@@ -120,6 +121,21 @@ class ConvexRegion:
             raise ValueError("rounding must be finite and >= 0")
         if _lp.interior_slack(self.halfplanes) < -1e-9:
             raise ValueError("the half-planes have empty intersection")
+
+
+def sector(apex: complex, axis: float, half_angle: float) -> ConvexRegion:
+    """The closed sector of directions within half_angle of axis at the
+    apex, 0 < half_angle < pi/2, as the intersection of its two edges'
+    half-planes."""
+    if not 0.0 < half_angle < 0.5 * math.pi:
+        raise ValueError("the sector half-angle must lie in (0, pi/2)")
+    apex = complex(apex)
+    hp = []
+    for sgn in (-1.0, 1.0):
+        t = axis + sgn * (half_angle + 0.5 * math.pi)
+        nx, ny = math.cos(t), math.sin(t)
+        hp.append((nx, ny, nx * apex.real + ny * apex.imag))
+    return ConvexRegion(hp)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,13 @@ averages down.  The error estimate is the gap between the n/2- and
 n-node sums (read off the same n nodes) plus the roundoff floor
 16 eps sum |f_k w_k|, times e^M; at 4096 nodes an estimate above both
 the target and that floor raises QuadratureError.
-Meril keeps adaptive Gauss-Legendre on its segments and arcs.
+
+Meril integrates the unscaled e^{z*w} u(z) over the segments and arcs
+of its truncated boundary with the same loop, on node arrays; the
+ladder's pieces do not depend on w, so their cached Gauss-Kronrod rules
+serve every w.  A kernel peak (at most max Re(c*w) over the boundary
+walk's corners c, plus eps*|w|) beyond log(float max) raises the named
+OverflowError before any quadrature.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .convexgeom import (
     ConvexRegion,
     asymptotic_cone,
     bisector,
+    boundary_walk,
     polar_cone,
     region_contains_line,
     region_is_bounded,
@@ -305,11 +312,8 @@ class MerilTrace:
 
 
 def _sample_sup(pieces, weight, n: int = 17) -> float:
-    best = 0.0
-    for p in pieces:
-        for k in range(n):
-            best = max(best, weight(p.point(k / (n - 1))))
-    return best
+    t = np.arange(n) / (n - 1)
+    return max([0.0] + [float(weight(p.point(t)).max()) for p in pieces])
 
 
 def default_radius_schedule(u: MeromorphicDatum, S_eps,
@@ -356,22 +360,26 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("the radius schedule must be strictly increasing")
     (b_in, d_in), (b_out, d_out) = open_boundary_rays(S_eps)
+    corners = boundary_walk(S_eps).corners
 
-    def c_weight(z: complex) -> float:
+    def c_weight(z: np.ndarray) -> np.ndarray:
         # |e^{eps' xi0 z} u(z)|, the N = 0 boundary growth constant.
-        return abs(u(z)) * math.exp((shift * z).real)
+        return np.abs(u(z)) * np.exp((shift * z).real)
 
     def trace(w: complex) -> MerilTrace:
         w = complex(w)
         if not dual.strictly_contains(w - shift, margin=1e-9):
             raise ValueError(
                 "w is outside the shifted open dual cone of the region")
+        peak = max((c * w).real for c in corners) + S_eps.rounding * abs(w)
+        if peak > _LOG_FLOAT_MAX:
+            raise _overflow(w, peak)
         q = w - shift
         s = abs(q)
         phase_q = cmath.phase(q)
 
-        def g(z: complex) -> complex:
-            return cmath.exp(z * w) * u(z)
+        def g(z: np.ndarray) -> np.ndarray:
+            return np.exp(z * w) * u(z)
 
         def delta_at(R_cur: float) -> float:
             angles = []

@@ -13,12 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convlap.convexgeom import (
-    ConvexBody,
-    ConvexRegion,
-    support_function,
-    thicken,
-)
+from convlap.convexgeom import ConvexBody, sector, support_function, thicken
 from convlap.dolbeault import CutoffProfile, area_laplace
 from convlap.growth import classify_growth, growth_ratio_sup
 from convlap.legendre import PLConvexFunction, conjugate, conjugate_at
@@ -38,16 +33,7 @@ ROUND_SQUARE = ConvexBody([0.5 + 0.5j, -0.5 + 0.5j, -0.5 - 0.5j,
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _sector(apex: complex, axis: float, half_angle: float) -> ConvexRegion:
-    hp = []
-    for sgn in (-1.0, 1.0):
-        t = axis + sgn * (half_angle + 0.5 * math.pi)
-        nx, ny = math.cos(t), math.sin(t)
-        hp.append((nx, ny, nx * apex.real + ny * apex.imag))
-    return ConvexRegion(hp)
-
-
-QUARTER_SECTOR = _sector(0j, 0.0, math.pi / 4)
+QUARTER_SECTOR = sector(0j, 0.0, math.pi / 4)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str,

@@ -22,19 +22,10 @@ from convlap.contour import (
     region_boundary_contour,
     winding_number,
 )
-from convlap.convexgeom import ConvexBody, ConvexRegion, thicken
+from convlap.convexgeom import ConvexBody, sector, thicken
 
 SQUARE = ConvexBody([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
 TWO_PI_I = 2j * math.pi
-
-
-def make_sector(apex: complex, axis: float, half_angle: float) -> ConvexRegion:
-    hp = []
-    for sgn in (-1.0, 1.0):
-        t = axis + sgn * (half_angle + 0.5 * math.pi)
-        nx, ny = math.cos(t), math.sin(t)
-        hp.append((nx, ny, nx * apex.real + ny * apex.imag))
-    return ConvexRegion(hp)
 
 
 # ---- construction ----
@@ -78,7 +69,7 @@ def test_sharp_square_boundary_is_four_segments():
 
 def test_truncated_sector_boundary_shape():
     # Offset rays + one apex arc, endpoints on C(0, 10).
-    s = thicken(make_sector(0j, 0.0, math.pi / 4), 0.3)
+    s = thicken(sector(0j, 0.0, math.pi / 4), 0.3)
     c = region_boundary_contour(s, truncation=10.0)
     assert not c.closed
     assert len(c.pieces) == 3
@@ -90,13 +81,13 @@ def test_truncated_sector_boundary_shape():
 
 
 def test_unbounded_region_requires_truncation():
-    s = make_sector(0j, 0.0, math.pi / 4)
+    s = sector(0j, 0.0, math.pi / 4)
     with pytest.raises(ValueError):
         region_boundary_contour(s)
 
 
 def test_truncation_radius_must_clear_the_corners():
-    s = thicken(make_sector(5 + 0j, 0.0, math.pi / 4), 0.3)
+    s = thicken(sector(5 + 0j, 0.0, math.pi / 4), 0.3)
     with pytest.raises(ValueError):
         region_boundary_contour(s, truncation=2.0)
 
@@ -138,7 +129,7 @@ def test_segment_integral_of_z():
 
 def test_reversal_negates_integrals():
     c = region_boundary_contour(thicken(SQUARE, 0.5))
-    for g in (lambda z: 1.0 / (z - 0.2), lambda z: cmath.exp(z),
+    for g in (lambda z: 1.0 / (z - 0.2), lambda z: np.exp(z),
               lambda z: z * z + 1j):
         a = integrate(c, g).value
         b = integrate(c.reversed(), g).value
@@ -168,7 +159,7 @@ def test_winding_numbers_of_circle():
 
 
 def test_truncated_chain_plus_closing_arc_is_a_positive_loop():
-    s = thicken(make_sector(0j, 0.0, math.pi / 4), 0.3)
+    s = thicken(sector(0j, 0.0, math.pi / 4), 0.3)
     chain, arc = region_boundary_contour(s, truncation=8.0,
                                          with_closing_arc=True)
     loop = OrientedContour(list(chain.pieces) + [arc])
@@ -188,15 +179,15 @@ def test_closing_arc_skipped_for_bounded_sets():
 def test_quadrature_error_carries_partial_value():
     c = OrientedContour([Segment(-1 + 0j, 1 + 0j)])
     with pytest.raises(QuadratureError) as exc:
-        # Kink at an irrational interior point: subdivision cannot reach
-        # a 1e-14 target with only 4 levels.
-        integrate(c, lambda z: abs(z.real - 1 / math.sqrt(2)) ** 0.5,
-                  abs_tol=1e-14, max_depth=4)
+        # Kink at an irrational interior point: 2048 Gauss-Kronrod
+        # panels cannot reach a 1e-14 target.
+        integrate(c, lambda z: np.abs(z.real - 1 / math.sqrt(2)) ** 0.5,
+                  abs_tol=1e-14)
     assert isinstance(exc.value.partial, complex)
 
 
 def test_open_boundary_rays_match_contour_ends():
-    s = thicken(make_sector(1 + 1j, 0.2, math.pi / 5), 0.25)
+    s = thicken(sector(1 + 1j, 0.2, math.pi / 5), 0.25)
     (b_in, d_in), (b_out, d_out) = open_boundary_rays(s)
     R = 15.0
     c = region_boundary_contour(s, truncation=R)
@@ -216,7 +207,7 @@ def test_open_boundary_rays_follow_the_sector_edges():
                            np.linspace(-math.pi, math.pi, 73)[1:]])
     for axis in axes:
         for gamma in np.linspace(0.2, 1.4, 13)[1:-1]:
-            s = thicken(make_sector(0j, float(axis), float(gamma)), 0.1)
+            s = thicken(sector(0j, float(axis), float(gamma)), 0.1)
             (_, d_in), (_, d_out) = open_boundary_rays(s)
             assert abs(d_in - cmath.exp(1j * (axis + gamma))) <= 1e-9
             assert abs(d_out - cmath.exp(1j * (axis - gamma))) <= 1e-9
@@ -225,12 +216,12 @@ def test_open_boundary_rays_follow_the_sector_edges():
 def test_incremental_ray_extension_matches_larger_truncation():
     # Integral over the R2-truncated chain equals the R1 integral plus
     # the two ray extensions, piece for piece.
-    s = thicken(make_sector(0j, 0.0, math.pi / 6), 0.2)
+    s = thicken(sector(0j, 0.0, math.pi / 6), 0.2)
     (b_in, d_in), (b_out, d_out) = open_boundary_rays(s)
     R1, R2 = 6.0, 9.0
 
     def g(z):
-        return cmath.exp(-0.7 * z) / (z + 2.0)
+        return np.exp(-0.7 * z) / (z + 2.0)
 
     full1 = integrate(region_boundary_contour(s, truncation=R1), g).value
     full2 = integrate(region_boundary_contour(s, truncation=R2), g).value
@@ -244,7 +235,7 @@ def test_incremental_ray_extension_matches_larger_truncation():
 
 
 def test_length_additivity():
-    s = thicken(make_sector(0j, 0.0, math.pi / 4), 0.3)
+    s = thicken(sector(0j, 0.0, math.pi / 4), 0.3)
     c = region_boundary_contour(s, truncation=10.0)
     assert c.length == pytest.approx(sum(p.length for p in c.pieces), abs=0)
 
@@ -253,7 +244,7 @@ def test_quadrature_is_deterministic():
     c = region_boundary_contour(thicken(SQUARE, 0.5))
 
     def g(z):
-        return cmath.exp(0.3 * z) / (z - 0.1 - 0.2j)
+        return np.exp(0.3 * z) / (z - 0.1 - 0.2j)
 
     a = integrate(c, g)
     b = integrate(c, g)
@@ -276,6 +267,20 @@ def test_full_circle_integrand_sees_node_arrays():
     assert abs(res.value - TWO_PI_I) <= 1e-12
     assert sizes and sizes[0] >= 300
     assert all(n <= 4096 for n in sizes)
+    # Segments, arcs short of a full turn and a boundary mixing both are
+    # called on node arrays too, never on single points.
+    for c in (OrientedContour([Segment(-1 - 1j, 2 + 0.5j)]),
+              OrientedContour([Arc(0j, 1.0, 0.0, 1.5 * math.pi)]),
+              region_boundary_contour(thicken(SQUARE, 0.5))):
+        seen = []
+
+        def h(z):
+            seen.append(z)
+            return 1.0 / (z - 0.1)
+
+        integrate(c, h)
+        assert seen and all(isinstance(z, np.ndarray) and z.ndim == 1
+                            and len(z) >= 15 for z in seen)
 
 
 def test_trapezoid_matches_residues_and_orientation():
@@ -329,14 +334,50 @@ def test_trapezoid_is_deterministic():
     assert (a.value, a.error) == (b.value, b.error)
 
 
-def test_arcs_short_of_a_full_turn_keep_gauss_legendre():
-    # The integrand is called on single points off full circles.
-    seen = []
+_KRONROD_PIECES = [Segment(-0.3 + 0.2j, 0.9 - 0.5j),
+                   Arc(0.1 - 0.1j, 0.9, 0.4, 2.9)]
 
-    def g(z):
-        seen.append(type(z))
-        return 1.0 / (z - 0.1)
 
-    arc = OrientedContour([Arc(0j, 1.0, 0.0, 1.5 * math.pi)])
-    integrate(arc, g)
-    assert seen and all(t is complex for t in seen)
+@pytest.mark.parametrize("piece", _KRONROD_PIECES, ids=["segment", "arc"])
+def test_kronrod_rule_matches_antiderivatives_of_powers(piece):
+    # z^k dz for k <= 22, the degree Gauss-Kronrod 15 integrates exactly
+    # on one panel of a segment.
+    c = OrientedContour([piece])
+    a, b = piece.point(0.0), piece.point(1.0)
+    for k in range(23):
+        res = integrate(c, lambda z: z ** k, abs_tol=1e-13)
+        want = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        assert abs(res.value - want) <= 1e-12
+
+
+def _pole_integral(piece, w, a, m):
+    """e^{wz}/(z - a)^m dz along the piece, from the termwise integrated
+    Taylor series of e^{ws} in s = z - a; the log term takes the change of
+    arg(z - a) along the piece, unwrapped over dense samples."""
+    ends = [complex(piece.point(t)) - a for t in (0.0, 1.0)]
+    args = np.unwrap(np.angle(piece.point(np.linspace(0.0, 1.0, 4001)) - a))
+    total = 0j
+    for k in range(80):
+        coef = w ** k / math.factorial(k)
+        if k == m - 1:
+            total += coef * (math.log(abs(ends[1]) / abs(ends[0]))
+                             + 1j * (args[-1] - args[0]))
+        else:
+            p = k - m + 1
+            total += coef * (ends[1] ** p - ends[0] ** p) / p
+    return cmath.exp(w * a) * total
+
+
+@pytest.mark.parametrize("piece", _KRONROD_PIECES, ids=["segment", "arc"])
+def test_kronrod_error_bounds_the_true_error_near_a_pole(piece):
+    # A pole 0.1 off the middle of the piece, on either side.
+    mid, dz = (complex(v) for v in piece.point_and_derivative(0.5))
+    for side in (1.0, -1.0):
+        a = mid + side * 0.1j * dz / abs(dz)
+        for w in (0.5, -2.0 + 1.0j, 3.0j):
+            for m in (1, 2, 3):
+                res = integrate(OrientedContour([piece]),
+                                lambda z: np.exp(w * z) / (z - a) ** m,
+                                abs_tol=1e-13)
+                assert abs(res.value - _pole_integral(piece, w, a, m)) \
+                    <= res.error

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from convlap.convexgeom import ConvexBody, ConvexRegion, support_function
+from convlap.convexgeom import ConvexBody, sector, support_function
 from convlap.growth import (
     DEFAULT_EPS_LADDER,
     GrowthReport,
@@ -25,15 +25,6 @@ UNIT_DISK = ConvexBody([0j], rounding=1.0)
 
 def disk_support(w: complex) -> float:
     return abs(w)
-
-
-def make_sector(apex: complex, axis: float, half_angle: float) -> ConvexRegion:
-    hp = []
-    for sgn in (-1.0, 1.0):
-        t = axis + sgn * (half_angle + 0.5 * math.pi)
-        nx, ny = math.cos(t), math.sin(t)
-        hp.append((nx, ny, nx * apex.real + ny * apex.imag))
-    return ConvexRegion(hp)
 
 
 def exp_at(a: complex):
@@ -113,10 +104,10 @@ def test_norm_scaling_preserves_membership():
 
 
 def test_meril_output_sampled_inside_shifted_cone():
-    sector = make_sector(0j, 0.0, math.pi / 4)
+    region = sector(0j, 0.0, math.pi / 4)
     u = MeromorphicDatum([(1 + 0j, 1, 1.0)])
-    v = meril_transform(u, sector, 0.1, 0.1)
-    h = lambda w: support_function(sector, w)
+    v = meril_transform(u, region, 0.1, 0.1)
+    h = lambda w: support_function(region, w)
     report = growth_ratio_sup(v, h, 0.25)
     assert report.verdict == "bounded"
     assert 0 < len(report.samples) < len(report.radii) * report.rays
@@ -151,9 +142,9 @@ def test_growth_validation():
 
 
 def test_empty_sample_set_rejected():
-    sector = make_sector(0j, 0.0, math.pi / 4)
+    region = sector(0j, 0.0, math.pi / 4)
     v = meril_transform(
-        MeromorphicDatum([(1 + 0j, 1, 1.0)]), sector, 0.1, 0.1)
+        MeromorphicDatum([(1 + 0j, 1, 1.0)]), region, 0.1, 0.1)
     # The lone ray at angle 0 points away from the left-opening cone.
     with pytest.raises(ValueError, match="empty sample set"):
         growth_ratio_sup(v, lambda w: 0.0, 0.25, rays=1)

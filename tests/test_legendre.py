@@ -19,6 +19,7 @@ from convlap.convexgeom import (
     asymptotic_cone,
     bisector,
     polar_cone,
+    sector,
     signed_distance,
     support_function,
     thicken,
@@ -61,15 +62,6 @@ def grid_conjugate_oracle(f, w, half, n):
         if math.isfinite(v):
             best = max(best, (z * w).real - v)
     return best
-
-
-def make_sector(apex: complex, axis: float, half_angle: float) -> ConvexRegion:
-    hp = []
-    for sgn in (-1.0, 1.0):
-        t = axis + sgn * (half_angle + 0.5 * math.pi)
-        nx, ny = math.cos(t), math.sin(t)
-        hp.append((nx, ny, nx * apex.real + ny * apex.imag))
-    return ConvexRegion(hp)
 
 
 # ---- pointwise conjugation ----
@@ -157,11 +149,11 @@ def test_symbolic_square_indicator_is_support_function():
 
 def test_symbolic_agrees_with_pointwise_on_random_samples():
     eps, eps2 = 0.25, 0.125
-    sector = make_sector(1 + 2j, 0.0, math.pi / 6)
-    xi0 = bisector(polar_cone(asymptotic_cone(sector)))
+    region = sector(1 + 2j, 0.0, math.pi / 6)
+    xi0 = bisector(polar_cone(asymptotic_cone(region)))
     cases = [
         PLConvexFunction([], thicken(SQUARE, eps)),
-        PLConvexFunction([(eps2 * xi0, 0.0)], thicken(sector, eps)),
+        PLConvexFunction([(eps2 * xi0, 0.0)], thicken(region, eps)),
     ]
     rng = np.random.default_rng(41)
     for f in cases:
@@ -180,13 +172,13 @@ def test_single_piece_on_thick_sector_value_and_domain():
     # conjugate is Re(p0*q) + eps*|q| with q = w - shift.
     eps, eps2 = 0.25, 0.125
     p0 = 1 + 2j
-    sector = make_sector(p0, 0.0, math.pi / 6)
-    cone = polar_cone(asymptotic_cone(sector))
+    region = sector(p0, 0.0, math.pi / 6)
+    cone = polar_cone(asymptotic_cone(region))
     assert cone.kind == "sector"
     assert cone.axis == pytest.approx(math.pi)
     assert cone.half_width == pytest.approx(math.pi / 3)
     xi0 = bisector(cone)
-    f = PLConvexFunction([(eps2 * xi0, 0.0)], thicken(sector, eps))
+    f = PLConvexFunction([(eps2 * xi0, 0.0)], thicken(region, eps))
     form = symbolic_conjugate(f)
     assert form.shift == eps2 * xi0
     rng = np.random.default_rng(97)
@@ -209,9 +201,9 @@ def test_single_piece_sector_against_ray_sampling():
     # its bounding rays and the apex disk, take the best pairing value.
     eps, eps2 = 0.25, 0.125
     p0 = 1 + 2j
-    sector = make_sector(p0, 0.0, math.pi / 6)
-    xi0 = bisector(polar_cone(asymptotic_cone(sector)))
-    f = PLConvexFunction([(eps2 * xi0, 0.0)], thicken(sector, eps))
+    region = sector(p0, 0.0, math.pi / 6)
+    xi0 = bisector(polar_cone(asymptotic_cone(region)))
+    f = PLConvexFunction([(eps2 * xi0, 0.0)], thicken(region, eps))
     form = symbolic_conjugate(f)
     samples = []
     for k in range(2001):
@@ -389,9 +381,9 @@ def test_dimensions_fall_back_to_domain_arithmetic_when_rounded():
 
 
 def test_dimensions_single_piece_on_thick_sector():
-    sector = make_sector(1 + 2j, 0.0, math.pi / 6)
-    xi0 = bisector(polar_cone(asymptotic_cone(sector)))
-    f = PLConvexFunction([(0.125 * xi0, 0.0)], thicken(sector, 0.25))
+    region = sector(1 + 2j, 0.0, math.pi / 6)
+    xi0 = bisector(polar_cone(asymptotic_cone(region)))
+    f = PLConvexFunction([(0.125 * xi0, 0.0)], thicken(region, 0.25))
     dims = legendre_dimensions(f)
     assert (dims.domain_hull, dims.conjugate_hull) == (2, 2)
     assert dims.complement_trivial

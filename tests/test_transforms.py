@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from convlap import contour, transforms
-from convlap.convexgeom import ConvexBody, ConvexRegion, thicken
+from convlap.convexgeom import (
+    ConvexBody,
+    ConvexRegion,
+    asymptotic_cone,
+    bisector,
+    polar_cone,
+    sector,
+    thicken,
+)
 from convlap.transforms import (
     ConvergenceError,
     MeromorphicDatum,
@@ -30,16 +38,7 @@ ROUND_SQUARE = ConvexBody([0.5 + 0.5j, -0.5 + 0.5j, -0.5 - 0.5j,
                            0.5 - 0.5j], rounding=0.25)
 
 
-def make_sector(apex: complex, axis: float, half_angle: float) -> ConvexRegion:
-    hp = []
-    for sgn in (-1.0, 1.0):
-        t = axis + sgn * (half_angle + 0.5 * math.pi)
-        nx, ny = math.cos(t), math.sin(t)
-        hp.append((nx, ny, nx * apex.real + ny * apex.imag))
-    return ConvexRegion(hp)
-
-
-SECTOR = make_sector(0j, 0.0, math.pi / 4)
+SECTOR = sector(0j, 0.0, math.pi / 4)
 
 
 def w_grid(limit: float, n: int):
@@ -263,6 +262,68 @@ def test_meril_nonconvergence_reports_tail():
     assert isinstance(exc.value.partial, complex)
 
 
+def _meril_corpus():
+    """(datum, region, w) triples: sectors at the origin with axes on a
+    grid over [0, 2 pi) and half-angles in (0.2, 1.4), 1-3 poles inside
+    each, and |w| log-spaced over [0.5, 20) across the dual cone shifted
+    by eps' = 0.1 along its bisector."""
+    rng = np.random.default_rng(7)
+    mags = np.exp(np.linspace(math.log(0.5), math.log(20.0), 8,
+                              endpoint=False))
+    out = []
+    for i, axis in enumerate(np.linspace(0.0, 2 * math.pi, 16,
+                                         endpoint=False)):
+        for j, gamma in enumerate((0.25, 0.7, 1.0, 1.35)):
+            region = sector(0j, float(axis), gamma)
+            # Poles 0.8-2 from the apex, within 0.7 gamma of the axis.
+            terms = [(rng.uniform(0.8, 2.0) * cmath.exp(
+                          1j * (axis + rng.uniform(-0.7, 0.7) * gamma)),
+                      int(rng.integers(1, 3)), complex(*rng.uniform(-1, 1, 2)))
+                     for _ in range(1 + (i + j) % 3)]
+            dual = polar_cone(asymptotic_cone(region))
+            shift = 0.1 * bisector(dual)
+            offsets = rng.permutation(np.linspace(-0.95, 0.95, len(mags)))
+            for mag, f in zip(mags, offsets):
+                w = shift + mag * cmath.exp(
+                    1j * (dual.axis + f * dual.half_width))
+                out.append((MeromorphicDatum(terms), region, w))
+    return out
+
+
+def test_meril_error_estimate_covers_the_oracle_gap():
+    # The estimate (quadrature error plus fitted tail bound) is never
+    # below the gap to the exact residue sum.
+    dishonest = []
+    built = {}
+    for u, region, w in _meril_corpus():
+        key = (u, region)
+        if key not in built:
+            built[key] = meril_transform(u, region, 0.1, 0.1)
+        value, error = built[key].with_error(w)
+        gap = abs(value - residue_oracle(u, w))
+        if gap > error:
+            dishonest.append((region.halfplanes, u.terms, w, gap, error))
+    assert not dishonest, dishonest[:5]
+
+
+# ---- Meril overflow ----
+
+def test_meril_overflow_is_named_before_quadrature(monkeypatch):
+    # Apex -10 puts e^{-10 w} = e^1000 on the contour at w = -100.
+    u = MeromorphicDatum([(-8 + 0j, 1, 1.0)])
+    v = meril_transform(u, sector(-10 + 0j, 0.0, math.pi / 4), 0.1, 0.1)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(transforms, "integrate", no_quadrature)
+    with pytest.raises(OverflowError, match=r"\|w\| = 100\b.*log_abs"):
+        v(-100)
+    assert v.log_abs(-100) == pytest.approx(math.log(2 * math.pi) + 800.0,
+                                            rel=1e-12)
+    assert v.log_abs(-100) == pytest.approx(801.84, abs=5e-3)
+
+
 # ---- Borel inverse ----
 
 def test_borel_constant_round_trip():
@@ -399,7 +460,7 @@ def test_polya_evaluation_is_bitwise_reproducible():
     assert [v.with_error(w) for w in ws] == first
     assert [v.with_error(w) for w in reversed(ws)] == first[::-1]
     # Rebuilt from scratch, node arrays included.
-    contour._trapezoid_nodes.cache_clear()
+    contour._rule.cache_clear()
     rebuilt = polya_transform(MeromorphicDatum(u.terms), DISK_HALF, 2.0)
     assert [rebuilt.with_error(w) for w in ws] == first
 
