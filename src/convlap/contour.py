@@ -72,6 +72,8 @@ _TRAPEZOID_MIN_NODES = 64
 # trapezoid nodes at the top) and on other pieces (2048 panels).
 _LEVELS = {True: (_TRAPEZOID_MIN_NODES, 6), False: (len(_GK_T), 11)}
 _EPS = float(np.finfo(float).eps)
+# Nodes per unit of |w| * length for e^{z*w} (see integrate).
+_NODES_PER_RATE = 2.0
 
 
 def _cis(t: float) -> complex:
@@ -230,10 +232,12 @@ def open_boundary_extent(s) -> float:
     """Largest modulus reached by the finite part of an unbounded
     boundary chain; truncation radii must stay beyond it."""
     mid, b_in, _, b_out, _ = _open_chain_data(s)
-    pts = [b_in, b_out]
-    for p in mid:
-        pts += [p.point(0.0), p.point(0.5), p.point(1.0)]
-    return max(abs(p) for p in pts)
+    return _chain_extent(mid, b_in, b_out)
+
+
+def _chain_extent(mid, b_in: complex, b_out: complex) -> float:
+    return max(abs(z) for z in [b_in, b_out] + [
+        p.point(t) for p in mid for t in (0.0, 0.5, 1.0)])
 
 
 def circle_hit(base: complex, direction: complex, R: float) -> float:
@@ -283,10 +287,7 @@ def region_boundary_contour(s, truncation: float | None = None,
         raise ValueError("an unbounded region needs a truncation radius")
     R = float(truncation)
     mid, b_in, d_in, b_out, d_out = _open_chain_data(s)
-    interior_pts = [b_in, b_out]
-    for p in mid:
-        interior_pts += [p.point(0.0), p.point(0.5), p.point(1.0)]
-    if max(abs(p) for p in interior_pts) >= R * (1.0 - 1e-9):
+    if _chain_extent(mid, b_in, b_out) >= R * (1.0 - 1e-9):
         raise ValueError("truncation circle must enclose every corner: "
                          "increase R")
     t_in = circle_hit(b_in, d_in, R)
@@ -334,6 +335,17 @@ class _Rule(NamedTuple):
     floor_scale: float  # 16 eps times the largest |weight|
 
 
+@lru_cache(maxsize=None)
+def _gauss_kronrod_panels(level: int):
+    """Gauss-Kronrod 15 on 2^level panels of [0, 1]: nodes, Gauss-7 node
+    indices, weights, Gauss-7 over Kronrod weights at those indices."""
+    panels = 1 << level
+    t = ((np.arange(panels)[:, None] + _GK_T) / panels).ravel()
+    gauss = np.arange(t.size).reshape(panels, -1)[:, 1::2].ravel()
+    return (t, gauss, np.tile(_GK_W / panels, panels),
+            np.tile(_G_OVER_K, panels))
+
+
 @lru_cache(maxsize=256)
 def _rule(piece, level: int) -> _Rule:
     """The piece's rule at a level (see the module docstring), at
@@ -346,13 +358,10 @@ def _rule(piece, level: int) -> _Rule:
         rule = _Rule(nodes, weights, slice(None, None, 2),
                      2.0 * weights[::2], 16.0 * _EPS * abs(weights[0]))
     else:
-        panels = 1 << level
-        t = ((np.arange(panels)[:, None] + _GK_T) / panels).ravel()
-        gauss = np.arange(t.size).reshape(panels, -1)[:, 1::2].ravel()
+        t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
         nodes, dz = piece.point_and_derivative(t)
-        weights = dz * np.tile(_GK_W / panels, panels)
-        rule = _Rule(nodes, weights, gauss,
-                     weights[gauss] * np.tile(_G_OVER_K, panels),
+        weights = dz * t_weights
+        rule = _Rule(nodes, weights, gauss, weights[gauss] * g_over_k,
                      16.0 * _EPS * float(np.abs(weights).max()))
     for a in (x for x in rule if isinstance(x, np.ndarray)):
         a.flags.writeable = False
@@ -360,15 +369,18 @@ def _rule(piece, level: int) -> _Rule:
 
 
 def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
-              min_nodes: int = 0) -> IntegralResult:
+              min_nodes: int = 0, rate: float = 0.0) -> IntegralResult:
     """Integral of g(z) dz along the contour with an error estimate.
 
     g maps a numpy array of nodes to an array of values.  Each piece
-    starts at its first rule level with at least min_nodes nodes and
-    doubles until the gap between its fine and coarse sums is within the
-    roundoff floor or within its share of abs_tol, proportional to its
-    length; past the top level QuadratureError is raised.  The estimate
-    is the sum of gap + floor over the pieces.
+    starts at its first rule level with at least min_nodes nodes, and at
+    least 2 * rate nodes per unit of its length (rate = |w| for e^{z*w}:
+    on coarser panels, which do not resolve the kernel, Gauss-Kronrod and
+    Gauss-7 can agree by chance), and doubles until the gap between its
+    fine and coarse sums is within the roundoff floor or within its share
+    of abs_tol, proportional to its length; past the top level
+    QuadratureError is raised.  The estimate is the sum of gap + floor
+    over the pieces.
     """
     lengths = [p.length for p in c.pieces]
     total_len = sum(lengths)
@@ -378,8 +390,10 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
             continue
         tol = abs_tol * (length / total_len)
         size, top = _LEVELS[_is_full_circle(piece)]
+        need = (max(min_nodes, _NODES_PER_RATE * rate * length) if rate
+                else min_nodes)
         level = 0
-        while size << level < min_nodes and level < top:
+        while size << level < need and level < top:
             level += 1
         while True:
             nodes, weights, idx, coarse_weights, scale = _rule(piece, level)

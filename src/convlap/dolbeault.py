@@ -166,23 +166,6 @@ def _band_nodes(p: CutoffProfile, grid: int):
     return np.concatenate(zs), np.concatenate(ws)
 
 
-_ORIENTATION_OK = False
-
-
-def _orientation_self_test():
-    """dbar of (1/z) dz over a band around the unit disk must give 2*pi*i."""
-    global _ORIENTATION_OK
-    if _ORIENTATION_OK:
-        return
-    p = CutoffProfile(ConvexBody([0j], rounding=1.0), 1.0)
-    z, w = _band_nodes(p, 64)
-    got = complex(np.sum(w / z))
-    if abs(got - 2j * math.pi) > 0.05 * TWO_PI:
-        raise AssertionError(
-            f"orientation self-test failed: got {got}, want 2*pi*i")
-    _ORIENTATION_OK = True
-
-
 def area_laplace(u: MeromorphicDatum, p: CutoffProfile, w: complex,
                  grid: int = 512,
                  tolerance: float | None = None) -> AreaResult:
@@ -211,7 +194,6 @@ def area_laplace(u: MeromorphicDatum, p: CutoffProfile, w: complex,
                 raise ValueError(f"pole {a} lies in the cutoff band")
             raise ValueError(
                 f"pole {a} is not inside the inner thickening")
-    _orientation_self_test()
 
     values = []
     nodes_used = 0

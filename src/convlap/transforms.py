@@ -1,8 +1,8 @@
 """Laplace-type contour transforms of meromorphic data.
 
 Two contour realizations of the same map: a circle integral for compact
-convex sets (Polya) and a truncated-boundary integral with quantitative
-tail control for unbounded convex regions (Meril).  Both integrate
+convex sets (Polya) and a truncated-boundary integral with a closed-form
+tail bound for unbounded convex regions (Meril).  Both integrate
 e^{z*w} u(z) dz, with no 1/(2 pi i) normalization anywhere, and both
 agree with the classical residue sum, which this module also provides
 as an independent oracle.
@@ -25,17 +25,19 @@ n-node sums (read off the same n nodes) plus the roundoff floor
 16 eps sum |f_k w_k|, times e^M; at 4096 nodes an estimate above both
 the target and that floor raises QuadratureError.
 
-Meril integrates the unscaled e^{z*w} u(z) over the segments and arcs
-of its truncated boundary with the same loop, on node arrays; the
-ladder's pieces do not depend on w, so their cached Gauss-Kronrod rules
-serve every w.  A kernel peak (at most max Re(c*w) over the boundary
-walk's corners c, plus eps*|w|) beyond log(float max) raises the named
-OverflowError before any quadrature.
+Meril integrates the unscaled e^{z*w} u(z) with the same loop up to the
+first radius of a geometric ladder where the closed-form tail of both
+boundary rays (``ray_tail_bound``) is at most tolerance/1000.  Pieces
+and rules do not depend on w and u is cached per node array, so each w
+costs one exp per rule level.  A kernel peak (max Re(c*w) over the
+boundary walk's corners c, plus eps*|w|) beyond log(float max) raises
+the named OverflowError before any quadrature.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import sys
@@ -77,7 +79,7 @@ __all__ = [
     "residue_transform",
     "residue_oracle",
     "borel_inverse",
-    "tail_bound",
+    "ray_tail_bound",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -284,36 +286,49 @@ def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
     return TransformResult("contour", "entire plane", full, u.terms)
 
 
-def tail_bound(R: float, c: float, N: int, delta: float, s: float) -> float:
-    """2 pi c R^{N+1} e^{-s delta R}: the truncation tail estimate.
+def _ray_sup(u: MeromorphicDatum, base: complex, direction: complex,
+             t: np.ndarray) -> np.ndarray:
+    """sum |c| / dist(a, ray)^m >= |u| on z = base + s*direction, s >= t,
+    for each t of the array (direction a unit vector)."""
+    acc = np.zeros(t.shape)
+    for a, m, c in u.terms:
+        # The ray point nearest the pole.
+        s = np.maximum(t, ((a - base) * direction.conjugate()).real)
+        acc += abs(c) / np.abs(base + s * direction - a) ** m
+    return acc
 
-    Decreasing in R once R > (N+1)/(s*delta).
-    """
-    if not (R > 0 and c > 0 and delta > 0 and s > 0):
-        raise ValueError("tail_bound needs positive R, c, delta, s")
-    if not (isinstance(N, int) and N >= 0):
-        raise ValueError("N must be a nonnegative integer")
-    return TWO_PI * c * R ** (N + 1) * math.exp(-s * delta * R)
+
+def ray_tail_bound(u: MeromorphicDatum, base: complex, direction: complex,
+                   t, w: complex):
+    """|integral of e^{z*w} u(z) dz| over z = base + s*direction, s >= t,
+    is at most e^{Re((base + t*direction)*w)} * sum |c| / dist(ray, a)^m
+    / (-Re(direction*w)), for a unit direction along which the kernel
+    decays; t may be an array, giving one bound per entry."""
+    if abs(abs(direction) - 1.0) > 1e-12:
+        raise ValueError("the ray direction must be a unit vector")
+    rate = -(direction * w).real
+    if not rate > 0.0:
+        raise ValueError("e^{z*w} does not decay along the ray")
+    t_arr = np.asarray(t, dtype=float)
+    out = (np.exp(((base + t_arr * direction) * w).real)
+           * _ray_sup(u, base, direction, t_arr) / rate)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class MerilTrace:
-    """Convergence record of one truncated-boundary evaluation."""
+    """Convergence record of one truncated-boundary evaluation: values[k]
+    is truncated at radii[k], gaps[k] is |values[k+1] - values[k]| and
+    bounds[k] the closed-form tail beyond radii[k] plus that rung's
+    quadrature estimate."""
 
     radii: tuple[float, ...]
     values: tuple[complex, ...]
     gaps: tuple[float, ...]
     bounds: tuple[float, ...]
-    s: float
-    c_fit: float
     converged: bool
     value: complex
     error: float
-
-
-def _sample_sup(pieces, weight, n: int = 17) -> float:
-    t = np.arange(n) / (n - 1)
-    return max([0.0] + [float(weight(p.point(t)).max()) for p in pieces])
 
 
 def default_radius_schedule(u: MeromorphicDatum, S_eps,
@@ -333,11 +348,11 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
                     abs_tol: float = 1e-11) -> TransformResult:
     """v(w) over the positively oriented boundary of the thickening S_eps.
 
-    Truncated at an increasing radius ladder; convergence is declared
-    when a truncation step moves the value by less than both the
-    requested tolerance and the fitted tail bound at the current radius.
-    w must lie in the open dual cone of S shifted by eps' * xi0, where
-    xi0 is the dual cone's unit bisector.
+    Truncated where the closed-form tail is at most tolerance/1000 (see
+    the module docstring), which the error estimate adds to the quadrature
+    estimate; ConvergenceError carries the value and tail at the last
+    radius when no radius meets that.  w must lie in the open dual cone
+    of S shifted by eps' * xi0, xi0 the dual cone's unit bisector.
     """
     if not isinstance(S, ConvexRegion):
         raise TypeError("meril_transform needs a ConvexRegion")
@@ -351,20 +366,37 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         if signed_distance(S, a) >= -1e-9:
             raise ValueError(f"pole {a} is not strictly inside the region")
     dual = polar_cone(asymptotic_cone(S))
-    xi0 = bisector(dual)
-    shift = eps_prime * xi0
+    shift = eps_prime * bisector(dual)
     S_eps = thicken(S, eps)
     if radius_schedule is None:
         radius_schedule = default_radius_schedule(u, S_eps, eps)
     radii = tuple(float(R) for R in radius_schedule)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("the radius schedule must be strictly increasing")
-    (b_in, d_in), (b_out, d_out) = open_boundary_rays(S_eps)
+    rays = open_boundary_rays(S_eps)
     corners = boundary_walk(S_eps).corners
+    u_at: dict[int, tuple] = {}  # id(node array) -> (the array, u there)
+    # Rung k: the ray pieces between radii[k] and radii[k + 1], the entry
+    # ray's traversed inward; built as the truncation first reaches them.
+    rungs: list[tuple] = []
 
-    def c_weight(z: np.ndarray) -> np.ndarray:
-        # |e^{eps' xi0 z} u(z)|, the N = 0 boundary growth constant.
-        return np.abs(u(z)) * np.exp((shift * z).real)
+    @functools.cache
+    def ladder():
+        # The contour to radii[0]; per ray, its crossings with the circles
+        # and the bound on |u| beyond them (w enters only the decay).
+        ts = [np.array([circle_hit(b, d, R) for R in radii]) for b, d in rays]
+        tails = [(b + t * d, d, _ray_sup(u, b, d, t))
+                 for (b, d), t in zip(rays, ts)]
+        return region_boundary_contour(S_eps, truncation=radii[0]), tails
+
+    def u_nodes(z: np.ndarray) -> np.ndarray:
+        # Rules' cached node arrays, held so that their ids stay unique.
+        hit = u_at.get(id(z))
+        if hit is None:
+            if len(u_at) >= 256:  # as many as contour's rule cache
+                del u_at[next(iter(u_at))]
+            hit = u_at[id(z)] = (z, u(z))
+        return hit[1]
 
     def trace(w: complex) -> MerilTrace:
         w = complex(w)
@@ -374,62 +406,37 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         peak = max((c * w).real for c in corners) + S_eps.rounding * abs(w)
         if peak > _LOG_FLOAT_MAX:
             raise _overflow(w, peak)
-        q = w - shift
-        s = abs(q)
-        phase_q = cmath.phase(q)
+        base_contour, tails = ladder()
+        # ray_tail_bound of both rays beyond each radius.
+        tail = sum(np.exp((z * w).real) * sup / -(d * w).real
+                   for z, d, sup in tails)
+        met = np.flatnonzero(tail <= 1e-3 * tolerance)
+        stop = int(met[0]) if met.size else len(radii) - 1
+        (z_in, _, _), (z_out, _, _) = tails
+        rungs.extend((OrientedContour([Segment(z_in[k + 1], z_in[k])]),
+                      OrientedContour([Segment(z_out[k], z_out[k + 1])]))
+                     for k in range(len(rungs), stop))
 
         def g(z: np.ndarray) -> np.ndarray:
-            return np.exp(z * w) * u(z)
+            return np.exp(z * w) * u_nodes(z)
 
-        def delta_at(R_cur: float) -> float:
-            angles = []
-            for base, d in ((b_in, d_in), (b_out, d_out)):
-                t = circle_hit(base, d, R_cur)
-                angles.append(cmath.phase(base + t * d))
-                angles.append(cmath.phase(base + 4.0 * t * d))
-                angles.append(cmath.phase(d))
-            delta = min(-math.cos(th + phase_q) for th in angles)
-            return max(delta, 1e-3)
-
-        base_contour = region_boundary_contour(S_eps, truncation=radii[0])
-        res = integrate(base_contour, g, abs_tol)
-        value, err = res.value, res.error
-        c_fit = _sample_sup(base_contour.pieces, c_weight)
-        values = [value]
-        gaps: list[float] = []
-        bounds: list[float] = []
-        converged = False
-        final = value
-        tail = math.inf
-        for R_prev, R_next in zip(radii, radii[1:]):
-            tin0 = circle_hit(b_in, d_in, R_prev)
-            tin1 = circle_hit(b_in, d_in, R_next)
-            tout0 = circle_hit(b_out, d_out, R_prev)
-            tout1 = circle_hit(b_out, d_out, R_next)
-            ext_in = Segment(b_in + tin1 * d_in, b_in + tin0 * d_in)
-            ext_out = Segment(b_out + tout0 * d_out, b_out + tout1 * d_out)
-            step = 0j
-            for seg in (ext_in, ext_out):
-                r_ = integrate(OrientedContour([seg]), g, abs_tol)
-                step += r_.value
-                err += r_.error
-                c_fit = max(c_fit, _sample_sup([seg], c_weight, 9))
-            value = value + step
-            gap = abs(step)
-            tail = tail_bound(R_prev, c_fit, 0, delta_at(R_prev), s)
-            values.append(value)
-            gaps.append(gap)
-            bounds.append(tail)
-            if gap <= tolerance and gap <= tail:
-                converged = True
-                final = value
-                n_used = len(gaps)
-                return MerilTrace(radii[:n_used + 1], tuple(values),
-                                  tuple(gaps), tuple(bounds), s, c_fit,
-                                  True, final, err + tail)
-        raise ConvergenceError(
-            f"truncation schedule exhausted; last tail bound {tail:.3e}",
-            value, tail)
+        res = integrate(base_contour, g, abs_tol, rate=abs(w))
+        values, gaps, bounds, err = [res.value], [], [], res.error
+        for k, rung in enumerate(rungs[:stop]):
+            parts = [integrate(c, g, abs_tol, rate=abs(w)) for c in rung]
+            step = sum(p.value for p in parts)
+            step_err = sum(p.error for p in parts)
+            values.append(values[-1] + step)
+            gaps.append(abs(step))
+            bounds.append(float(tail[k]) + step_err)
+            err += step_err
+        last = float(tail[stop])
+        if not met.size:
+            raise ConvergenceError(
+                f"truncation schedule exhausted; last tail bound "
+                f"{last:.3e}", values[-1], last)
+        return MerilTrace(radii[:stop + 1], tuple(values), tuple(gaps),
+                          tuple(bounds), True, values[-1], err + last)
 
     def full(w: complex) -> tuple[complex, float]:
         t = trace(w)

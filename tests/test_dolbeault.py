@@ -3,8 +3,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from convlap import dolbeault
 from convlap.convexgeom import ConvexBody, ConvexRegion
 from convlap.dolbeault import AreaResult, CutoffProfile, area_laplace, cutoff_eval
 from convlap.transforms import MeromorphicDatum, polya_transform, residue_oracle
@@ -162,3 +164,11 @@ def test_deterministic_revaluation():
     assert a == b
     assert isinstance(a, AreaResult)
     assert complex(a) == a.value
+
+
+def test_band_nodes_orientation():
+    # dbar of (1/z) dz over the band around the unit disk gives 2 pi i:
+    # the band weights carry the orientation of the boundary.
+    p = CutoffProfile(ConvexBody([0j], rounding=1.0), 1.0)
+    z, w = dolbeault._band_nodes(p, 64)
+    assert abs(complex(np.sum(w / z)) - 2j * math.pi) <= 0.05 * 2 * math.pi

@@ -27,9 +27,9 @@ from convlap.transforms import (
     borel_inverse,
     meril_transform,
     polya_transform,
+    ray_tail_bound,
     residue_oracle,
     residue_transform,
-    tail_bound,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -154,25 +154,89 @@ def test_polya_validation():
         polya_transform(u_in, DISK_HALF, -1.0)
 
 
-# ---- tail bound ----
+# ---- closed-form ray tail bound ----
 
-def test_tail_bound_frozen_value():
-    want = 2 * math.pi * 10 * math.exp(-10)
-    assert tail_bound(10.0, 1.0, 0, 1.0, 1.0) == pytest.approx(want, rel=1e-14)
-
-
-def test_tail_bound_monotone_past_hump():
-    assert tail_bound(40.0, 1.0, 0, 1.0, 1.0) < tail_bound(20.0, 1.0, 0, 1.0, 1.0)
-    assert tail_bound(1e4, 1.0, 0, 1.0, 1.0) < 1e-300
+# One double pole at 2 + i with |c| = 5; the ray is the positive real
+# axis and the kernel decays along it at the rate -Re(w) = 0.5.
+TAIL_U = MeromorphicDatum([(2 + 1j, 2, 3 - 4j)])
+TAIL_W = -0.5 + 2j
 
 
-def test_tail_bound_validation():
-    for bad in ((0.0, 1.0, 0, 1.0, 1.0), (1.0, -1.0, 0, 1.0, 1.0),
-                (1.0, 1.0, 0, 0.0, 1.0), (1.0, 1.0, 0, 1.0, -2.0)):
-        with pytest.raises(ValueError):
-            tail_bound(*bad)
-    with pytest.raises(ValueError):
-        tail_bound(1.0, 1.0, -1, 1.0, 1.0)
+def test_ray_tail_bound_frozen_value():
+    # From t = 0 the nearest ray point to the pole is 2 (distance 1).
+    assert ray_tail_bound(TAIL_U, 0j, 1 + 0j, 0.0, TAIL_W) == (
+        pytest.approx(10.0, rel=1e-14))
+    # From t = 3 it is 3 (distance sqrt 2), and e^{Re(3 w)} = e^{-1.5}.
+    want = math.exp(-1.5) * 2.5 / 0.5
+    assert ray_tail_bound(TAIL_U, 0j, 1 + 0j, 3.0, TAIL_W) == (
+        pytest.approx(want, rel=1e-14))
+
+
+def test_ray_tail_bound_monotone_in_the_truncation():
+    ts = np.linspace(0.0, 60.0, 121)
+    bounds = ray_tail_bound(TAIL_U, 0j, 1 + 0j, ts, TAIL_W)
+    assert bounds.shape == ts.shape
+    assert np.all(np.diff(bounds) < 0)
+    assert [ray_tail_bound(TAIL_U, 0j, 1 + 0j, t, TAIL_W)
+            for t in ts[::20]] == list(bounds[::20])
+    assert ray_tail_bound(TAIL_U, 0j, 1 + 0j, 2e3, TAIL_W) < 1e-300
+
+
+def test_ray_tail_bound_validation():
+    with pytest.raises(ValueError, match="unit"):
+        ray_tail_bound(TAIL_U, 0j, 2 + 0j, 0.0, TAIL_W)
+    for w in (0.5 + 2j, 2j, 0j):  # growing or not decaying along the ray
+        with pytest.raises(ValueError, match="decay"):
+            ray_tail_bound(TAIL_U, 0j, 1 + 0j, 0.0, w)
+
+
+def _ray_integral(u, base, d, t0, w, length, panels):
+    """Composite 30-point Gauss-Legendre integral of e^{z*w} u(z) dz over
+    z = base + s*d, t0 <= s <= t0 + length."""
+    x, wt = np.polynomial.legendre.leggauss(30)
+    s = t0 + length * ((np.arange(panels)[:, None] + 0.5 + 0.5 * x)
+                       / panels).ravel()
+    z = base + s * d
+    f = np.exp(z * w) * u(z)
+    return complex(f @ np.tile(0.5 * wt * length / panels, panels)) * d
+
+
+def test_ray_tail_bound_covers_the_far_tail():
+    # Seeded sectors at the origin, 1-3 poles, w out to 0.95 of the dual
+    # half-width with |w| up to 100, both boundary rays of the 0.1
+    # thickening cut at several radii.
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(8):
+        axis = rng.uniform(0.0, 2 * math.pi)
+        gamma = rng.uniform(0.2, 1.4)
+        region = sector(0j, axis, gamma)
+        u = MeromorphicDatum(
+            [(rng.uniform(0.8, 2.0) * cmath.exp(
+                1j * (axis + rng.uniform(-0.7, 0.7) * gamma)),
+              int(rng.integers(1, 4)), complex(*rng.uniform(-1, 1, 2)))
+             for _ in range(int(rng.integers(1, 4)))])
+        dual = polar_cone(asymptotic_cone(region))
+        shift = 0.1 * bisector(dual)
+        rays = contour.open_boundary_rays(thicken(region, 0.1))
+        for mag, f in ((1.0, -0.95), (10.0, 0.95), (100.0, 0.5),
+                       (100.0, -0.95)):
+            w = shift + mag * cmath.exp(
+                1j * (dual.axis + f * dual.half_width))
+            for base, d in rays:
+                rate = -(d * w).real
+                # e^{-40} of the bound is left beyond the far end.
+                length = 40.0 / rate
+                panels = int(max(50, abs((d * w).imag) * length))
+                for R in (3.0, 6.0, 12.0):
+                    t = contour.circle_hit(base, d, R)
+                    tail = abs(_ray_integral(u, base, d, t, w, length,
+                                             panels))
+                    bound = ray_tail_bound(u, base, d, t, w)
+                    assert tail <= bound * (1 + 1e-12), (w, R, tail, bound)
+                    checked += tail > 0.0
+    # Out of 192, only tails far below the float range underflow to 0.
+    assert checked >= 170
 
 
 # ---- Meril realization ----
@@ -258,20 +322,26 @@ def test_meril_nonconvergence_reports_tail():
                         radius_schedule=[8.0, 9.0, 10.0])
     with pytest.raises(ConvergenceError) as exc:
         v(-0.3 + 0j)
-    assert math.isfinite(exc.value.last_tail_bound)
+    # The closed-form tail of both rays beyond the last radius.
+    want = sum(ray_tail_bound(u, b, d, contour.circle_hit(b, d, 10.0), -0.3)
+               for b, d in contour.open_boundary_rays(thicken(SECTOR, 0.1)))
+    assert exc.value.last_tail_bound == pytest.approx(want, rel=1e-12)
+    assert want > 1e-3 * 1e-9
     assert isinstance(exc.value.partial, complex)
 
 
-def _meril_corpus():
-    """(datum, region, w) triples: sectors at the origin with axes on a
-    grid over [0, 2 pi) and half-angles in (0.2, 1.4), 1-3 poles inside
-    each, and |w| log-spaced over [0.5, 20) across the dual cone shifted
-    by eps' = 0.1 along its bisector."""
-    rng = np.random.default_rng(7)
-    mags = np.exp(np.linspace(math.log(0.5), math.log(20.0), 8,
+def _meril_corpus(lo: float = 0.5, hi: float = 20.0, n_mags: int = 8,
+                  n_axes: int = 16, seed: int = 7):
+    """(datum, region, w) triples: sectors at the origin with n_axes axes
+    on a grid over [0, 2 pi) and half-angles in (0.2, 1.4), 1-3 poles
+    inside each, and n_mags values of |w| log-spaced over [lo, hi)
+    across 0.95 of the dual cone shifted by eps' = 0.1 along its
+    bisector."""
+    rng = np.random.default_rng(seed)
+    mags = np.exp(np.linspace(math.log(lo), math.log(hi), n_mags,
                               endpoint=False))
     out = []
-    for i, axis in enumerate(np.linspace(0.0, 2 * math.pi, 16,
+    for i, axis in enumerate(np.linspace(0.0, 2 * math.pi, n_axes,
                                          endpoint=False)):
         for j, gamma in enumerate((0.25, 0.7, 1.0, 1.35)):
             region = sector(0j, float(axis), gamma)
@@ -290,12 +360,12 @@ def _meril_corpus():
     return out
 
 
-def test_meril_error_estimate_covers_the_oracle_gap():
-    # The estimate (quadrature error plus fitted tail bound) is never
-    # below the gap to the exact residue sum.
+def _dishonest_meril_estimates(corpus):
+    """The corpus entries whose Meril estimate is below the gap to the
+    exact residue sum."""
     dishonest = []
     built = {}
-    for u, region, w in _meril_corpus():
+    for u, region, w in corpus:
         key = (u, region)
         if key not in built:
             built[key] = meril_transform(u, region, 0.1, 0.1)
@@ -303,7 +373,83 @@ def test_meril_error_estimate_covers_the_oracle_gap():
         gap = abs(value - residue_oracle(u, w))
         if gap > error:
             dishonest.append((region.halfplanes, u.terms, w, gap, error))
+    return dishonest
+
+
+def test_meril_error_estimate_covers_the_oracle_gap():
+    # The estimate (quadrature error plus closed-form tail bound) is
+    # never below the gap to the exact residue sum.
+    dishonest = _dishonest_meril_estimates(_meril_corpus())
     assert not dishonest, dishonest[:5]
+
+
+def test_meril_error_estimate_covers_the_oracle_gap_at_large_w():
+    corpus = _meril_corpus(20.0, 100.0, n_mags=4, seed=20)
+    assert len(corpus) == 256
+    dishonest = _dishonest_meril_estimates(corpus)
+    assert not dishonest, dishonest[:5]
+
+
+# A meril-cone benchmark case (seed 8, pass 0) whose rung from radius 26.9
+# to 40.3 has a 20-long segment at |w| = 17.4: on one Gauss-Kronrod panel
+# K15 and G7 agree to 7e-12 while the true error is 2.5e-11.
+LONG_RUNG_U = MeromorphicDatum([
+    (0.7892338870071037 - 1.3376166666597846j, 1,
+     0.06446332234212404 + 0.5039124837158437j),
+    (-0.19781330970043545 - 0.8708699194449737j, 2,
+     0.6127409368267691 + 0.8014416570972351j)])
+LONG_RUNG_REGION = ConvexRegion([
+    (-0.5218346356399401, 0.8530466652220914, 0.0),
+    (-0.0648425937413493, 0.9978955045679354, 0.0)])
+LONG_RUNG_W = -8.627373221968734 - 15.115821623010987j
+LONG_RUNG_SEGMENT = contour.Segment(
+    -34.42465617634364 - 20.941384148265314j,
+    -51.610980743823745 - 31.45478251707061j)
+
+
+def test_meril_long_rung_is_resolved():
+    w = LONG_RUNG_W
+
+    def g(z):
+        return np.exp(z * w) * LONG_RUNG_U(z)
+
+    seg = LONG_RUNG_SEGMENT
+    x, wt = np.polynomial.legendre.leggauss(60)
+    t = ((np.arange(600)[:, None] + 0.5 + 0.5 * x) / 600).ravel()
+    want = complex(g(seg.point(t)) @ np.tile(wt / 1200, 600)) * (
+        seg.end - seg.start)
+    got = contour.integrate(contour.OrientedContour([seg]), g, 1e-11,
+                            rate=abs(w))
+    assert abs(got.value - want) <= got.error
+    # The whole transform, with its closed-form tail, stays honest.
+    t = meril_transform(LONG_RUNG_U, LONG_RUNG_REGION, 0.1,
+                        0.1).diagnostics(w)
+    assert any(abs(R - 40.29390180790006) < 1e-9 for R in t.radii)
+    assert abs(t.value - residue_oracle(LONG_RUNG_U, w)) <= t.error <= 1e-11
+
+
+def test_meril_evaluates_u_once_per_node_array(monkeypatch):
+    arrays = []
+    call = MeromorphicDatum.__call__
+
+    def counting(self, z):
+        arrays.append(z if isinstance(z, np.ndarray) else None)
+        return call(self, z)
+
+    monkeypatch.setattr(MeromorphicDatum, "__call__", counting)
+    u = MeromorphicDatum([(1 + 0.2j, 2, 1.0), (1.5 - 0.1j, 1, 0.5j)])
+    v = meril_transform(u, SECTOR, 0.1, 0.1)
+    assert arrays == []  # nodes are built at the first evaluation
+    for k in range(24):
+        w = -(1 + 0.5 * k) * cmath.exp(0.6j * math.sin(k))
+        residue = residue_oracle(u, w)
+        value, error = v.with_error(w)
+        assert abs(value - residue) <= error <= 1e-9
+    # One call per rule's node array, none per w; the list holds the
+    # arrays, so no two of them can share an id.
+    assert all(z is not None for z in arrays)
+    assert len(arrays) == len({id(z) for z in arrays})
+    assert len(arrays) < 24 * 3
 
 
 # ---- Meril overflow ----
