@@ -7,9 +7,13 @@ affine piece is a triple (gx, gy, k) meaning gx*x + gy*y + k.
 
 halfplane_polygon intersects half-planes by sorting their normals by
 angle and sweeping them with a stack (unbounded sets) or a deque (bounded
-ones), as in de Berg et al., *Computational Geometry*, ch. 4.  Vertices,
-recession cones and the maximum of a minimum of affine pieces are all
-read off the resulting Polygon.
+ones), as in de Berg et al., *Computational Geometry*, ch. 4.  Callers
+build a set's Polygon once and read everything off it: convexgeom keeps
+one per region (support function, vertices, recession cone, boundary),
+and legendre builds each conjugate from one Polygon per cell.
+maximize_min_affine, the maximum of a minimum of affine pieces over such
+cells, is left only behind interior_slack, the emptiness and interior
+test of regions.
 """
 
 from __future__ import annotations
@@ -206,19 +210,9 @@ def _closed_polygon(lines, slack: float):
                    tuple(dq[k] for k in keep))
 
 
-def polygon_vertices(halfplanes, tol: float = 1e-9):
-    """Vertices of the intersection, counterclockwise; none when it is
-    empty or contains a line."""
-    poly = halfplane_polygon(halfplanes, tol)
-    return [] if poly is None else list(poly.vertices)
-
-
-def recession_cone(halfplanes):
-    """Directions v with z + t*v inside a nonempty intersection for all
-    t >= 0, as an angular cone description."""
-    poly = halfplane_polygon(halfplanes)
-    if poly is None:
-        raise ValueError("the half-planes have empty intersection")
+def recession_cone(poly: Polygon):
+    """Directions v with z + t*v inside the polygon for all t >= 0, as an
+    angular cone description."""
     if not poly.rays:
         return ("zero",)
     if not poly.edges:

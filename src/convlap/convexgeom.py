@@ -113,8 +113,6 @@ class ConvexRegion:
             if not (math.isfinite(norm) and norm > 0.0 and math.isfinite(d)):
                 raise ValueError("half-plane needs a nonzero finite normal")
             hp.append((nx / norm, ny / norm, d / norm))
-        if len(hp) > 32:
-            raise ValueError("at most 32 half-planes are supported")
         object.__setattr__(self, "halfplanes", tuple(hp))
         object.__setattr__(self, "rounding", float(rounding))
         if not (math.isfinite(self.rounding) and self.rounding >= 0.0):
@@ -214,11 +212,6 @@ def _cone_from_desc(desc) -> Cone:
 
 # ---- support functions ----
 
-def _dual_vec(w: complex) -> tuple[float, float, float]:
-    """Euclidean gradient of z -> Re(z*w) as an affine piece."""
-    return (w.real, -w.imag, 0.0)
-
-
 def support_function(s, w: complex) -> float:
     """h_s(w) = sup_{z in s} Re(z*w).  May be +inf for regions."""
     w = complex(w)
@@ -226,12 +219,13 @@ def support_function(s, w: complex) -> float:
         core = max((v * w).real for v in s.vertices)
         return core + s.rounding * abs(w)
     if isinstance(s, ConvexRegion):
-        if w == 0:
-            return 0.0
-        val, _ = _lp.maximize_min_affine([_dual_vec(w)], s.halfplanes)
-        if not math.isfinite(val):
+        # Finite exactly when Re(d*w) <= 0 along every ray d of the core;
+        # then the sup is attained at one of its points.
+        poly = _core_polygon(s.halfplanes)
+        u, v, r = w.real, w.imag, abs(w)
+        if any(dx * u - dy * v > 1e-11 * r for dx, dy in poly.rays):
             return math.inf
-        return val + s.rounding * abs(w)
+        return max(x * u - y * v for x, y in poly.points) + s.rounding * r
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
@@ -280,9 +274,13 @@ def _polygon_signed(vertices: tuple[complex, ...], z: complex) -> float:
 
 
 @lru_cache(maxsize=256)
-def _region_vertices(region: ConvexRegion) -> tuple[complex, ...]:
-    return tuple(complex(x, y)
-                 for x, y in _lp.polygon_vertices(region.halfplanes))
+def _core_polygon(halfplanes) -> _lp.Polygon:
+    """The un-rounded core of a region, built once per half-plane list:
+    every region query reads it."""
+    poly = _lp.halfplane_polygon(halfplanes)
+    if poly is None:
+        raise ValueError("the half-planes have empty intersection")
+    return poly
 
 
 def _region_core_signed(region: ConvexRegion, z: complex) -> float:
@@ -300,8 +298,8 @@ def _region_core_signed(region: ConvexRegion, z: complex) -> float:
         foot = complex(z.real - t * nx, z.imag - t * ny)
         if _lp._feasible((foot.real, foot.imag), hp, 1e-9 * (1.0 + abs(d))):
             best = min(best, abs(z - foot))
-    for v in _region_vertices(region):
-        best = min(best, abs(z - v))
+    for x, y in _core_polygon(hp).vertices:
+        best = min(best, abs(z - complex(x, y)))
     return best
 
 
@@ -335,7 +333,8 @@ def asymptotic_cone(s) -> Cone:
     if isinstance(s, ConvexBody):
         return Cone("zero")
     if isinstance(s, ConvexRegion):
-        return _cone_from_desc(_lp.recession_cone(s.halfplanes))
+        return _cone_from_desc(
+            _lp.recession_cone(_core_polygon(s.halfplanes)))
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
@@ -370,16 +369,12 @@ def bisector(c: Cone) -> complex:
 
 
 def region_contains_line(region: ConvexRegion) -> bool:
-    rec = _lp.recession_cone(region.halfplanes)
-    if rec[0] in ("full", "line"):
-        return True
-    if rec[0] == "arc":
-        return rec[2] - rec[1] >= math.pi - 1e-12
-    return False
+    # Only a set containing a line has no vertex.
+    return not _core_polygon(region.halfplanes).vertices
 
 
 def region_is_bounded(region: ConvexRegion) -> bool:
-    return _lp.recession_cone(region.halfplanes)[0] == "zero"
+    return not _core_polygon(region.halfplanes).rays
 
 
 def region_has_interior(region: ConvexRegion) -> bool:
@@ -397,14 +392,9 @@ def affine_dimension(s) -> int:
     if isinstance(s, ConvexRegion):
         if region_has_interior(s):
             return 2
-        verts = _region_vertices(s)
-        rec = _lp.recession_cone(s.halfplanes)
-        if len(verts) >= 2 or (len(verts) >= 1 and rec[0] != "zero"):
-            return 1
-        if len(verts) == 1:
-            return 0
-        # No vertices: a line or a slab collapsed to a line.
-        return 1
+        # A point, or else a segment, a ray or a line.
+        poly = _core_polygon(s.halfplanes)
+        return 0 if len(poly.vertices) == 1 and not poly.rays else 1
     if isinstance(s, Cone):
         if s.kind == "plane":
             return 2
@@ -460,7 +450,7 @@ def boundary_walk(s) -> BoundaryWalk:
                          "a single chain")
     if not region_has_interior(s):
         raise ValueError("boundary walk needs a set with nonempty interior")
-    poly = _lp.halfplane_polygon(s.halfplanes)
+    poly = _core_polygon(s.halfplanes)
     return BoundaryWalk(not poly.rays,
                         tuple(math.atan2(ny, nx) for nx, ny, _ in poly.edges),
                         tuple(complex(x, y) for x, y in poly.vertices))

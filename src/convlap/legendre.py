@@ -8,8 +8,10 @@ conjugate of the indicator of a set is exactly its support function.
 Three routines compute conjugates, all exact up to rounding:
 
 * conjugate_at: one value.  Indicators and single pieces reduce to
-  support-function evaluations (valid for rounded domains too); several
-  pieces maximize a minimum of affine pieces over the polyhedral domain.
+  support-function evaluations (valid for rounded domains too).  For
+  several pieces the first call builds conjugate(f), which depends on f
+  alone; every call then tests w against its domain half-planes and
+  takes the maximum of its pieces.
 * symbolic_conjugate: the closed form h_domain(w - b) - c, available
   precisely for indicator or single-piece data.
 * conjugate: the whole piecewise-linear conjugate as a new
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _lp
 from .convexgeom import (
@@ -118,26 +121,34 @@ def _domain_halfplanes(domain):
     return hp
 
 
+@lru_cache(maxsize=256)
+def _tabulated(f: PLConvexFunction):
+    """f's distinct pieces and, when there are several, conjugate(f) as
+    (pieces as (x, y, c), domain half-planes): built once per f."""
+    pieces = _collapsed_pieces(f)
+    if len(pieces) <= 1:
+        return pieces, None
+    g = conjugate(f)
+    return pieces, ([(p.real, p.imag, c) for p, c in g.pieces],
+                    g.domain.halfplanes)
+
+
 def conjugate_at(f: PLConvexFunction, w: complex) -> float:
     """f*(w) = sup_z (Re(z*w) - f(z)), exactly.  May be +inf."""
     w = complex(w)
-    pieces = _collapsed_pieces(f)
+    pieces, table = _tabulated(f)
     if not pieces:
         return support_function(f.domain, w)
-    if len(pieces) == 1:
+    if table is None:
         b, c = pieces[0]
         return support_function(f.domain, w - b) - c
-    hp = _domain_halfplanes(f.domain)
-    objective = []
-    for b, c in pieces:
-        q = w - b
-        objective.append((q.real, -q.imag, -c))
-    val, _ = _lp.maximize_min_affine(objective, hp)
-    if val == math.inf:
+    dual, domain = table
+    u, v = w.real, w.imag
+    # A cell ray d of f gives +inf once Re(d*(w - b)) passes this slack.
+    grow = 1e-11 * max(abs(w - b) for b, _ in pieces)
+    if any(nx * u + ny * v - k > grow for nx, ny, k in domain):
         return math.inf
-    if val == -math.inf:
-        raise ValueError("empty domain")
-    return val
+    return max(x * u - y * v + c for x, y, c in dual)
 
 
 @dataclass(frozen=True)

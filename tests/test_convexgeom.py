@@ -374,11 +374,26 @@ def test_region_validation():
     with pytest.raises(ValueError):
         # x <= 0 and x >= 1 is empty.
         ConvexRegion([(1.0, 0.0, 0.0), (-1.0, 0.0, -1.0)])
-    with pytest.raises(ValueError):
-        ConvexRegion([(1.0, 0.0, 0.0)] * 33)
     # Normals are normalized on input.
     reg = ConvexRegion([(2.0, 0.0, 4.0)])
     assert reg.halfplanes[0] == pytest.approx((1.0, 0.0, 2.0))
+
+
+def test_region_takes_64_tangent_halfplanes():
+    # The tangent lines of the unit disk at 64 equally spaced normals cut
+    # a regular 64-gon whose vertices lie at radius 1/cos(pi/64).
+    n = 64
+    normals = [complex(math.cos(2 * math.pi * k / n),
+                       math.sin(2 * math.pi * k / n)) for k in range(n)]
+    reg = ConvexRegion([(e.real, e.imag, 1.0) for e in normals])
+    assert len(boundary_walk(reg).corners) == n
+    for e in normals:
+        # Re(z*w) pairs z with the conjugate of w; scale |w| = 2.5.
+        w = 2.5 * e.conjugate()
+        assert support_function(reg, w) == pytest.approx(2.5, rel=1e-14)
+        corner = w * complex(math.cos(math.pi / n), math.sin(math.pi / n))
+        assert support_function(reg, corner) == pytest.approx(
+            2.5 / math.cos(math.pi / n), rel=1e-14)
 
 
 # ---- property tests ----
