@@ -147,16 +147,20 @@ def test_criterion_3_dolbeault_green_oracle(corpus):
             area = area_laplace(u, profile, w, grid=512)
             gap = abs(area.value - contour)
             worst = max(worst, gap)
-            if gap > area.error + cerr or gap > 1e-4:
+            if gap > area.error + cerr or gap > 1e-8:
                 ok = False
-            coarse_max = max(coarse_max, gap)
+            # Grid 512 sits at roundoff; the doubling check runs below it.
+            coarse_max = max(coarse_max,
+                             abs(area_laplace(u, profile, w, grid=128).value
+                                 - contour))
             fine_max = max(fine_max,
-                           abs(area_laplace(u, profile, w, grid=1024).value
+                           abs(area_laplace(u, profile, w, grid=256).value
                                - contour))
     shrinks = fine_max < coarse_max
     _verdict(3, "area integral vs contour", ok and shrinks,
-             f"max gap {worst:.2e} <= 1e-4 within combined error; "
-             f"doubling shrinks {coarse_max:.2e} -> {fine_max:.2e}",
+             f"max gap {worst:.2e} <= 1e-8 within combined error; "
+             f"doubling 128 -> 256 shrinks {coarse_max:.2e} -> "
+             f"{fine_max:.2e}",
              time.perf_counter() - t0, 120.0)
 
 
