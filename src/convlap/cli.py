@@ -4,6 +4,9 @@ A scenario is a JSON document naming a transform kind, a convex set,
 function data, and a list of checks.  Running one executes the checks,
 writes report.txt / samples.csv (and optionally plot.svg), and exits 0
 when every check passes, 1 when one fails, 2 on configuration errors.
+samples.csv has one row per growth sample: w, v(w) and its error
+estimate v_err (nan, nan and inf where the evaluation raises), h(w),
+the growth ratio, the ray index and the radius.
 
 Scenario schema (all lengths are plane coordinates, pairs are [re, im]):
 
@@ -14,7 +17,7 @@ Scenario schema (all lengths are plane coordinates, pairs are [re, im]):
               {"type": "sector", "apex": [x,y], "axis": a, "half_angle": g}
     terms     [{"pole": [x,y], "order": m, "coefficient": [re,im]}, ...]
     pieces    [[bx, by, c], ...]                       (legendre only)
-    r         contour radius, default 2*(max|pole| + max|vertex| + rounding + 1)
+    r         contour radius, default 1.25*(max|vertex| + rounding)
     eps       thickening, default 0.1                  (meril)
     eps_prime cone shift, default = eps                (meril)
     checks    subset of the kind's check vocabulary (defaults per kind)
@@ -40,6 +43,7 @@ from typing import Any
 
 import numpy as np
 
+from .contour import QuadratureError
 from .convexgeom import (
     ConvexBody,
     ConvexRegion,
@@ -60,6 +64,7 @@ from .growth import (
 )
 from .legendre import PLConvexFunction, conjugate, conjugate_at
 from .transforms import (
+    ConvergenceError,
     MeromorphicDatum,
     meril_transform,
     polya_transform,
@@ -87,16 +92,17 @@ _DEFAULT_CHECKS = {
     "oracle": ("growth",),
 }
 _DEFAULT_TOL = {
-    # The polya default radius grows with the data; quadrature roundoff
-    # scales like e^{r|w|} * 1e-16, so the oracle default stays at 1e-6.
-    ("polya", "oracle"): 1e-6,
+    # Quadrature roundoff scales like e^{r|w|} * 1e-16.  The default radius
+    # hugs the body (1.25 times its extent: r|w| <= 5.3 for the unit disk
+    # on the default grid), which leaves room for 1e-9.
+    ("polya", "oracle"): 1e-9,
     ("meril", "oracle"): 1e-8,
     ("polya", "contour-independence"): 1e-10,
     ("meril", "epsilon-robustness"): 1e-8,
     ("legendre", "biconjugation"): 1e-9,
     ("legendre", "fenchel-young"): 1e-10,
 }
-_CSV_COLUMNS = ("w_re", "w_im", "v_re", "v_im", "h", "ratio",
+_CSV_COLUMNS = ("w_re", "w_im", "v_re", "v_im", "v_err", "h", "ratio",
                 "ray_index", "radius")
 _GROWTH_RADII = tuple(float(r) for r in np.geomspace(1.0, 100.0, 13))
 _GROWTH_RAYS = 16
@@ -280,10 +286,12 @@ def parse_scenario(text: str) -> Scenario:
             if r <= 0:
                 _fail("$.r", "must be positive")
         else:
-            amax = max((abs(a) for a, _, _ in datum.terms), default=0.0)
-            vmax = max(abs(v) for v in domain.vertices)
-            r = 2.0 * (amax + vmax + domain.rounding + 1.0)
-            defaults.append(f"r={r:g} (= 2*(max|pole| + set radius + 1))")
+            # The body's extent over 1 - 2*0.1: twice the clearance
+            # polya_transform demands.  The kernel peaks at e^{r|w|} on the
+            # circle, so the node count and the roundoff shrink with r.
+            extent = max(abs(v) for v in domain.vertices) + domain.rounding
+            r = extent / (1.0 - 2 * 0.1)
+            defaults.append(f"r={r:g} (= 1.25*(max|vertex| + rounding))")
         for a, _, _ in datum.terms:
             if signed_distance(domain, a) >= -1e-9:
                 _fail("$.terms", f"pole {a} lies outside the set interior")
@@ -580,8 +588,11 @@ def _csv_text(report: GrowthReport | None, v) -> str:
     writer.writerow(_CSV_COLUMNS)
     if report is not None:
         for s in report.samples:
-            val = v(s.w)
-            writer.writerow([s.w.real, s.w.imag, val.real, val.imag,
+            try:
+                val, err = v.with_error(s.w)
+            except (OverflowError, QuadratureError, ConvergenceError):
+                val, err = complex(math.nan, math.nan), math.inf
+            writer.writerow([s.w.real, s.w.imag, val.real, val.imag, err,
                              s.support, s.ratio, s.ray_index, s.radius])
     return buf.getvalue()
 

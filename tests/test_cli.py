@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convlap.cli import Scenario, ScenarioError, main, parse_scenario, run_scenario
+from convlap.convexgeom import ConvexBody, signed_distance
+from convlap.transforms import polya_transform, residue_oracle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -29,7 +32,7 @@ def parse(doc) -> Scenario:
 def test_minimal_polya_defaults():
     sc = parse(MINIMAL_POLYA)
     assert sc.kind == "polya"
-    assert sc.r == pytest.approx(2.0 * (0.3 + 1.0 + 1.0))
+    assert sc.r == pytest.approx(1.25)  # 1.25 * (max|vertex| + rounding)
     assert sc.checks == ("oracle", "contour-independence", "growth")
     assert any(s.startswith("r=") for s in sc.defaults_applied)
     assert any(s.startswith("checks=") for s in sc.defaults_applied)
@@ -102,8 +105,106 @@ def test_quick_polya_run_passes(tmp_path):
     assert "result: PASS" in report
     assert "seed: 0" in report
     csv_lines = (tmp_path / "samples.csv").read_text().splitlines()
-    assert csv_lines[0] == "w_re,w_im,v_re,v_im,h,ratio,ray_index,radius"
+    assert csv_lines[0] == "w_re,w_im,v_re,v_im,v_err,h,ratio,ray_index,radius"
     assert len(csv_lines) == 1 + 8 * 5  # rays x radii, full plane domain
+
+
+def _csv_rows(path: Path) -> list[dict]:
+    lines = path.read_text().splitlines()
+    names = lines[0].split(",")
+    return [dict(zip(names, map(float, line.split(",")))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("doc", [QUICK_POLYA, json.loads(
+    (SCENARIO_DIR / "reference_polya.json").read_text())])
+def test_samples_csv_error_column_covers_the_oracle_gap(tmp_path, doc):
+    sc = parse(dict(doc, checks=["growth"], plot=False))
+    assert run_scenario(sc, out_dir=tmp_path) == 0
+    rows = _csv_rows(tmp_path / "samples.csv")
+    assert len(rows) == sc.growth_rays * len(sc.growth_radii)
+    for row in rows:
+        w = complex(row["w_re"], row["w_im"])
+        gap = abs(complex(row["v_re"], row["v_im"]) - residue_oracle(sc.datum, w))
+        assert gap <= row["v_err"], (w, gap, row["v_err"])
+
+
+def test_samples_csv_row_that_overflows_is_written_as_nan(tmp_path):
+    # |w| = 1000 needs e^{r|w|} beyond the float range: the growth check
+    # reads log_abs and passes, the row carries nan with an infinite error.
+    doc = dict(QUICK_POLYA, checks=["growth"],
+               growth={"rays": 4, "radii": [1, 10, 1000]})
+    quick = tmp_path / "overflow.json"
+    quick.write_text(json.dumps(doc))
+    assert main(["run", str(quick), "--out-dir", str(tmp_path)]) == 0
+    assert "result: PASS" in (tmp_path / "report.txt").read_text()
+    rows = _csv_rows(tmp_path / "samples.csv")
+    assert len(rows) == 12
+    for row in rows:
+        if row["radius"] == 1000:
+            assert math.isnan(row["v_re"]) and math.isnan(row["v_im"])
+            assert row["v_err"] == math.inf
+        else:
+            assert math.isfinite(row["v_re"]) and row["v_err"] < 1e-6
+
+
+def _generated_polya_docs(seed: int, count: int):
+    # Bodies and data as the benchmark's generated scenarios: the unit
+    # disk, a rounded square and rounded 3-5-gons; 1-3 poles at least
+    # 0.15 inside; orders 1-3; no "r", so the runner picks the radius.
+    rng = np.random.default_rng(seed)
+    square = ConvexBody([0.5 + 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j],
+                        rounding=0.25)
+    for i in range(count):
+        sides, rot = 3 + (i // 3) % 3, rng.uniform(0.0, 2.0 * math.pi)
+        gon = ConvexBody([0.6 * np.exp(1j * (rot + 2.0 * math.pi * k / sides))
+                          for k in range(sides)], rounding=0.2)
+        body = (ConvexBody([0j], rounding=1.0), square, gon)[i % 3]
+        reach = max(abs(v) for v in body.vertices) + body.rounding
+        terms = []
+        while len(terms) < 1 + (i // 9) % 3:
+            a = complex(*rng.uniform(-reach, reach, 2))
+            if signed_distance(body, a) < -0.15:
+                terms.append({"pole": [a.real, a.imag],
+                              "order": int(rng.integers(1, 4)),
+                              "coefficient": rng.uniform(-2, 2, 2).tolist()})
+        yield {"kind": "polya",
+               "set": {"type": "body", "rounding": body.rounding,
+                       "vertices": [[v.real, v.imag] for v in body.vertices]},
+               "terms": terms}
+
+
+def test_default_radius_keeps_generated_polya_at_the_oracle():
+    grid = [complex(x, y) for x in np.linspace(-3, 3, 7)
+            for y in np.linspace(-3, 3, 7)]
+    far = [10.0 * np.exp(2j * math.pi * k / 8) for k in range(8)]
+    worst_grid = worst_far = 0.0
+    for seed in (1, 2, 3):
+        for doc in _generated_polya_docs(seed, 100):
+            sc = parse(doc)
+            v = polya_transform(sc.datum, sc.domain, sc.r)
+            for w in grid:
+                ref = residue_oracle(sc.datum, w)
+                worst_grid = max(worst_grid, abs(v(w) - ref) / (1 + abs(ref)))
+            for w in far:
+                ref = residue_oracle(sc.datum, w)
+                got, err = v.with_error(w)
+                assert abs(got - ref) <= err
+                worst_far = max(worst_far, abs(got - ref) / (1 + abs(ref)))
+    assert worst_grid <= 1e-12
+    assert worst_far <= 1e-9
+
+
+def test_default_radius_encloses_a_body_off_the_origin():
+    doc = {"kind": "polya",
+           "set": {"type": "body", "vertices": [[2.0, 1.0], [3.0, 1.0],
+                                                [3.0, 2.0]],
+                   "rounding": 0.5},
+           "terms": [{"pole": [2.7, 1.3], "order": 2}]}
+    sc = parse(doc)
+    assert sc.r == pytest.approx(1.25 * (math.hypot(3.0, 2.0) + 0.5))
+    v = polya_transform(sc.datum, sc.domain, sc.r)  # clearance check passes
+    w = 0.5 - 0.25j
+    assert v(w) == pytest.approx(residue_oracle(sc.datum, w), rel=1e-9)
 
 
 def test_run_is_deterministic(tmp_path):
