@@ -17,7 +17,8 @@ Scenario schema (all lengths are plane coordinates, pairs are [re, im]):
               {"type": "sector", "apex": [x,y], "axis": a, "half_angle": g}
     terms     [{"pole": [x,y], "order": m, "coefficient": [re,im]}, ...]
     pieces    [[bx, by, c], ...]                       (legendre only)
-    r         contour radius, default 1.25*(max|vertex| + rounding)
+    r         radius of the circle about the vertices' mean (polya),
+              default 1.25*(max|vertex - mean| + rounding)
     eps       thickening, default 0.1                  (meril)
     eps_prime cone shift, default = eps                (meril)
     checks    subset of the kind's check vocabulary (defaults per kind)
@@ -116,6 +117,7 @@ class Scenario:
     datum: MeromorphicDatum | None
     pl_function: PLConvexFunction | None
     r: float | None
+    center: complex
     eps: float
     eps_prime: float
     checks: tuple[str, ...]
@@ -277,21 +279,30 @@ def parse_scenario(text: str) -> Scenario:
     if "eps_prime" not in doc and kind == "meril":
         defaults.append(f"eps_prime={eps_prime:g}")
 
-    r = None
+    r, center = None, 0j
     if kind == "polya":
         if not isinstance(domain, ConvexBody):
             _fail("$.set", "polya scenarios need a bounded body")
+        # The circle is centred on the body, so that its radius, and with
+        # it the kernel's peak e^{Re(center*w) + r|w|} over the value's
+        # size, does not grow with the body's distance from the origin.
+        center = sum(domain.vertices) / len(domain.vertices)
+        defaults.append(f"center={center.real:g}{center.imag:+g}i "
+                        f"(= mean of the vertices)")
         if "r" in doc:
             r = _as_real(doc.get("r"), "$.r")
             if r <= 0:
                 _fail("$.r", "must be positive")
         else:
-            # The body's extent over 1 - 2*0.1: twice the clearance
-            # polya_transform demands.  The kernel peaks at e^{r|w|} on the
-            # circle, so the node count and the roundoff shrink with r.
-            extent = max(abs(v) for v in domain.vertices) + domain.rounding
+            # The body's extent from the centre over 1 - 2*0.1: twice the
+            # clearance polya_transform demands.  The roundoff grows like
+            # eps*e^{r|w|} relative to e^{Re(center*w)}, so it shrinks
+            # with r.
+            extent = (max(abs(v - center) for v in domain.vertices)
+                      + domain.rounding)
             r = extent / (1.0 - 2 * 0.1)
-            defaults.append(f"r={r:g} (= 1.25*(max|vertex| + rounding))")
+            defaults.append(
+                f"r={r:g} (= 1.25*(max|vertex - center| + rounding))")
         for a, _, _ in datum.terms:
             if signed_distance(domain, a) >= -1e-9:
                 _fail("$.terms", f"pole {a} lies outside the set interior")
@@ -388,10 +399,11 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(
         kind=kind, label=label, domain=domain, datum=datum,
-        pl_function=pl_function, r=r, eps=eps, eps_prime=eps_prime,
-        checks=checks, tolerances=tolerances, w_limit=w_limit,
-        w_count=w_count, w_samples=w_samples, eps_ladder=eps_ladder,
-        growth_radii=growth_radii, growth_rays=growth_rays,
+        pl_function=pl_function, r=r, center=center, eps=eps,
+        eps_prime=eps_prime, checks=checks, tolerances=tolerances,
+        w_limit=w_limit, w_count=w_count, w_samples=w_samples,
+        eps_ladder=eps_ladder, growth_radii=growth_radii,
+        growth_rays=growth_rays,
         samples_count=samples_count, plot=plot,
         defaults_applied=tuple(defaults))
 
@@ -427,7 +439,7 @@ def _meril_points(sc: Scenario) -> list[complex]:
 
 def _build_transform(sc: Scenario):
     if sc.kind == "polya":
-        return polya_transform(sc.datum, sc.domain, sc.r)
+        return polya_transform(sc.datum, sc.domain, sc.r, sc.center)
     if sc.kind == "meril":
         return meril_transform(sc.datum, sc.domain, sc.eps, sc.eps_prime)
     return residue_transform(sc.datum)
@@ -452,7 +464,7 @@ def _check_oracle(sc: Scenario, v, scale: float) -> _CheckResult:
 
 def _check_contour_independence(sc: Scenario, scale: float) -> _CheckResult:
     tol = sc.tolerances["contour-independence"] * scale
-    vs = [polya_transform(sc.datum, sc.domain, f * sc.r)
+    vs = [polya_transform(sc.datum, sc.domain, f * sc.r, sc.center)
           for f in (1.0, 1.5, 3.0)]
     worst = 0.0
     ok = True

@@ -6,16 +6,35 @@ counterclockwise when the sweep is positive).  Boundary contours of
 thickened convex sets leave the set on the left.
 
 Every piece is integrated by one loop over nested rules, vectorised in
-numpy: the integrand is called once per level on the whole node array.
-A level's rule, cached per (piece, level), holds nodes, weights and the
-weights of a coarser rule embedded in the same nodes.  A full circle
-takes the periodic trapezoid rule (Trefethen & Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes
-(or the caller's minimum) doubling up to 4096, its even-indexed half as
-the coarse rule; other pieces take Gauss-Kronrod 15 on 1 to 2048 equal
-panels with the embedded Gauss-7 (Piessens et al., QUADPACK, 1983).
-The error estimate is the fine-coarse gap plus a roundoff floor of
-16 eps sum |f_k| max|w_k|.
+numpy, of e^{z*w} g(z) dz for a caller's w (0 by default).  A level's
+rule, cached per (piece, level), holds nodes, weights and the weights of
+a coarser rule embedded in the same nodes.  A full circle takes the
+periodic trapezoid rule (Trefethen & Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes doubling up to
+4096, its even-indexed half as the coarse rule; other pieces take
+Gauss-Kronrod 15 on 1 to 2048 equal panels with the embedded Gauss-7
+(Piessens et al., QUADPACK, 1983), and evaluate e^{z*w} g(z) once per
+level on the whole node array.  Their error estimate is the fine-coarse
+gap plus a roundoff floor of 16 eps sum |f_k| max|w_k|.
+
+On a full circle C(c, rho) with w != 0 the trapezoid sum is taken in
+moment form (Bornemann, "Accuracy and stability of computing high-order
+derivatives of analytic functions by Cauchy integrals", FoCM 2011).
+With nodes z_k = c + rho e^{i theta_0} q^k, q = e^{+-2 pi i/n} by the
+sweep's sign, and x = rho w e^{i theta_0},
+
+    sum_k e^{z_k w} g(z_k) w_k = e^{c w} sum_m x^m / m! F_m,
+    F_m = sum_k q^{m k} g(z_k) w_k,
+
+where F is periodic in m with period n and is one FFT of the weighted
+values of g, cached per (piece, level, g); the coarse rule's moments are
+F_m + F_{m+n/2}.  Each w then costs one Taylor sum of about
+rho|w| + 12 sqrt(rho|w|) + 40 terms scaled by e^{-rho|w|} (folded mod
+n/2 for the coarse rule when longer), starting at the first level with
+at least twice as many nodes.  With M = Re(c w) + rho|w|, the kernel's
+peak on the circle, the estimate is the fine-coarse gap, a roundoff
+floor of 16 eps e^M sum |g(z_k) w_k| and a bound on the dropped Taylor
+terms.
 
 Node order, level order and accumulation are fixed, so results are
 bitwise reproducible for identical inputs.
@@ -23,6 +42,7 @@ bitwise reproducible for identical inputs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -368,20 +388,84 @@ def _rule(piece, level: int) -> _Rule:
     return rule
 
 
-def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
-              min_nodes: int = 0, rate: float = 0.0) -> IntegralResult:
-    """Integral of g(z) dz along the contour with an error estimate.
+@lru_cache(maxsize=256)
+def _moments(piece: Arc, level: int, g) -> tuple:
+    """Trapezoid moments of g on a full circle at a level (see the module
+    docstring): F for the n nodes, F for the n/2 coarse ones and
+    sum |g(z_k) w_k|; cached, with read-only arrays."""
+    nodes, weights = _rule(piece, level)[:2]
+    h = g(nodes) * weights
+    ccw = piece.angle1 > piece.angle0
+    fine = np.fft.ifft(h, norm="forward") if ccw else np.fft.fft(h)
+    half = len(h) // 2
+    coarse = fine[:half] + fine[half:]
+    fine.flags.writeable = coarse.flags.writeable = False
+    return fine, coarse, float(np.abs(h).sum())
 
-    g maps a numpy array of nodes to an array of values.  Each piece
-    starts at its first rule level with at least min_nodes nodes, and at
-    least 2 * rate nodes per unit of its length (rate = |w| for e^{z*w}:
-    on coarser panels, which do not resolve the kernel, Gauss-Kronrod and
-    Gauss-7 can agree by chance), and doubles until the gap between its
-    fine and coarse sums is within the roundoff floor or within its share
-    of abs_tol, proportional to its length; past the top level
-    QuadratureError is raised.  The estimate is the sum of gap + floor
-    over the pieces.
+
+def _scaled_taylor(x: complex, count: int) -> np.ndarray:
+    """e^{-|x|} x^m / m! for m < count (count > |x|): by the ratio x/m
+    from m = 0, or, where e^{-|x|} leaves the normal float range, outward
+    from m0 = floor(|x|), whose term Stirling's series gives without
+    cancellation."""
+    y = abs(x)
+    k = np.arange(1, count)
+    if y <= 700.0:
+        return np.cumprod(np.concatenate(([math.exp(-y)], x / k)))
+    m0 = math.floor(y)
+    f = y - m0
+    log_peak = (m0 * math.log1p(f / m0) - f - 0.5 * math.log(2 * math.pi * m0)
+                - 1.0 / (12 * m0) + 1.0 / (360 * m0 ** 3))
+    peak = math.exp(log_peak) * _cis(m0 * math.atan2(x.imag, x.real))
+    down = np.cumprod(k[m0 - 1::-1] / x)[::-1]
+    return peak * np.concatenate((down, [1.0], np.cumprod(x / k[m0:])))
+
+
+def _node_sums(piece, level: int, g, w: complex):
+    """Fine sum, coarse sum, roundoff floor, 0 (no dropped terms) and
+    node count of e^{z*w} g(z) dz at a level, from g at the nodes."""
+    nodes, weights, idx, coarse_weights, scale = _rule(piece, level)
+    f = np.exp(nodes * w) * g(nodes) if w else g(nodes)
+    return (complex(f @ weights), complex(f[idx] @ coarse_weights),
+            float(np.abs(f).sum()) * scale, 0.0, len(f))
+
+
+def _moment_sums(piece: Arc, level: int, g, terms: np.ndarray,
+                 factor: complex, tail: float):
+    """Fine sum, coarse sum, roundoff floor, dropped-term bound and node
+    count of e^{z*w} g(z) dz at a level in moment form, from the scaled
+    Taylor terms of e^{(z - c)*w} (no more than the nodes), their factor
+    e^{c*w + rho|w|} and their tail's bound."""
+    moments, coarse_moments, mass = _moments(piece, level, g)
+    n = len(moments)
+    fine = factor * complex(terms @ moments[:len(terms)])
+    if len(terms) > n // 2:  # fold mod n/2
+        folded = np.zeros(n, complex)
+        folded[:len(terms)] = terms
+        terms = folded[:n // 2] + folded[n // 2:]
+    coarse = factor * complex(terms @ coarse_moments[:len(terms)])
+    peak = abs(factor) * mass
+    return fine, coarse, 16.0 * _EPS * peak, tail * peak, n
+
+
+def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
+              w: complex = 0j) -> IntegralResult:
+    """Integral of e^{z*w} g(z) dz along the contour with an error estimate.
+
+    g maps a numpy array of nodes to an array of values; on full circles
+    with w != 0 its values are cached per (piece, level, g), so g must be
+    hashable and pure.  Each piece starts at its first rule level with
+    at least 2|w| nodes per unit of its length (on coarser panels, which
+    do not resolve the kernel, Gauss-Kronrod and Gauss-7 can agree by
+    chance) or, on a full circle in moment form (see the module
+    docstring), with a coarse rule of at least as many nodes as Taylor
+    terms.  It doubles until the gap between its fine and coarse sums is
+    within the roundoff floor or within its share of abs_tol,
+    proportional to its length; past the top level QuadratureError is
+    raised.  The estimate is the sum over the pieces of gap + floor, plus
+    the dropped Taylor terms' bound on circles.
     """
+    w = complex(w)
     lengths = [p.length for p in c.pieces]
     total_len = sum(lengths)
     value, err = 0j, 0.0
@@ -389,28 +473,41 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
         if length == 0.0:
             continue
         tol = abs_tol * (length / total_len)
-        size, top = _LEVELS[_is_full_circle(piece)]
-        need = (max(min_nodes, _NODES_PER_RATE * rate * length) if rate
-                else min_nodes)
+        circle = _is_full_circle(piece)
+        size, top = _LEVELS[circle]
+        moment_form = circle and w != 0
+        if moment_form:
+            y = piece.radius * abs(w)
+            count = math.ceil(y + 12.0 * math.sqrt(y) + 40.0)
+            if count > size << top:
+                raise QuadratureError(
+                    f"e^(z*w) on {piece} needs {count} Taylor terms, more "
+                    f"than {size << top} nodes resolve", value)
+            terms = _scaled_taylor(piece.radius * w * _cis(piece.angle0),
+                                   count)
+            factor = cmath.exp(piece.center * w + y)
+            # The dropped terms m >= count shrink by at least y/(count+1).
+            tail = abs(terms[-1]) * y / count / (1.0 - y / (count + 1))
+            need = 2 * count
+        else:
+            need = _NODES_PER_RATE * abs(w) * length
         level = 0
         while size << level < need and level < top:
             level += 1
         while True:
-            nodes, weights, idx, coarse_weights, scale = _rule(piece, level)
-            f = g(nodes)
-            fine = complex(f @ weights)
-            coarse = complex(f[idx] @ coarse_weights)
-            floor = float(np.abs(f).sum()) * scale
+            fine, coarse, floor, extra, n = (
+                _moment_sums(piece, level, g, terms, factor, tail)
+                if moment_form else _node_sums(piece, level, g, w))
             gap = abs(fine - coarse)
             if gap <= max(tol, floor):
                 break
             if level >= top:
                 raise QuadratureError(
-                    f"rule not settled at {len(f)} nodes on {piece}: gap "
+                    f"rule not settled at {n} nodes on {piece}: gap "
                     f"{gap:.3e}, roundoff floor {floor:.3e}", value + fine)
             level += 1
         value += fine
-        err += gap + floor
+        err += gap + floor + extra
     return IntegralResult(value, err)
 
 

@@ -7,23 +7,23 @@ e^{z*w} u(z) dz, with no 1/(2 pi i) normalization anywhere, and both
 agree with the classical residue sum, which this module also provides
 as an independent oracle.
 
-Large |w| would overflow a naive evaluation, so contour quadrature runs
-on e^{z*w - M} with M = sup of Re(z*w) on the contour, and log-magnitude
+Large |w| would overflow a naive evaluation: M, the sup of Re(z*w) on
+the contour, sets the size of the quadrature's terms, and log-magnitude
 queries (``TransformResult.log_abs``) go through the residue form in a
 log-sum-exp style.  Where the value itself would overflow a float
 (M, or Re(a*w) for the residue sum, above log(float max) ~ 709.78) the
 evaluators raise an OverflowError that names |w| and points to log_abs.
 
-Polya integrates over the full circle C(0, r) with the periodic
-trapezoid rule of ``contour.integrate``, whose nodes z_k and weights are
-cached per node count n; the transform caches u(z_k) per n, so one
-evaluation at w costs one vectorised exp(z_k*w - M) and one dot
-product.  n is at least 64 r|w| (a power of two from 64 to 4096), so
-that the per-node rounding of the scaled kernel, about eps*r|w|,
-averages down.  The error estimate is the gap between the n/2- and
-n-node sums (read off the same n nodes) plus the roundoff floor
-16 eps sum |f_k w_k|, times e^M; at 4096 nodes an estimate above both
-the target and that floor raises QuadratureError.
+Polya integrates over the full circle C(c, r), c = 0 unless the caller
+centres it on the body, in the moment form of ``contour.integrate``: the
+FFT of u times the trapezoid weights at a level's nodes is cached per
+circle, level and datum, so an evaluation at w costs one call of
+integrate and one scaled Taylor sum of about r|w| + 12 sqrt(r|w|) + 40
+terms, with no exp over the nodes.  Its tolerance is abs_tol * e^M,
+M = Re(c*w) + r|w|, and its estimate is the gap between the n/2- and
+n-node sums plus the roundoff floor 16 eps e^M sum |u(z_k) w_k| and the
+dropped Taylor terms' bound; at 4096 nodes a gap above both the target
+and that floor raises QuadratureError.
 
 Meril integrates the unscaled e^{z*w} u(z) with the same loop up to the
 first radius of a geometric ladder where the closed-form tail of both
@@ -83,10 +83,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# Polya's node count per unit of the kernel's exponent scale r|w|: enough
-# nodes that per-node rounding of e^{z*w - M}, about eps*r|w|, averages
-# down below the roundoff floor of the error estimate.
-_NODES_PER_EXPONENT = 64
 # Largest x with e^x finite in double precision.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -240,48 +236,38 @@ def residue_transform(u: MeromorphicDatum) -> TransformResult:
 
 
 def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
-                    clearance_ratio: float = 0.1,
+                    center: complex = 0j, clearance_ratio: float = 0.1,
                     abs_tol: float = 1e-11) -> TransformResult:
-    """v(w) as the integral of e^{z*w} u(z) over the CCW circle C(0, r).
+    """v(w) as the integral of e^{z*w} u(z) over the CCW circle
+    C(center, r).
 
     The circle must enclose K with clearance (default 10% of r) and
     every pole must lie strictly inside K.  The value is independent of
-    admissible r up to quadrature error.  Nodes and u at them are built
-    at the first evaluation and cached (see the module docstring).
+    admissible centres and radii up to quadrature error; abs_tol is
+    relative to e^M, M = Re(center*w) + r|w| (see the module docstring).
     """
     if not isinstance(K, ConvexBody):
         raise TypeError("polya_transform needs a compact ConvexBody")
     r = float(r)
+    center = complex(center)
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError("circle radius must be positive")
     for a, _, _ in u.terms:
         if signed_distance(K, a) >= -1e-9:
             raise ValueError(f"pole {a} is not strictly inside the body")
-    extent = max(abs(v) for v in K.vertices) + K.rounding
+    extent = max(abs(v - center) for v in K.vertices) + K.rounding
     if extent > r * (1.0 - clearance_ratio):
         raise ValueError(
             f"circle radius {r} too small: the body extends to {extent} "
-            f"and needs clearance {clearance_ratio * r}")
-    circle = circle_contour(0j, r)
-    u_at: dict[int, np.ndarray] = {}  # node count -> u at those nodes
-
-    def u_nodes(z: np.ndarray) -> np.ndarray:
-        # integrate passes the circle's cached node array for each count.
-        uz = u_at.get(len(z))
-        if uz is None:
-            uz = u_at[len(z)] = u(z)
-        return uz
+            f"from {center} and needs clearance {clearance_ratio * r}")
+    circle = circle_contour(center, r)
 
     def full(w: complex) -> tuple[complex, float]:
-        # Scale out the peak modulus r*|w| of the kernel on the circle.
-        M = r * abs(w)
+        M = (center * w).real + r * abs(w)
         if M > _LOG_FLOAT_MAX:
             raise _overflow(w, M)
-        res = integrate(circle, lambda z: np.exp(z * w - M) * u_nodes(z),
-                        abs_tol,
-                        min_nodes=math.ceil(_NODES_PER_EXPONENT * M))
-        scale = math.exp(M)
-        return scale * res.value, scale * res.error
+        res = integrate(circle, u, abs_tol * math.exp(M), w=w)
+        return res.value, res.error
 
     return TransformResult("contour", "entire plane", full, u.terms)
 
@@ -417,13 +403,10 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
                       OrientedContour([Segment(z_out[k], z_out[k + 1])]))
                      for k in range(len(rungs), stop))
 
-        def g(z: np.ndarray) -> np.ndarray:
-            return np.exp(z * w) * u_nodes(z)
-
-        res = integrate(base_contour, g, abs_tol, rate=abs(w))
+        res = integrate(base_contour, u_nodes, abs_tol, w=w)
         values, gaps, bounds, err = [res.value], [], [], res.error
         for k, rung in enumerate(rungs[:stop]):
-            parts = [integrate(c, g, abs_tol, rate=abs(w)) for c in rung]
+            parts = [integrate(c, u_nodes, abs_tol, w=w) for c in rung]
             step = sum(p.value for p in parts)
             step_err = sum(p.error for p in parts)
             values.append(values[-1] + step)
@@ -451,16 +434,13 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         full, u.terms, member, trace)
 
 
-def borel_inverse(coefficients, k_radius: float) -> MeromorphicDatum:
+def borel_inverse(coefficients) -> MeromorphicDatum:
     """u with polya_transform(u)(w)/(2 pi i) = sum a_n w^n: the inverse
-    Laplace/Borel map a_n -> a_n n! z^{-(n+1)}.
+    Laplace/Borel map a_n -> a_n n! z^{-(n+1)}, all poles at 0.
 
-    Only finite coefficient lists are accepted; k_radius > 0 names the
-    scale of the compact set the round trip will use.
+    Only finite coefficient lists are accepted.
     """
     coeffs = list(coefficients)
-    if not (float(k_radius) > 0):
-        raise ValueError("k_radius must be positive")
     terms = []
     for n, a_n in enumerate(coeffs):
         a_n = complex(a_n)

@@ -4,6 +4,7 @@ Each test prints one pass/fail line (with its runtime against budget)
 and asserts both the tolerance and the budget.
 """
 
+import cmath
 import math
 import subprocess
 import sys
@@ -107,6 +108,19 @@ def test_polya_error_estimate_covers_the_oracle_gap(corpus):
         for body, u in corpus:
             v = polya_transform(u, body, 2.0, abs_tol=abs_tol)
             for w in grid + rings:
+                value, err = v.with_error(w)
+                assert abs(value - residue_oracle(u, w)) <= err, (u, w)
+
+
+def test_polya_error_estimate_covers_the_oracle_gap_at_large_w():
+    # On the unit disk at r = 1.25 out to |w| = 560 (r|w| = 700), where
+    # the kernel's peak e^{r|w|} exceeds the value by up to e^{450}.
+    rng = np.random.default_rng(20261018)
+    for u in _random_data(rng, UNIT_DISK, 40):
+        v = polya_transform(u, UNIT_DISK, 1.25)
+        for mag in (20.0, 50.0, 100.0, 300.0, 560.0):
+            for k in range(8):
+                w = mag * cmath.exp(1j * (0.1 + k * math.pi / 4))
                 value, err = v.with_error(w)
                 assert abs(value - residue_oracle(u, w)) <= err, (u, w)
 
@@ -286,7 +300,7 @@ def test_criterion_8_borel_round_trip():
     for _ in range(5):
         deg = int(rng.integers(0, 7))
         coeffs = [complex(*rng.uniform(-2, 2, 2)) for _ in range(deg + 1)]
-        u = borel_inverse(coeffs, 0.5)
+        u = borel_inverse(coeffs)
         v = polya_transform(u, disk, 1.5, abs_tol=1e-13)
         for w in grid:
             want = TWO_PI_I * sum(c * w ** n for n, c in enumerate(coeffs))

@@ -181,7 +181,7 @@ def test_default_radius_keeps_generated_polya_at_the_oracle():
     for seed in (1, 2, 3):
         for doc in _generated_polya_docs(seed, 100):
             sc = parse(doc)
-            v = polya_transform(sc.datum, sc.domain, sc.r)
+            v = polya_transform(sc.datum, sc.domain, sc.r, sc.center)
             for w in grid:
                 ref = residue_oracle(sc.datum, w)
                 worst_grid = max(worst_grid, abs(v(w) - ref) / (1 + abs(ref)))
@@ -194,17 +194,41 @@ def test_default_radius_keeps_generated_polya_at_the_oracle():
     assert worst_far <= 1e-9
 
 
+OFF_ORIGIN_POLYA = {
+    "kind": "polya",
+    "set": {"type": "body", "vertices": [[2.0, 1.0], [3.0, 1.0], [3.0, 2.0]],
+            "rounding": 0.5},
+    "terms": [{"pole": [2.7, 1.3], "order": 2}]}
+
+
 def test_default_radius_encloses_a_body_off_the_origin():
-    doc = {"kind": "polya",
-           "set": {"type": "body", "vertices": [[2.0, 1.0], [3.0, 1.0],
-                                                [3.0, 2.0]],
-                   "rounding": 0.5},
-           "terms": [{"pole": [2.7, 1.3], "order": 2}]}
-    sc = parse(doc)
-    assert sc.r == pytest.approx(1.25 * (math.hypot(3.0, 2.0) + 0.5))
-    v = polya_transform(sc.datum, sc.domain, sc.r)  # clearance check passes
+    sc = parse(OFF_ORIGIN_POLYA)
+    center = (8.0 + 4.0j) / 3.0
+    assert sc.center == pytest.approx(center, abs=1e-15)
+    extent = max(abs(v - center) for v in (2 + 1j, 3 + 1j, 3 + 2j)) + 0.5
+    assert sc.r == pytest.approx(1.25 * extent)
+    assert any(s.startswith("center=") for s in sc.defaults_applied)
+    # The clearance check passes about the centre.
+    v = polya_transform(sc.datum, sc.domain, sc.r, sc.center)
     w = 0.5 - 0.25j
     assert v(w) == pytest.approx(residue_oracle(sc.datum, w), rel=1e-9)
+
+
+def test_off_origin_body_passes_its_default_oracle_check(tmp_path):
+    # With a circle about the origin (r = 5.13) the deviation on the
+    # default 21x21 grid was 2.2e-8, above the 1e-9 default.
+    doc = dict(OFF_ORIGIN_POLYA, checks=["oracle"])
+    assert run_scenario(parse(doc), out_dir=tmp_path) == 0
+    report = (tmp_path / "report.txt").read_text()
+    worst = float(report.split("max scaled deviation ")[1].split()[0])
+    assert worst <= 1e-13
+
+
+def test_default_centre_is_zero_on_bodies_centred_at_the_origin():
+    # The disk, the square and regular polygons: the vertices' own
+    # rounding leaves their mean up to about 2.6e-16 off 0.
+    for doc in _generated_polya_docs(4, 30):
+        assert abs(parse(doc).center) <= 1e-15
 
 
 def test_run_is_deterministic(tmp_path):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from convlap import contour
 from convlap.contour import (
     Arc,
     OrientedContour,
@@ -256,16 +257,17 @@ def test_quadrature_is_deterministic():
 
 def test_full_circle_integrand_sees_node_arrays():
     # On a full circle g is called on whole node arrays, one per level,
-    # and the first level has at least min_nodes nodes.
+    # and with w != 0 the first level's coarse rule has at least as many
+    # nodes as the Taylor sum has terms: ceil(3 + 12 sqrt 3 + 40) = 64.
     sizes = []
 
     def g(z):
         sizes.append(len(z))
         return 1.0 / (z - 0.3)
 
-    res = integrate(circle_contour(0j, 1.0), g, min_nodes=300)
-    assert abs(res.value - TWO_PI_I) <= 1e-12
-    assert sizes and sizes[0] >= 300
+    res = integrate(circle_contour(0j, 1.0), g, w=3.0)
+    assert abs(res.value - TWO_PI_I * math.exp(0.9)) <= 1e-12
+    assert sizes and sizes[0] >= 128
     assert all(n <= 4096 for n in sizes)
     # Segments, arcs short of a full turn and a boundary mixing both are
     # called on node arrays too, never on single points.
@@ -300,17 +302,70 @@ def test_trapezoid_matches_residues_and_orientation():
     assert abs(back.value + want) <= 1e-12
 
 
+def _inverse(z):
+    return 1.0 / z
+
+
 def test_trapezoid_error_bounds_the_true_error_as_the_kernel_grows():
-    # e^{z w} over C(0, 2): the estimate covers the exact gap 2 pi i at
-    # every |w| the node rule is asked for.
+    # e^{z w}/z over C(0, 2): the estimate covers the gap to the exact
+    # 2 pi i at every |w|, with a target of 1e-13 relative to the
+    # kernel's peak e^{2|w|}.
     c = circle_contour(0j, 2.0)
     for mag in (0.5, 3.0, 8.0, 15.0):
         for t in np.linspace(0.0, 2.0 * math.pi, 7):
             w = mag * cmath.exp(1j * t)
-            M = 2.0 * mag
-            res = integrate(c, lambda z: np.exp(z * w - M) / z,
-                            abs_tol=1e-13, min_nodes=math.ceil(64 * M))
-            assert abs(res.value - TWO_PI_I * math.exp(-M)) <= res.error
+            res = integrate(c, _inverse, abs_tol=1e-13 * math.exp(2 * mag),
+                            w=w)
+            assert abs(res.value - TWO_PI_I) <= res.error
+
+
+def test_moment_form_matches_residues_on_any_circle():
+    # e^{zw}/(z - a)^m has residue e^{aw} w^{m-1}/(m-1)!, on a clockwise
+    # circle and on one off the origin, out to a kernel peak of e^{30};
+    # at w = 0 the circle takes the plain trapezoid sum.
+    for c, sign in ((circle_contour(0.4 - 0.3j, 1.2).reversed(), -1.0),
+                    (circle_contour(2.0 + 1.0j, 0.8), 1.0)):
+        arc = c.pieces[0]
+        a = arc.center + 0.35 * arc.radius * cmath.exp(0.7j)
+        for m in (1, 2, 3):
+            def g(z, m=m):
+                return 1.0 / (z - a) ** m
+
+            for w in (1.5 - 0.5j, -6.0j, 22.0 * cmath.exp(2.0j)):
+                M = (arc.center * w).real + arc.radius * abs(w)
+                want = (sign * TWO_PI_I * cmath.exp(a * w) * w ** (m - 1)
+                        / math.factorial(m - 1))
+                res = integrate(c, g, abs_tol=1e-13 * math.exp(M), w=w)
+                assert abs(res.value - want) <= res.error
+                assert res.error <= 1e-12 * math.exp(M)
+        z, dz = arc.point_and_derivative(np.arange(64) / 64)
+        g = lambda z: 1.0 / (z - a)
+        assert integrate(c, g, w=0).value == complex(g(z) @ (dz * (1 / 64)))
+
+
+def test_moment_sums_equal_the_node_sums():
+    # At 4096 nodes and rho|w| = 2000 the Taylor sum has 2577 terms, so
+    # the coarse rule folds them; both sums equal the trapezoid sums of
+    # e^{(z - c) w - rho|w|} g(z) on the nodes, up to the rounding of
+    # that exponent (about 2000 eps relative to the largest term).
+    w = 2000.0 * cmath.exp(0.3j)
+    for c in (circle_contour(0j, 1.0),
+              circle_contour(0.5 - 1j, 1.0).reversed()):
+        arc = c.pieces[0]
+        a = arc.center + 0.4 * cmath.exp(1.1j)
+
+        def g(z):
+            return 1.0 / (z - a) ** 2
+
+        count = math.ceil(2000.0 + 12.0 * math.sqrt(2000.0) + 40.0)
+        terms = contour._scaled_taylor(w * contour._cis(arc.angle0), count)
+        fine, coarse, _, _, n = contour._moment_sums(arc, 6, g, terms, 1.0,
+                                                     0.0)
+        nodes, weights = contour._rule(arc, 6)[:2]
+        f = np.exp((nodes - arc.center) * w - 2000.0) * g(nodes)
+        assert (n, count) == (4096, 2577)
+        assert abs(fine - f @ weights) <= 1e-10
+        assert abs(coarse - f[::2] @ (2.0 * weights[::2])) <= 1e-10
 
 
 def test_trapezoid_raises_at_the_node_cap():
@@ -327,10 +382,11 @@ def test_trapezoid_is_deterministic():
     c = circle_contour(0.2 + 0j, 1.5)
 
     def g(z):
-        return np.exp((0.4 - 2.0j) * z) / (z - 0.5j)
+        return 1.0 / (z - 0.5j)
 
-    a = integrate(c, g, min_nodes=500)
-    b = integrate(c, g, min_nodes=500)
+    # The second call reads the moments the first one cached.
+    a = integrate(c, g, w=0.4 - 2.0j)
+    b = integrate(c, g, w=0.4 - 2.0j)
     assert (a.value, a.error) == (b.value, b.error)
 
 

@@ -27,3 +27,22 @@ def test_tracer_resolves_every_entry_point():
     assert missing == []
     assert len(codes) == len(tracing._ENTRY_POINTS)
     assert tracing._resolve(*tracing._COUNTED) is not None
+
+
+def test_polya_evaluation_enters_integrate_once():
+    from convlap.convexgeom import ConvexBody
+    from convlap.transforms import MeromorphicDatum, polya_transform
+
+    tracing = _load_tracing()
+    u = MeromorphicDatum([(0.2 - 0.1j, 2, 1.0)])
+    v = polya_transform(u, ConvexBody([0j], rounding=0.5), 1.0)
+    v(3.0 - 4.0j)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        v(2.0 + 1.0j)
+    finally:
+        tracer.remove()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("transforms.polya.eval") == 1
+    assert names.count("contour.integrate") == 1
