@@ -3,7 +3,10 @@
 A scenario is a JSON document naming a transform kind, a convex set,
 function data, and a list of checks.  Running one executes the checks,
 writes report.txt / samples.csv (and optionally plot.svg), and exits 0
-when every check passes, 1 when one fails, 2 on configuration errors.
+when every check passes, 1 when one fails, 2 on configuration errors,
+the transform constructors' preconditions included (a pole outside the
+set, a circle too small for the body, a bounded region or one that
+contains a line).
 samples.csv has one row per growth sample: w, v(w) and its error
 estimate v_err (nan, nan and inf where the evaluation raises), h(w),
 the growth ratio, the ray index and the radius.
@@ -51,8 +54,6 @@ from .convexgeom import (
     asymptotic_cone,
     bisector,
     polar_cone,
-    region_contains_line,
-    region_is_bounded,
     sector,
     signed_distance,
     support_function,
@@ -65,8 +66,10 @@ from .growth import (
 )
 from .legendre import PLConvexFunction, conjugate, conjugate_at
 from .transforms import (
+    POLYA_CLEARANCE,
     ConvergenceError,
     MeromorphicDatum,
+    TransformResult,
     meril_transform,
     polya_transform,
     residue_oracle,
@@ -86,12 +89,8 @@ _KIND_CHECKS = {
     "legendre": ("biconjugation", "fenchel-young"),
     "oracle": ("growth",),
 }
-_DEFAULT_CHECKS = {
-    "polya": ("oracle", "contour-independence", "growth"),
-    "meril": ("oracle", "tail-dominance", "epsilon-robustness"),
-    "legendre": ("biconjugation", "fenchel-young"),
-    "oracle": ("growth",),
-}
+_DEFAULT_CHECKS = dict(
+    _KIND_CHECKS, meril=("oracle", "tail-dominance", "epsilon-robustness"))
 _DEFAULT_TOL = {
     # Quadrature roundoff scales like e^{r|w|} * 1e-16.  The default radius
     # hugs the body (1.25 times its extent: r|w| <= 5.3 for the unit disk
@@ -118,6 +117,7 @@ class Scenario:
     pl_function: PLConvexFunction | None
     r: float | None
     center: complex
+    transform: TransformResult | None  # None for legendre
     eps: float
     eps_prime: float
     checks: tuple[str, ...]
@@ -279,10 +279,10 @@ def parse_scenario(text: str) -> Scenario:
     if "eps_prime" not in doc and kind == "meril":
         defaults.append(f"eps_prime={eps_prime:g}")
 
+    if kind in ("polya", "oracle") and not isinstance(domain, ConvexBody):
+        _fail("$.set", f"{kind} scenarios need a bounded body")
     r, center = None, 0j
     if kind == "polya":
-        if not isinstance(domain, ConvexBody):
-            _fail("$.set", "polya scenarios need a bounded body")
         # The circle is centred on the body, so that its radius, and with
         # it the kernel's peak e^{Re(center*w) + r|w|} over the value's
         # size, does not grow with the body's distance from the origin.
@@ -291,33 +291,29 @@ def parse_scenario(text: str) -> Scenario:
                         f"(= mean of the vertices)")
         if "r" in doc:
             r = _as_real(doc.get("r"), "$.r")
-            if r <= 0:
-                _fail("$.r", "must be positive")
         else:
-            # The body's extent from the centre over 1 - 2*0.1: twice the
-            # clearance polya_transform demands.  The roundoff grows like
-            # eps*e^{r|w|} relative to e^{Re(center*w)}, so it shrinks
+            # The body's extent from the centre over 1 - 2*clearance: twice
+            # the clearance polya_transform demands.  The roundoff grows
+            # like eps*e^{r|w|} relative to e^{Re(center*w)}, so it shrinks
             # with r.
             extent = (max(abs(v - center) for v in domain.vertices)
                       + domain.rounding)
-            r = extent / (1.0 - 2 * 0.1)
+            r = extent / (1.0 - 2 * POLYA_CLEARANCE)
             defaults.append(
                 f"r={r:g} (= 1.25*(max|vertex - center| + rounding))")
-        for a, _, _ in datum.terms:
-            if signed_distance(domain, a) >= -1e-9:
-                _fail("$.terms", f"pole {a} lies outside the set interior")
-    if kind == "meril":
-        if not isinstance(domain, ConvexRegion):
-            _fail("$.set", "meril scenarios need an unbounded region")
-        if region_is_bounded(domain):
-            _fail("$.set", "region is bounded; use kind 'polya'")
-        if region_contains_line(domain):
-            _fail("$.set", "region contains a line")
-        for a, _, _ in datum.terms:
-            if signed_distance(domain, a) >= -1e-9:
-                _fail("$.terms", f"pole {a} lies outside the set interior")
-    if kind == "oracle" and not isinstance(domain, ConvexBody):
-        _fail("$.set", "oracle scenarios need a bounded body")
+    # The constructors check their own preconditions; name the field.
+    transform = None
+    try:
+        if kind == "polya":
+            transform = polya_transform(datum, domain, r, center)
+        elif kind == "meril":
+            transform = meril_transform(datum, domain, eps, eps_prime)
+        elif kind == "oracle":
+            transform = residue_transform(datum)
+    except (TypeError, ValueError) as exc:
+        msg = str(exc)
+        _fail("$.terms" if "pole" in msg else
+              "$.r" if "radius" in msg else "$.set", msg)
 
     checks_doc = doc.get("checks")
     if checks_doc is None:
@@ -399,8 +395,8 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(
         kind=kind, label=label, domain=domain, datum=datum,
-        pl_function=pl_function, r=r, center=center, eps=eps,
-        eps_prime=eps_prime, checks=checks, tolerances=tolerances,
+        pl_function=pl_function, r=r, center=center, transform=transform,
+        eps=eps, eps_prime=eps_prime, checks=checks, tolerances=tolerances,
         w_limit=w_limit, w_count=w_count, w_samples=w_samples,
         eps_ladder=eps_ladder, growth_radii=growth_radii,
         growth_rays=growth_rays,
@@ -437,14 +433,6 @@ def _meril_points(sc: Scenario) -> list[complex]:
     return out
 
 
-def _build_transform(sc: Scenario):
-    if sc.kind == "polya":
-        return polya_transform(sc.datum, sc.domain, sc.r, sc.center)
-    if sc.kind == "meril":
-        return meril_transform(sc.datum, sc.domain, sc.eps, sc.eps_prime)
-    return residue_transform(sc.datum)
-
-
 def _check_oracle(sc: Scenario, v, scale: float) -> _CheckResult:
     tol = sc.tolerances["oracle"] * scale
     if sc.kind == "meril":
@@ -464,8 +452,9 @@ def _check_oracle(sc: Scenario, v, scale: float) -> _CheckResult:
 
 def _check_contour_independence(sc: Scenario, scale: float) -> _CheckResult:
     tol = sc.tolerances["contour-independence"] * scale
-    vs = [polya_transform(sc.datum, sc.domain, f * sc.r, sc.center)
-          for f in (1.0, 1.5, 3.0)]
+    vs = [sc.transform] + [
+        polya_transform(sc.datum, sc.domain, f * sc.r, sc.center)
+        for f in (1.5, 3.0)]
     worst = 0.0
     ok = True
     # Cap the sampled |w| so the widest circle keeps 3r|w| modest;
@@ -670,18 +659,8 @@ def run_scenario(sc: Scenario, out_dir: str | Path = ".",
 
     results: list[_CheckResult] = []
     growth_report: GrowthReport | None = None
-    v = None
-    setup_error: Exception | None = None
-    if sc.kind != "legendre":
-        try:
-            v = _build_transform(sc)
-        except Exception as exc:
-            setup_error = exc
+    v = sc.transform
     for name in sc.checks:
-        if setup_error is not None:
-            results.append(_CheckResult(
-                name, False, f"not run: transform setup raised {setup_error!r}"))
-            continue
         try:
             if name == "oracle":
                 results.append(_check_oracle(sc, v, tolerance_scale))

@@ -8,18 +8,21 @@ thickened convex sets leave the set on the left.
 Every piece is integrated by one loop over nested rules, vectorised in
 numpy, of e^{z*w} g(z) dz for a caller's w (0 by default).  A level's
 rule, cached per (piece, level), holds nodes, weights and the weights of
-a coarser rule embedded in the same nodes.  A full circle takes the
-periodic trapezoid rule (Trefethen & Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes doubling up to
-4096, its even-indexed half as the coarse rule; other pieces take
-Gauss-Kronrod 15 on 1 to 2048 equal panels with the embedded Gauss-7
-(Piessens et al., QUADPACK, 1983), and evaluate e^{z*w} g(z) once per
-level on the whole node array.  Their error estimate is the fine-coarse
-gap plus a roundoff floor of 16 eps sum |f_k| max|w_k|.
+a coarser rule embedded in the same nodes; g at a level's nodes is
+cached with it per (piece, level, g) and read for every w.  A full
+circle takes the periodic trapezoid rule (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes
+doubling up to 4096, its even-indexed half as the coarse rule; other
+pieces take Gauss-Kronrod 15 on 1 to 2048 equal panels with the
+embedded Gauss-7 (Piessens et al., QUADPACK, 1983), and multiply the
+cached g by e^{z*w} once per level on the whole node array.  Their
+error estimate is the fine-coarse gap plus a roundoff floor of
+16 eps sum |f_k| max|w_k|.
 
-On a full circle C(c, rho) with w != 0 the trapezoid sum is taken in
-moment form (Bornemann, "Accuracy and stability of computing high-order
-derivatives of analytic functions by Cauchy integrals", FoCM 2011).
+On a full circle C(c, rho) the trapezoid sum is taken in moment form for
+every w, w = 0 included, where the Taylor terms are [1, 0, ...]
+(Bornemann, "Accuracy and stability of computing high-order derivatives
+of analytic functions by Cauchy integrals", FoCM 2011).
 With nodes z_k = c + rho e^{i theta_0} q^k, q = e^{+-2 pi i/n} by the
 sweep's sign, and x = rho w e^{i theta_0},
 
@@ -389,18 +392,22 @@ def _rule(piece, level: int) -> _Rule:
 
 
 @lru_cache(maxsize=256)
-def _moments(piece: Arc, level: int, g) -> tuple:
-    """Trapezoid moments of g on a full circle at a level (see the module
-    docstring): F for the n nodes, F for the n/2 coarse ones and
-    sum |g(z_k) w_k|; cached, with read-only arrays."""
-    nodes, weights = _rule(piece, level)[:2]
-    h = g(nodes) * weights
+def _level(piece, level: int, g) -> tuple:
+    """The piece's rule at a level and g there, cached with read-only
+    arrays: on a full circle g's trapezoid moments (see the module
+    docstring), F for n and n/2 nodes and sum |g(z_k) w_k|, else g."""
+    rule = _rule(piece, level)
+    values = g(rule.nodes)
+    if not _is_full_circle(piece):
+        values.flags.writeable = False
+        return rule, values
+    h = values * rule.weights
     ccw = piece.angle1 > piece.angle0
     fine = np.fft.ifft(h, norm="forward") if ccw else np.fft.fft(h)
     half = len(h) // 2
     coarse = fine[:half] + fine[half:]
     fine.flags.writeable = coarse.flags.writeable = False
-    return fine, coarse, float(np.abs(h).sum())
+    return rule, (fine, coarse, float(np.abs(h).sum()))
 
 
 def _scaled_taylor(x: complex, count: int) -> np.ndarray:
@@ -424,8 +431,9 @@ def _scaled_taylor(x: complex, count: int) -> np.ndarray:
 def _node_sums(piece, level: int, g, w: complex):
     """Fine sum, coarse sum, roundoff floor, 0 (no dropped terms) and
     node count of e^{z*w} g(z) dz at a level, from g at the nodes."""
-    nodes, weights, idx, coarse_weights, scale = _rule(piece, level)
-    f = np.exp(nodes * w) * g(nodes) if w else g(nodes)
+    (nodes, weights, idx, coarse_weights, scale), values = _level(
+        piece, level, g)
+    f = np.exp(nodes * w) * values
     return (complex(f @ weights), complex(f[idx] @ coarse_weights),
             float(np.abs(f).sum()) * scale, 0.0, len(f))
 
@@ -436,7 +444,7 @@ def _moment_sums(piece: Arc, level: int, g, terms: np.ndarray,
     count of e^{z*w} g(z) dz at a level in moment form, from the scaled
     Taylor terms of e^{(z - c)*w} (no more than the nodes), their factor
     e^{c*w + rho|w|} and their tail's bound."""
-    moments, coarse_moments, mass = _moments(piece, level, g)
+    moments, coarse_moments, mass = _level(piece, level, g)[1]
     n = len(moments)
     fine = factor * complex(terms @ moments[:len(terms)])
     if len(terms) > n // 2:  # fold mod n/2
@@ -452,18 +460,18 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
               w: complex = 0j) -> IntegralResult:
     """Integral of e^{z*w} g(z) dz along the contour with an error estimate.
 
-    g maps a numpy array of nodes to an array of values; on full circles
-    with w != 0 its values are cached per (piece, level, g), so g must be
-    hashable and pure.  Each piece starts at its first rule level with
-    at least 2|w| nodes per unit of its length (on coarser panels, which
-    do not resolve the kernel, Gauss-Kronrod and Gauss-7 can agree by
-    chance) or, on a full circle in moment form (see the module
-    docstring), with a coarse rule of at least as many nodes as Taylor
-    terms.  It doubles until the gap between its fine and coarse sums is
-    within the roundoff floor or within its share of abs_tol,
-    proportional to its length; past the top level QuadratureError is
-    raised.  The estimate is the sum over the pieces of gap + floor, plus
-    the dropped Taylor terms' bound on circles.
+    g maps a numpy array of nodes to an array of values, cached at each
+    level's nodes (on a full circle, as moments) per (piece, level, g) and
+    read for every w, so g must be hashable and pure.  Each piece starts
+    at its first rule level with at least 2|w| nodes per unit of its
+    length (on coarser panels, which do not resolve the kernel,
+    Gauss-Kronrod and Gauss-7 can agree by chance) or, on a full circle in
+    moment form (see the module docstring), with a coarse rule of at least
+    as many nodes as Taylor terms.  It doubles until the gap between its
+    fine and coarse sums is within the roundoff floor or within its share
+    of abs_tol, proportional to its length; past the top level
+    QuadratureError is raised.  The estimate is the sum over the pieces of
+    gap + floor, plus the dropped Taylor terms' bound on circles.
     """
     w = complex(w)
     lengths = [p.length for p in c.pieces]
@@ -475,8 +483,7 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
         tol = abs_tol * (length / total_len)
         circle = _is_full_circle(piece)
         size, top = _LEVELS[circle]
-        moment_form = circle and w != 0
-        if moment_form:
+        if circle:
             y = piece.radius * abs(w)
             count = math.ceil(y + 12.0 * math.sqrt(y) + 40.0)
             if count > size << top:
@@ -497,7 +504,7 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
         while True:
             fine, coarse, floor, extra, n = (
                 _moment_sums(piece, level, g, terms, factor, tail)
-                if moment_form else _node_sums(piece, level, g, w))
+                if circle else _node_sums(piece, level, g, w))
             gap = abs(fine - coarse)
             if gap <= max(tol, floor):
                 break

@@ -28,10 +28,10 @@ and that floor raises QuadratureError.
 Meril integrates the unscaled e^{z*w} u(z) with the same loop up to the
 first radius of a geometric ladder where the closed-form tail of both
 boundary rays (``ray_tail_bound``) is at most tolerance/1000.  Pieces
-and rules do not depend on w and u is cached per node array, so each w
-costs one exp per rule level.  A kernel peak (max Re(c*w) over the
-boundary walk's corners c, plus eps*|w|) beyond log(float max) raises
-the named OverflowError before any quadrature.
+and rules do not depend on w and ``integrate`` caches u at their nodes
+by value, so each w costs one exp per rule level.  A kernel peak (max
+Re(c*w) over the boundary walk's corners c, plus eps*|w|) beyond
+log(float max) raises the named OverflowError before any quadrature.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Clearance between a Polya circle and the body, as a share of its radius.
+POLYA_CLEARANCE = 0.1
 # Largest x with e^x finite in double precision.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -236,12 +238,12 @@ def residue_transform(u: MeromorphicDatum) -> TransformResult:
 
 
 def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
-                    center: complex = 0j, clearance_ratio: float = 0.1,
+                    center: complex = 0j,
                     abs_tol: float = 1e-11) -> TransformResult:
     """v(w) as the integral of e^{z*w} u(z) over the CCW circle
     C(center, r).
 
-    The circle must enclose K with clearance (default 10% of r) and
+    The circle must enclose K with clearance POLYA_CLEARANCE * r and
     every pole must lie strictly inside K.  The value is independent of
     admissible centres and radii up to quadrature error; abs_tol is
     relative to e^M, M = Re(center*w) + r|w| (see the module docstring).
@@ -256,10 +258,10 @@ def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
         if signed_distance(K, a) >= -1e-9:
             raise ValueError(f"pole {a} is not strictly inside the body")
     extent = max(abs(v - center) for v in K.vertices) + K.rounding
-    if extent > r * (1.0 - clearance_ratio):
+    if extent > r * (1.0 - POLYA_CLEARANCE):
         raise ValueError(
             f"circle radius {r} too small: the body extends to {extent} "
-            f"from {center} and needs clearance {clearance_ratio * r}")
+            f"from {center} and needs clearance {POLYA_CLEARANCE * r}")
     circle = circle_contour(center, r)
 
     def full(w: complex) -> tuple[complex, float]:
@@ -361,7 +363,6 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         raise ValueError("the radius schedule must be strictly increasing")
     rays = open_boundary_rays(S_eps)
     corners = boundary_walk(S_eps).corners
-    u_at: dict[int, tuple] = {}  # id(node array) -> (the array, u there)
     # Rung k: the ray pieces between radii[k] and radii[k + 1], the entry
     # ray's traversed inward; built as the truncation first reaches them.
     rungs: list[tuple] = []
@@ -374,15 +375,6 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         tails = [(b + t * d, d, _ray_sup(u, b, d, t))
                  for (b, d), t in zip(rays, ts)]
         return region_boundary_contour(S_eps, truncation=radii[0]), tails
-
-    def u_nodes(z: np.ndarray) -> np.ndarray:
-        # Rules' cached node arrays, held so that their ids stay unique.
-        hit = u_at.get(id(z))
-        if hit is None:
-            if len(u_at) >= 256:  # as many as contour's rule cache
-                del u_at[next(iter(u_at))]
-            hit = u_at[id(z)] = (z, u(z))
-        return hit[1]
 
     def trace(w: complex) -> MerilTrace:
         w = complex(w)
@@ -403,10 +395,10 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
                       OrientedContour([Segment(z_out[k], z_out[k + 1])]))
                      for k in range(len(rungs), stop))
 
-        res = integrate(base_contour, u_nodes, abs_tol, w=w)
+        res = integrate(base_contour, u, abs_tol, w=w)
         values, gaps, bounds, err = [res.value], [], [], res.error
         for k, rung in enumerate(rungs[:stop]):
-            parts = [integrate(c, u_nodes, abs_tol, w=w) for c in rung]
+            parts = [integrate(c, u, abs_tol, w=w) for c in rung]
             step = sum(p.value for p in parts)
             step_err = sum(p.error for p in parts)
             values.append(values[-1] + step)

@@ -43,7 +43,7 @@ def test_minimal_polya_defaults():
 def test_pole_outside_set_named():
     doc = dict(MINIMAL_POLYA,
                terms=[{"pole": [2.5, 0.0], "order": 1}])
-    with pytest.raises(ScenarioError, match=r"2\.5"):
+    with pytest.raises(ScenarioError, match=r"\$\.terms: pole \(?2\.5"):
         parse(doc)
 
 
@@ -54,7 +54,7 @@ def test_meril_strip_contains_a_line():
                 "halfplanes": [[0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]},
         "terms": [{"pole": [0.0, 0.0], "order": 1}],
     }
-    with pytest.raises(ScenarioError, match="contains a line"):
+    with pytest.raises(ScenarioError, match=r"\$\.set: .*contains a line"):
         parse(doc)
 
 
@@ -66,7 +66,7 @@ def test_bounded_region_redirected_to_polya():
                                [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]},
         "terms": [{"pole": [0.0, 0.0], "order": 1}],
     }
-    with pytest.raises(ScenarioError, match="polya"):
+    with pytest.raises(ScenarioError, match=r"\$\.set: .*polya"):
         parse(doc)
 
 
@@ -85,6 +85,11 @@ def test_schema_violations_carry_json_path():
         parse({"kind": "meril",
                "set": {"type": "sector", "half_angle": 2.0},
                "terms": []})
+    # The transform's own preconditions, at the field they concern.
+    with pytest.raises(ScenarioError, match=r"\$\.r: circle radius 0\.5 too"):
+        parse(dict(MINIMAL_POLYA, r=0.5))
+    with pytest.raises(ScenarioError, match=r"\$\.r: .*must be positive"):
+        parse(dict(MINIMAL_POLYA, r=-1.0))
     with pytest.raises(ScenarioError, match=r"\$\.tolerances\.oracle"):
         parse(dict(MINIMAL_POLYA, tolerances={"oracle": -1.0}))
     with pytest.raises(ScenarioError, match=r"\$\.growth\.eps_ladder"):
@@ -301,6 +306,9 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", str(quick), "--out-dir", str(out)]) == 0
     assert main(["run", str(SCENARIO_DIR / "malformed.json"),
                  "--out-dir", str(out)]) == 2
+    small = tmp_path / "small.json"  # the circle does not clear the body
+    small.write_text(json.dumps(dict(QUICK_POLYA, r=0.5)))
+    assert main(["run", str(small), "--out-dir", str(out)]) == 2
     assert main(["run", str(tmp_path / "missing.json"),
                  "--out-dir", str(out)]) == 2
     assert main(["run", str(quick), "--out-dir", str(out),

@@ -321,8 +321,8 @@ def test_trapezoid_error_bounds_the_true_error_as_the_kernel_grows():
 
 def test_moment_form_matches_residues_on_any_circle():
     # e^{zw}/(z - a)^m has residue e^{aw} w^{m-1}/(m-1)!, on a clockwise
-    # circle and on one off the origin, out to a kernel peak of e^{30};
-    # at w = 0 the circle takes the plain trapezoid sum.
+    # circle and on one off the origin, from w = 0, where the Taylor
+    # terms are [1, 0, ...], out to a kernel peak of e^{30}.
     for c, sign in ((circle_contour(0.4 - 0.3j, 1.2).reversed(), -1.0),
                     (circle_contour(2.0 + 1.0j, 0.8), 1.0)):
         arc = c.pieces[0]
@@ -331,16 +331,13 @@ def test_moment_form_matches_residues_on_any_circle():
             def g(z, m=m):
                 return 1.0 / (z - a) ** m
 
-            for w in (1.5 - 0.5j, -6.0j, 22.0 * cmath.exp(2.0j)):
+            for w in (0j, 1.5 - 0.5j, -6.0j, 22.0 * cmath.exp(2.0j)):
                 M = (arc.center * w).real + arc.radius * abs(w)
                 want = (sign * TWO_PI_I * cmath.exp(a * w) * w ** (m - 1)
                         / math.factorial(m - 1))
                 res = integrate(c, g, abs_tol=1e-13 * math.exp(M), w=w)
                 assert abs(res.value - want) <= res.error
                 assert res.error <= 1e-12 * math.exp(M)
-        z, dz = arc.point_and_derivative(np.arange(64) / 64)
-        g = lambda z: 1.0 / (z - a)
-        assert integrate(c, g, w=0).value == complex(g(z) @ (dz * (1 / 64)))
 
 
 def test_moment_sums_equal_the_node_sums():

@@ -46,3 +46,30 @@ def test_polya_evaluation_enters_integrate_once():
     names = [span[0] for span in tracer.spans]
     assert names.count("transforms.polya.eval") == 1
     assert names.count("contour.integrate") == 1
+
+
+def test_repeated_meril_evaluation_reads_the_cached_datum():
+    import math
+
+    from convlap.convexgeom import sector
+    from convlap.transforms import MeromorphicDatum, meril_transform
+
+    tracing = _load_tracing()
+    region = sector(0j, 0.3, math.pi / 4)
+    terms = [(1.0 + 0.3j, 2, 1.0), (1.5 + 0.1j, 1, 0.5j)]
+    w = -2.0 + 0.5j
+    v = meril_transform(MeromorphicDatum(terms), region, 0.1, 0.1)
+    v(w)
+    # The same transform again, then one built from an equal datum: u is
+    # cached at the rule nodes by value, so neither calls it.
+    for v in (v, meril_transform(MeromorphicDatum(terms), region, 0.1, 0.1)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            v(w)
+        finally:
+            tracer.remove()
+        names = tracer.summary()["names"]
+        assert names["transforms.meril.eval"]["count"] == 1
+        assert names["contour.integrate"]["count"] >= 1
+        assert names[tracing.COUNTED_NAME]["count"] == 0

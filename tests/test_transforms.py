@@ -603,8 +603,9 @@ def test_polya_evaluation_is_bitwise_reproducible():
     first = [v.with_error(w) for w in ws]
     assert [v.with_error(w) for w in ws] == first
     assert [v.with_error(w) for w in reversed(ws)] == first[::-1]
-    # Rebuilt from scratch, node arrays included.
+    # Rebuilt from scratch, node arrays and moments included.
     contour._rule.cache_clear()
+    contour._level.cache_clear()
     rebuilt = polya_transform(MeromorphicDatum(u.terms), DISK_HALF, 2.0)
     assert [rebuilt.with_error(w) for w in ws] == first
 
@@ -629,6 +630,11 @@ def test_polya_evaluates_u_once_per_node_level(monkeypatch):
     assert None not in sizes
     assert len(sizes) == len(set(sizes))
     assert 1 <= len(sizes) <= 7
+    # w = 0 reads the cached moments like any other w.
+    calls = len(sizes)
+    for _ in range(10):
+        assert abs(v(0) - residue_oracle(u, 0)) <= 1e-12
+    assert len(sizes) == calls
 
 
 def test_polya_takes_moments_once_and_no_exp_over_nodes(monkeypatch):
