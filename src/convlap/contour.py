@@ -32,12 +32,12 @@ sweep's sign, and x = rho w e^{i theta_0},
 where F is periodic in m with period n and is one FFT of the weighted
 values of g, cached per (piece, level, g); the coarse rule's moments are
 F_m + F_{m+n/2}.  Each w then costs one Taylor sum of about
-rho|w| + 12 sqrt(rho|w|) + 40 terms scaled by e^{-rho|w|} (folded mod
-n/2 for the coarse rule when longer), starting at the first level with
-at least twice as many nodes.  With M = Re(c w) + rho|w|, the kernel's
-peak on the circle, the estimate is the fine-coarse gap, a roundoff
-floor of 16 eps e^M sum |g(z_k) w_k| and a bound on the dropped Taylor
-terms.
+rho|w| + 12 sqrt(rho|w|) + 40 terms scaled by e^{-rho|w|}, products of
+x/m over a fixed table of divisors m taken in place (folded mod n/2 for
+the coarse rule when longer), from the first level with at least twice
+as many nodes.  With M = Re(c w) + rho|w|, the kernel's peak on the
+circle, the estimate is the fine-coarse gap, a roundoff floor of
+16 eps e^M sum |g(z_k) w_k| and a bound on the dropped Taylor terms.
 
 Node order, level order and accumulation are fixed, so results are
 bitwise reproducible for identical inputs.
@@ -56,6 +56,7 @@ import numpy as np
 from .convexgeom import (
     ConvexBody,
     ConvexRegion,
+    _cis,
     boundary_walk,
     region_is_bounded,
 )
@@ -97,10 +98,7 @@ _LEVELS = {True: (_TRAPEZOID_MIN_NODES, 6), False: (len(_GK_T), 11)}
 _EPS = float(np.finfo(float).eps)
 # Nodes per unit of |w| * length for e^{z*w} (see integrate).
 _NODES_PER_RATE = 2.0
-
-
-def _cis(t: float) -> complex:
-    return complex(math.cos(t), math.sin(t))
+_DIVISORS = np.arange(1.0, 4097.0)  # m in the Taylor ratios x/m, m <= 4096
 
 
 def _unit(a: np.ndarray) -> np.ndarray:
@@ -198,19 +196,18 @@ def circle_contour(center: complex, r: float) -> OrientedContour:
     return OrientedContour([Arc(complex(center), float(r), 0.0, 2 * math.pi)])
 
 
-def _offset_closed_pieces(normals, corners, rho):
-    """Offset boundary of a closed facet walk, corner arcs included."""
-    n = len(normals)
+def _offset_pieces(normals, corners, rho, closed: bool):
+    """Offset pieces of a facet walk, corner arcs included: normals[i] and
+    normals[i + 1] flank corners[i], and a closed walk wraps around."""
     pieces = []
-    for i in range(n):
-        prev = normals[i - 1]
-        cur = normals[i]
+    for i, corner in enumerate(corners):
+        prev, cur = normals[i], normals[i + 1]
         if rho > 0.0:
             sweep = (cur - prev) % (2 * math.pi)
-            pieces.append(Arc(corners[i], rho, prev, prev + sweep))
-        a = corners[i] + rho * _cis(cur)
-        b = corners[(i + 1) % n] + rho * _cis(cur)
-        pieces.append(Segment(a, b))
+            pieces.append(Arc(corner, rho, prev, prev + sweep))
+        if closed or i + 1 < len(corners):
+            b = corners[(i + 1) % len(corners)] + rho * _cis(cur)
+            pieces.append(Segment(corner + rho * _cis(cur), b))
     return pieces
 
 
@@ -226,17 +223,7 @@ def _open_chain_data(s):
     rho = s.rounding
     normals = walk.normals
     corners = walk.corners
-    n = len(normals)
-    pieces = []
-    for i in range(n - 1):
-        a = corners[i] + rho * _cis(normals[i])
-        if i > 0:
-            prev_pt = corners[i - 1] + rho * _cis(normals[i])
-            pieces.append(Segment(prev_pt, a))
-        if rho > 0.0:
-            sweep = (normals[i + 1] - normals[i]) % (2 * math.pi)
-            pieces.append(Arc(corners[i], rho, normals[i],
-                              normals[i] + sweep))
+    pieces = _offset_pieces(normals, corners, rho, closed=False)
     b_in = corners[0] + rho * _cis(normals[0])
     d_in = -_cis(normals[0] + 0.5 * math.pi)
     b_out = corners[-1] + rho * _cis(normals[-1])
@@ -289,22 +276,18 @@ def region_boundary_contour(s, truncation: float | None = None,
     arc of C(0,R) closing the truncated region (from the chain's exit
     back to its entry, counterclockwise) is returned as a second value.
     """
-    if isinstance(s, ConvexBody):
-        walk = boundary_walk(s)
-        if len(walk.normals) == 0:
-            if s.rounding <= 0.0:
-                raise ValueError("a single point has no boundary contour")
-            out = circle_contour(walk.corners[0], s.rounding)
-            return (out, None) if with_closing_arc else out
-        out = OrientedContour(
-            _offset_closed_pieces(walk.normals, walk.corners, s.rounding))
-        return (out, None) if with_closing_arc else out
-    if not isinstance(s, ConvexRegion):
+    if not isinstance(s, (ConvexBody, ConvexRegion)):
         raise TypeError(f"unsupported set type {type(s).__name__}")
-    if region_is_bounded(s):
-        walk = boundary_walk(s)
-        out = OrientedContour(
-            _offset_closed_pieces(walk.normals, walk.corners, s.rounding))
+    if isinstance(s, ConvexBody) or region_is_bounded(s):
+        walk = boundary_walk(s)  # no facet only for a one-vertex body
+        if walk.normals:  # the last facet's normal comes before corner 0
+            out = OrientedContour(_offset_pieces(
+                walk.normals[-1:] + walk.normals, walk.corners, s.rounding,
+                closed=True))
+        elif s.rounding <= 0.0:
+            raise ValueError("a single point has no boundary contour")
+        else:
+            out = circle_contour(walk.corners[0], s.rounding)
         return (out, None) if with_closing_arc else out
     if truncation is None:
         raise ValueError("an unbounded region needs a truncation radius")
@@ -411,14 +394,17 @@ def _level(piece, level: int, g) -> tuple:
 
 
 def _scaled_taylor(x: complex, count: int) -> np.ndarray:
-    """e^{-|x|} x^m / m! for m < count (count > |x|): by the ratio x/m
-    from m = 0, or, where e^{-|x|} leaves the normal float range, outward
-    from m0 = floor(|x|), whose term Stirling's series gives without
-    cancellation."""
+    """e^{-|x|} x^m / m! for m < count, |x| < count <= 4096: a product of
+    the ratios x/m from m = 0, in place, or, where e^{-|x|} leaves the
+    normal float range, outward from m0 = floor(|x|), whose term
+    Stirling's series gives without cancellation."""
     y = abs(x)
-    k = np.arange(1, count)
+    k = _DIVISORS[:count - 1]
     if y <= 700.0:
-        return np.cumprod(np.concatenate(([math.exp(-y)], x / k)))
+        out = np.empty(count, complex)
+        out[0] = math.exp(-y)
+        np.divide(x, k, out=out[1:])
+        return np.multiply.accumulate(out, out=out)
     m0 = math.floor(y)
     f = y - m0
     log_peak = (m0 * math.log1p(f / m0) - f - 0.5 * math.log(2 * math.pi * m0)
@@ -494,7 +480,7 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
                                    count)
             factor = cmath.exp(piece.center * w + y)
             # The dropped terms m >= count shrink by at least y/(count+1).
-            tail = abs(terms[-1]) * y / count / (1.0 - y / (count + 1))
+            tail = float(abs(terms[-1])) * y / count / (1.0 - y / (count + 1))
             need = 2 * count
         else:
             need = _NODES_PER_RATE * abs(w) * length
@@ -518,9 +504,16 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     return IntegralResult(value, err)
 
 
+class _Reciprocal(NamedTuple):
+    """1/(z - a), hashed by a: one cache entry per point and level."""
+    a: complex
+
+    def __call__(self, z):
+        return 1.0 / (z - self.a)
+
+
 def winding_number(c: OrientedContour, a: complex,
                    abs_tol: float = 1e-10) -> float:
     """(1/2 pi i) times the integral of dz/(z - a)."""
-    a = complex(a)
-    res = integrate(c, lambda z: 1.0 / (z - a), abs_tol)
+    res = integrate(c, _Reciprocal(complex(a)), abs_tol)
     return (res.value / (2j * math.pi)).real

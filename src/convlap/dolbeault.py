@@ -10,18 +10,19 @@ the convex-geometry primitives, never the path-integration code.
 The band between the inner and outer thickenings is covered exactly by
 facet strips and corner annulus sectors in signed-distance coordinates,
 so the integrand is analytic on every patch and tensor Gauss-Legendre
-rules converge geometrically.
+rules, cached per profile and grid, converge geometrically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .convexgeom import ConvexBody, signed_distance, support_function, thicken
-from .transforms import _LOG_FLOAT_MAX, MeromorphicDatum, _overflow
+from .transforms import _LOG_FLOAT_MAX, TWO_PI, MeromorphicDatum, _overflow
 
 __all__ = [
     "AreaResult",
@@ -30,7 +31,6 @@ __all__ = [
     "cutoff_eval",
 ]
 
-TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 _PANEL_NODES = 8  # Gauss-Legendre nodes per panel along a patch
 
@@ -99,11 +99,14 @@ class AreaResult:
         return self.value
 
 
+@lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], by Golub-Welsch."""
     k = np.arange(1.0, n)
     x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    return x, 2.0 * v[0] ** 2
+    w = 2.0 * v[0] ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _patches(body: ConvexBody):
@@ -132,8 +135,10 @@ def _patches(body: ConvexBody):
             np.concatenate((np.abs(edges), prev + (angles - prev) % TWO_PI)))
 
 
+@lru_cache(maxsize=16)
 def _band_nodes(p: CutoffProfile, grid: int):
-    """Nodes z and weights 2i * quad * dbar(psi), fine pass then coarse.
+    """Nodes z and weights 2i * quad * dbar(psi), fine pass then coarse,
+    as read-only arrays cached per (profile, grid).
 
     The fine pass puts 2 * ceil(grid * share / 16) panels of 8 nodes on a
     patch with that share of the outer boundary (about grid nodes along
@@ -147,6 +152,7 @@ def _band_nodes(p: CutoffProfile, grid: int):
     lengths = np.where(sector, r_hi, 1.0) * (hi - lo)
     panels = np.ceil(grid * lengths / (16.0 * lengths.sum())).astype(int)
     x, wx = _gauss_legendre(_PANEL_NODES)
+    passes = []
     for times in (2, 1):
         r, r_w = _gauss_legendre(times * max(3, grid // 256))
         r = r_lo + 0.5 * (r + 1.0) * (r_hi - r_lo)
@@ -165,7 +171,9 @@ def _band_nodes(p: CutoffProfile, grid: int):
         z = (base[node] + a * tangent[node])[:, None] + ray[:, None] * r
         weights = ((2j * a_w * ray)[:, None] * r_w
                    * np.where(sec[:, None], r, 1.0))
-        yield z.ravel(), weights.ravel()
+        z.flags.writeable = weights.flags.writeable = False
+        passes.append((z.ravel(), weights.ravel()))
+    return tuple(passes)
 
 
 def area_laplace(u: MeromorphicDatum, p: CutoffProfile, w: complex,
@@ -173,7 +181,8 @@ def area_laplace(u: MeromorphicDatum, p: CutoffProfile, w: complex,
                  tolerance: float | None = None) -> AreaResult:
     """Integrate e^{zw} * u * dbar(psi) over the cutoff band.
 
-    The value is the fine pass of _band_nodes (3-4k nodes at grid 512).
+    The value is the fine pass of _band_nodes (3-4k nodes at grid 512),
+    whose rule is built once per profile and grid (the last 16 kept).
     The error estimate is its gap to the coarse pass, a true half in both
     directions, plus 16 eps times the sum of the fine pass's |terms|.
     When a tolerance is given, within_tolerance reports whether the

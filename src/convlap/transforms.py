@@ -17,10 +17,11 @@ evaluators raise an OverflowError that names |w| and points to log_abs.
 Polya integrates over the full circle C(c, r), c = 0 unless the caller
 centres it on the body, in the moment form of ``contour.integrate``: the
 FFT of u times the trapezoid weights at a level's nodes is cached per
-circle, level and datum, so an evaluation at w costs one call of
-integrate and one scaled Taylor sum of about r|w| + 12 sqrt(r|w|) + 40
-terms, with no exp over the nodes.  Its tolerance is abs_tol * e^M,
-M = Re(c*w) + r|w|, and its estimate is the gap between the n/2- and
+circle, level and datum (a datum is hashed once, when built), so an
+evaluation at w costs one call of integrate and one scaled Taylor sum of
+about r|w| + 12 sqrt(r|w|) + 40 terms, with no exp over the nodes.  Its
+tolerance is abs_tol * e^M, M = Re(c*w) + r|w|, and its estimate, a
+Python float like every estimate here, is the gap between the n/2- and
 n-node sums plus the roundoff floor 16 eps e^M sum |u(z_k) w_k| and the
 dropped Taylor terms' bound; at 4096 nodes a gap above both the target
 and that floor raises QuadratureError.
@@ -124,6 +125,10 @@ class MeromorphicDatum:
                 raise ValueError("pole orders must be integers >= 1")
             ts.append((a, int(m), c))
         object.__setattr__(self, "terms", tuple(ts))
+        object.__setattr__(self, "_hash", hash(self.terms))
+
+    def __hash__(self) -> int:  # once per datum: it keys contour's cache
+        return self._hash
 
     def __call__(self, z):
         """u(z): a complex for a number, an array for a numpy array."""
@@ -133,8 +138,8 @@ class MeromorphicDatum:
         else:
             z = complex(z)
             acc = 0j
-        for a, m, c in self.terms:
-            acc += c / (z - a) ** m
+        for a, m, c in self.terms:  # (z - a) ** 1 is z - a, by a slow pow
+            acc += c / (z - a) if m == 1 else c / (z - a) ** m
         return acc
 
     @property
@@ -252,8 +257,7 @@ def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
         raise TypeError("polya_transform needs a compact ConvexBody")
     r = float(r)
     center = complex(center)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("circle radius must be positive")
+    circle = circle_contour(center, r)  # rejects r <= 0 and inf or nan
     for a, _, _ in u.terms:
         if signed_distance(K, a) >= -1e-9:
             raise ValueError(f"pole {a} is not strictly inside the body")
@@ -262,7 +266,6 @@ def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
         raise ValueError(
             f"circle radius {r} too small: the body extends to {extent} "
             f"from {center} and needs clearance {POLYA_CLEARANCE * r}")
-    circle = circle_contour(center, r)
 
     def full(w: complex) -> tuple[complex, float]:
         M = (center * w).real + r * abs(w)

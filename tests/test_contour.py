@@ -157,6 +157,14 @@ def test_winding_numbers_of_circle():
     assert winding_number(c, 1 + 0j) == pytest.approx(1.0, abs=1e-9)
     assert winding_number(c, 3 + 0j) == pytest.approx(0.0, abs=1e-9)
     assert winding_number(c.reversed(), 1j) == pytest.approx(-1.0, abs=1e-9)
+    # Repeated calls at one point share one cached entry per level used
+    # (a fresh integrand per call would add 300 entries, up to the cap).
+    contour._level.cache_clear()
+    first = winding_number(c, 0.5j)
+    levels = contour._level.cache_info().currsize
+    assert all(winding_number(c, 0.5j) == first for _ in range(299))
+    assert contour._level.cache_info().currsize == levels
+    assert 1 <= levels <= contour._LEVELS[True][1] + 1  # levels 0-6
 
 
 def test_truncated_chain_plus_closing_arc_is_a_positive_loop():
@@ -251,6 +259,9 @@ def test_quadrature_is_deterministic():
     b = integrate(c, g)
     assert a.value == b.value
     assert a.error == b.error
+    assert type(a.error) is float
+    segment = OrientedContour([Segment(-0.3 + 0.2j, 0.9 - 0.5j)])
+    assert type(integrate(segment, g, w=2.0 - 1.0j).error) is float
 
 
 # ---- periodic trapezoid rule on full circles ----
@@ -363,6 +374,23 @@ def test_moment_sums_equal_the_node_sums():
         assert (n, count) == (4096, 2577)
         assert abs(fine - f @ weights) <= 1e-10
         assert abs(coarse - f[::2] @ (2.0 * weights[::2])) <= 1e-10
+
+
+def test_scaled_taylor_is_the_plain_cumprod_bitwise():
+    # The in-place product over the divisor table takes the same
+    # operations as cumprod(concatenate(([e^-|x|], x / k))).
+    for count, xs in ((1, (0j, 0.3 - 0.5j)),
+                      (2, (0j, 0.3 - 0.5j, -1.2j)),
+                      (74, (0.25 + 0j, 5.0 - 3.0j, -50.0j,
+                            60.0 * cmath.exp(1j))),
+                      (4096, (699.9 + 0j, 350.0 + 350.0j, -650.0j,
+                              700.0 * cmath.exp(2.5j), -3.0 + 0.1j))):
+        for x in xs:
+            want = np.cumprod(np.concatenate(
+                ([math.exp(-abs(x))], x / np.arange(1, count))))
+            got = contour._scaled_taylor(x, count)
+            assert got.shape == (count,)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_trapezoid_raises_at_the_node_cap():

@@ -184,11 +184,23 @@ def test_input_validation_and_flags():
     assert area_laplace(u, p, 0j, grid=256).within_tolerance is None
 
 
-def test_deterministic_revaluation():
+def test_deterministic_revaluation(monkeypatch):
     u = MeromorphicDatum([(0.1 + 0.1j, 2, 1 - 1j)])
     p = CutoffProfile(ROUND_SQUARE, 0.5)
     a = area_laplace(u, p, 1 + 2j, grid=256)
+    # The second call reads the band rule cached for (p, 256): no
+    # Golub-Welsch eigensolve, no new entry.
+    eigh = np.linalg.eigh
+    solves = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *args: solves.append(1) or eigh(*args))
+    size = dolbeault._band_nodes.cache_info().currsize
     b = area_laplace(u, p, 1 + 2j, grid=256)
+    assert solves == []
+    assert dolbeault._band_nodes.cache_info().currsize == size
+    assert dolbeault._band_nodes.cache_info().maxsize <= 16
+    for z, weights in dolbeault._band_nodes(p, 256):
+        assert not (z.flags.writeable or weights.flags.writeable)
     assert a == b
     assert isinstance(a, AreaResult)
     assert complex(a) == a.value

@@ -554,6 +554,24 @@ def test_datum_evaluates_arrays_elementwise():
         assert gk == pytest.approx(u(complex(zk)), rel=1e-15)
     assert type(u(1.0)) is complex
     assert type(u(np.complex128(1j))) is complex
+    # Order-1 terms skip the power: the same bits as c / (z - a) ** 1.
+    z = np.concatenate((z, [0.3 + 1e-100j, -0.3 - 0.0j, complex(-0.0, -1.0),
+                            -1j, 1e154 + 1e-154j, 1e-310 - 7j]))
+    want = np.zeros_like(z)
+    for a, m, c in u.terms:
+        want += c / (z - a) ** m
+    assert u(z).tobytes() == want.tobytes()
+    for zk in z:
+        scalar = 0j
+        for a, m, c in u.terms:
+            scalar += c / (complex(zk) - a) ** m
+        got = u(complex(zk))
+        assert (got.real, got.imag) == (scalar.real, scalar.imag)
+        assert [math.copysign(1.0, x) for x in (got.real, got.imag)] == [
+            math.copysign(1.0, x) for x in (scalar.real, scalar.imag)]
+    # Equal datums share one hash.
+    twin = MeromorphicDatum(list(u.terms))
+    assert twin == u and hash(twin) == hash(u)
 
 
 def test_datum_accepts_numpy_integer_orders():
@@ -595,6 +613,20 @@ def test_residue_oracle_overflow_is_named():
 
 
 # ---- Polya on the cached-node trapezoid rule ----
+
+def test_estimates_are_python_floats():
+    u = MeromorphicDatum([(0.1 + 0j, 1, 1.0), (-0.2j, 2, 0.5)])
+    v = polya_transform(u, DISK_HALF, 2.0)
+    # w = 0, small |w|, and r|w| = 704 > 700, where the Taylor terms
+    # start from Stirling's series.
+    for w in (0, 0.3 - 0.2j, 352.0):
+        assert type(v.with_error(w)[1]) is float
+    m = meril_transform(MeromorphicDatum([(2.0 + 0j, 1, 1.0)]), SECTOR,
+                        0.1, 0.1)
+    assert type(m.with_error(-1.0 + 0.2j)[1]) is float
+    trace = m.diagnostics(-1.0 + 0.2j)
+    assert all(type(x) is float for x in (trace.error,) + trace.bounds)
+
 
 def test_polya_evaluation_is_bitwise_reproducible():
     u = MeromorphicDatum([(0.25j, 2, 1.5 - 0.5j), (-0.2 + 0j, 3, 1.0)])
