@@ -98,7 +98,8 @@ _LEVELS = {True: (_TRAPEZOID_MIN_NODES, 6), False: (len(_GK_T), 11)}
 _EPS = float(np.finfo(float).eps)
 # Nodes per unit of |w| * length for e^{z*w} (see integrate).
 _NODES_PER_RATE = 2.0
-_DIVISORS = np.arange(1.0, 4097.0)  # m in the Taylor ratios x/m, m <= 4096
+# The m in the Taylor ratios x/m, up to the top circle level's node count.
+_DIVISORS = np.arange(1.0, (_TRAPEZOID_MIN_NODES << _LEVELS[True][1]) + 1)
 
 
 def _unit(a: np.ndarray) -> np.ndarray:
@@ -394,10 +395,11 @@ def _level(piece, level: int, g) -> tuple:
 
 
 def _scaled_taylor(x: complex, count: int) -> np.ndarray:
-    """e^{-|x|} x^m / m! for m < count, |x| < count <= 4096: a product of
-    the ratios x/m from m = 0, in place, or, where e^{-|x|} leaves the
-    normal float range, outward from m0 = floor(|x|), whose term
-    Stirling's series gives without cancellation."""
+    """e^{-|x|} x^m / m! for m < count (|x| < count, at most the top
+    circle level's node count): a product of the ratios x/m over
+    _DIVISORS from m = 0, in place, or, where e^{-|x|} leaves the normal
+    float range, outward from m0 = floor(|x|), whose term Stirling's
+    series gives without cancellation."""
     y = abs(x)
     k = _DIVISORS[:count - 1]
     if y <= 700.0:
@@ -504,16 +506,9 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     return IntegralResult(value, err)
 
 
-class _Reciprocal(NamedTuple):
-    """1/(z - a), hashed by a: one cache entry per point and level."""
-    a: complex
-
-    def __call__(self, z):
-        return 1.0 / (z - self.a)
-
-
 def winding_number(c: OrientedContour, a: complex,
                    abs_tol: float = 1e-10) -> float:
     """(1/2 pi i) times the integral of dz/(z - a)."""
-    res = integrate(c, _Reciprocal(complex(a)), abs_tol)
+    a = complex(a)
+    res = integrate(c, lambda z: 1.0 / (z - a), abs_tol)
     return (res.value / (2j * math.pi)).real

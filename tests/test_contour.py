@@ -23,7 +23,13 @@ from convlap.contour import (
     region_boundary_contour,
     winding_number,
 )
-from convlap.convexgeom import ConvexBody, sector, thicken
+from convlap.convexgeom import (
+    ConvexBody,
+    ConvexRegion,
+    boundary_walk,
+    sector,
+    thicken,
+)
 
 SQUARE = ConvexBody([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
 TWO_PI_I = 2j * math.pi
@@ -79,6 +85,48 @@ def test_truncated_sector_boundary_shape():
     assert isinstance(c.pieces[2], Segment)
     assert abs(c.start) == pytest.approx(10.0, abs=1e-10)
     assert abs(c.end) == pytest.approx(10.0, abs=1e-10)
+
+
+def _offset_walk(walk, rho):
+    # By hand: corner i has the arc from the normal before it to the one
+    # after it, then the facet after it is shifted out by rho.
+    n = len(walk.corners)
+    before = walk.normals[-1:] + walk.normals if walk.closed else walk.normals
+    pieces = []
+    for i, z in enumerate(walk.corners):
+        a, b = before[i], before[i + 1]
+        if rho > 0.0:
+            pieces.append(Arc(z, rho, a, a + (b - a) % (2 * math.pi)))
+        if walk.closed or i < n - 1:
+            shift = rho * complex(math.cos(b), math.sin(b))
+            pieces.append(Segment(z + shift, walk.corners[(i + 1) % n] + shift))
+    return pieces
+
+
+def test_offset_boundaries_are_corner_arcs_and_shifted_facets():
+    # Closed walks (bodies, bounded regions) and the finite middle of an
+    # open chain, piece for piece and bit for bit.
+    box = [(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 1.0, 1.0),
+           (0.0, -1.0, 1.0)]
+    closed = [SQUARE, thicken(SQUARE, 0.5),
+              ConvexBody([2 + 1j, 3 + 1j, 3 + 2j], rounding=0.5),
+              ConvexRegion(box), ConvexRegion(box, rounding=0.2)]
+    for s in closed:
+        c = region_boundary_contour(s)
+        assert c.pieces == tuple(_offset_walk(boundary_walk(s), s.rounding))
+    cut = sector(0j, 0.3, math.pi / 3).halfplanes + ((-1.0, 0.0, -0.4),)
+    for s in (ConvexRegion(cut), ConvexRegion(cut, rounding=0.25),
+              thicken(sector(1j, 2.0, math.pi / 5), 0.3)):
+        walk = boundary_walk(s)
+        rho = s.rounding
+        mid = _offset_walk(walk, rho)
+        c = region_boundary_contour(s, truncation=20.0)
+        assert c.pieces[1:-1] == tuple(mid)
+        first, last = walk.normals[0], walk.normals[-1]
+        assert c.pieces[0].end == walk.corners[0] + rho * complex(
+            math.cos(first), math.sin(first))
+        assert c.pieces[-1].start == walk.corners[-1] + rho * complex(
+            math.cos(last), math.sin(last))
 
 
 def test_unbounded_region_requires_truncation():
@@ -157,14 +205,6 @@ def test_winding_numbers_of_circle():
     assert winding_number(c, 1 + 0j) == pytest.approx(1.0, abs=1e-9)
     assert winding_number(c, 3 + 0j) == pytest.approx(0.0, abs=1e-9)
     assert winding_number(c.reversed(), 1j) == pytest.approx(-1.0, abs=1e-9)
-    # Repeated calls at one point share one cached entry per level used
-    # (a fresh integrand per call would add 300 entries, up to the cap).
-    contour._level.cache_clear()
-    first = winding_number(c, 0.5j)
-    levels = contour._level.cache_info().currsize
-    assert all(winding_number(c, 0.5j) == first for _ in range(299))
-    assert contour._level.cache_info().currsize == levels
-    assert 1 <= levels <= contour._LEVELS[True][1] + 1  # levels 0-6
 
 
 def test_truncated_chain_plus_closing_arc_is_a_positive_loop():

@@ -150,8 +150,12 @@ def test_polya_validation():
     u_in = MeromorphicDatum([(0j, 1, 1.0)])
     with pytest.raises(ValueError, match="too small"):
         polya_transform(u_in, DISK_HALF, 0.52)
-    with pytest.raises(ValueError):
-        polya_transform(u_in, DISK_HALF, -1.0)
+    # A bad radius is named before the poles are checked.
+    for r in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            polya_transform(u_in, DISK_HALF, r)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            polya_transform(u_out, DISK_HALF, r)
 
 
 # ---- closed-form ray tail bound ----
