@@ -41,7 +41,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -433,6 +433,28 @@ def _meril_points(sc: Scenario) -> list[complex]:
     return out
 
 
+def _meril_traces(v):
+    """v with its Meril trace at each w evaluated once, at the first
+    request of any check; one that raised raises the same exception at
+    every request."""
+    memo: dict[complex, Any] = {}
+
+    def trace(w: complex):
+        if w not in memo:
+            try:
+                memo[w] = v.diagnostics(w)
+            except Exception as exc:
+                memo[w] = exc
+        if isinstance(memo[w], Exception):
+            raise memo[w]
+        return memo[w]
+
+    def full(w: complex) -> tuple[complex, float]:
+        t = trace(w)
+        return t.value, t.error
+    return replace(v, full_eval=full, diagnostics=trace)
+
+
 def _check_oracle(sc: Scenario, v, scale: float) -> _CheckResult:
     tol = sc.tolerances["oracle"] * scale
     if sc.kind == "meril":
@@ -659,7 +681,7 @@ def run_scenario(sc: Scenario, out_dir: str | Path = ".",
 
     results: list[_CheckResult] = []
     growth_report: GrowthReport | None = None
-    v = sc.transform
+    v = _meril_traces(sc.transform) if sc.kind == "meril" else sc.transform
     for name in sc.checks:
         try:
             if name == "oracle":

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -98,6 +98,7 @@ _LEVELS = {True: (_TRAPEZOID_MIN_NODES, 6), False: (len(_GK_T), 11)}
 _EPS = float(np.finfo(float).eps)
 # Nodes per unit of |w| * length for e^{z*w} (see integrate).
 _NODES_PER_RATE = 2.0
+_MAX_SPLITS = 4  # bisections of an unsettled piece (see integrate)
 # The m in the Taylor ratios x/m, up to the top circle level's node count.
 _DIVISORS = np.arange(1.0, (_TRAPEZOID_MIN_NODES << _LEVELS[True][1]) + 1)
 
@@ -444,6 +445,15 @@ def _moment_sums(piece: Arc, level: int, g, terms: np.ndarray,
     return fine, coarse, 16.0 * _EPS * peak, tail * peak, n
 
 
+def _halves(piece):
+    """The two halves of a segment or an arc, in its orientation."""
+    if isinstance(piece, Segment):
+        mid = piece.point(0.5)
+        return replace(piece, end=mid), replace(piece, start=mid)
+    mid = 0.5 * (piece.angle0 + piece.angle1)
+    return replace(piece, angle1=mid), replace(piece, angle0=mid)
+
+
 def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
               w: complex = 0j) -> IntegralResult:
     """Integral of e^{z*w} g(z) dz along the contour with an error estimate.
@@ -457,15 +467,22 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     moment form (see the module docstring), with a coarse rule of at least
     as many nodes as Taylor terms.  It doubles until the gap between its
     fine and coarse sums is within the roundoff floor or within its share
-    of abs_tol, proportional to its length; past the top level
-    QuadratureError is raised.  The estimate is the sum over the pieces of
-    gap + floor, plus the dropped Taylor terms' bound on circles.
+    of abs_tol, proportional to its length.  Past the top level a piece
+    other than a full circle is bisected as in QUADPACK, each half taking
+    half its share, up to _MAX_SPLITS deep; else QuadratureError is
+    raised.  The estimate is the sum over the pieces of gap + floor, plus
+    the dropped Taylor terms' bound on circles.
     """
-    w = complex(w)
-    lengths = [p.length for p in c.pieces]
+    return _integrate(c.pieces, g, abs_tol, complex(w), _MAX_SPLITS)
+
+
+def _integrate(pieces, g, abs_tol: float, w: complex,
+               splits: int) -> IntegralResult:
+    """integrate over pieces, each with splits bisections left."""
+    lengths = [p.length for p in pieces]
     total_len = sum(lengths)
     value, err = 0j, 0.0
-    for piece, length in zip(c.pieces, lengths):
+    for piece, length in zip(pieces, lengths):
         if length == 0.0:
             continue
         tol = abs_tol * (length / total_len)
@@ -496,11 +513,20 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
             gap = abs(fine - coarse)
             if gap <= max(tol, floor):
                 break
-            if level >= top:
+            if level < top:
+                level += 1
+            elif circle or not splits:
                 raise QuadratureError(
                     f"rule not settled at {n} nodes on {piece}: gap "
                     f"{gap:.3e}, roundoff floor {floor:.3e}", value + fine)
-            level += 1
+            else:  # the halves' value and estimate
+                try:
+                    halves = _integrate(_halves(piece), g, tol, w, splits - 1)
+                except QuadratureError as exc:
+                    exc.partial += value
+                    raise
+                fine, gap, floor, extra = halves.value, halves.error, 0.0, 0.0
+                break
         value += fine
         err += gap + floor + extra
     return IntegralResult(value, err)

@@ -5,7 +5,8 @@ when ``|v(w)| e^{-h(w) - eps*|w|}`` stays bounded for the set's support
 evaluator ``h``, at every tolerance ``eps`` in a ladder.  Growth of this
 kind is dominated along rays, so the functional is sampled on
 equiangular rays crossed with a geometric radius ladder and judged per
-radius.
+radius.  log|v(w)| and h(w) do not depend on eps: the lattice is sampled
+once per ladder and only the judging is repeated for each eps.
 
 All internal arithmetic runs in log space through
 ``TransformResult.log_abs`` so that sampling radii in the thousands
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,13 +91,41 @@ def _lin(value: float) -> float:
         return math.inf
 
 
+def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ys against xs, which are not all equal."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return float(sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                 / sum((x - mx) ** 2 for x in xs))
+
+
+@lru_cache(maxsize=1)
+def _sample(v, h, ladder: tuple[float, ...], rays: int, norm) -> tuple:
+    """Per radius, (w, h(w), log|v(w)|, ray index, norm(w)) at the ray
+    points in v's domain: kept for the next eps (holding v and h keeps
+    their ids from being reused)."""
+    directions = [complex(math.cos(2 * math.pi * k / rays),
+                          math.sin(2 * math.pi * k / rays))
+                  for k in range(rays)]
+    out = []
+    for radius in ladder:
+        ws = [(k, radius * d) for k, d in enumerate(directions)]
+        out.append(tuple((w, float(h(w)), v.log_abs(w), k, norm(w))
+                         for k, w in ws if v.domain_contains(w)))
+        if not out[-1]:
+            raise ValueError(
+                f"empty sample set: no ray point at radius {radius} "
+                "lies in the domain of v")
+    return tuple(out)
+
+
 def growth_ratio_sup(v, h: Callable[[complex], float], eps: float,
                      radii: Sequence[float] | None = None, rays: int = 64,
                      norm: Callable[[complex], float] = abs) -> GrowthReport:
     """Sample the growth functional of v on rays x radii and judge it.
 
     v needs log_abs(w) and domain_contains(w); sampling skips points
-    outside the domain.  Verdict "bounded" means the per-radius sups
+    outside the domain.  v, h and norm key the cached lattice (_sample),
+    so they must be hashable and pure.  Verdict "bounded" means the per-radius sups
     stop increasing (within SUP_GROWTH_FACTOR) after the first quartile
     of the ladder; "unbounded" means the log sup grows linearly in the
     radius with fitted slope above eps/2; anything else is
@@ -111,32 +141,18 @@ def growth_ratio_sup(v, h: Callable[[complex], float], eps: float,
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] <= 0:
         raise ValueError("radius ladder must be positive and strictly increasing")
 
-    directions = [complex(math.cos(2 * math.pi * k / rays),
-                          math.sin(2 * math.pi * k / rays))
-                  for k in range(rays)]
     samples: list[GrowthSample] = []
     log_sups: list[float] = []
-    for radius in ladder:
+    for radius, points in zip(ladder, _sample(v, h, ladder, rays, norm)):
         best = -math.inf
-        count = 0
-        for k, d in enumerate(directions):
-            w = radius * d
-            if not v.domain_contains(w):
-                continue
-            hw = float(h(w))
-            log_v = v.log_abs(w)
-            log_ratio = log_v - hw - eps * norm(w)
+        for w, hw, log_v, k, nw in points:
+            log_ratio = log_v - hw - eps * nw
             samples.append(GrowthSample(
                 w=w, abs_value=_lin(log_v), support=hw,
                 ratio=_lin(log_ratio), log_ratio=log_ratio,
                 ray_index=k, radius=radius))
             if log_ratio > best:
                 best = log_ratio
-            count += 1
-        if count == 0:
-            raise ValueError(
-                f"empty sample set: no ray point at radius {radius} "
-                "lies in the domain of v")
         log_sups.append(best)
 
     q = len(ladder) // 4
@@ -146,7 +162,7 @@ def growth_ratio_sup(v, h: Callable[[complex], float], eps: float,
 
     fit = [(r, s) for r, s in zip(ladder[q:], window) if math.isfinite(s)]
     if len(fit) >= 2:
-        rate = float(np.polyfit([r for r, _ in fit], [s for _, s in fit], 1)[0])
+        rate = _slope(*zip(*fit))
     elif window and window[-1] == -math.inf:
         rate = -math.inf
     else:

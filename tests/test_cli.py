@@ -1,14 +1,17 @@
 """Scenario parsing, check execution, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from convlap import cli
 from convlap.cli import Scenario, ScenarioError, main, parse_scenario, run_scenario
 from convlap.convexgeom import ConvexBody, signed_distance
 from convlap.transforms import polya_transform, residue_oracle
@@ -281,6 +284,49 @@ def test_meril_scenario_runs(tmp_path):
     assert "check oracle: PASS" in report
     assert "check tail-dominance: PASS" in report
     assert "check epsilon-robustness: PASS" in report
+
+
+REFERENCE_MERIL = json.loads((SCENARIO_DIR / "reference_meril.json").read_text())
+
+
+@pytest.mark.parametrize("doc", [
+    REFERENCE_MERIL,
+    # The last point lies outside the shifted dual cone: each check
+    # reports the one evaluation's ValueError.
+    dict(REFERENCE_MERIL, w_samples=[[-1.5, 0.2], [-3.0, -0.5], [1.0, 0.0]]),
+])
+def test_meril_traces_are_evaluated_once_per_run(tmp_path, monkeypatch, doc):
+    sc = parse(doc)
+    calls = Counter()
+    trace = sc.transform.diagnostics
+
+    def counted(w):
+        calls[complex(w)] += 1
+        return trace(w)
+
+    def full(w):
+        t = counted(w)
+        return t.value, t.error
+
+    sc = dataclasses.replace(sc, transform=dataclasses.replace(
+        sc.transform, full_eval=full, diagnostics=counted))
+    points = cli._meril_points(sc)
+    status = run_scenario(sc, out_dir=tmp_path / "once")
+    assert calls == Counter(points)
+    # Every check evaluating its own traces, as the runner did before.
+    calls.clear()
+    monkeypatch.setattr(cli, "_meril_traces", lambda v: v)
+    assert run_scenario(sc, out_dir=tmp_path / "each") == status
+    assert calls == Counter({w: 3 for w in points})
+    for name in ("report.txt", "samples.csv"):
+        assert ((tmp_path / "once" / name).read_bytes()
+                == (tmp_path / "each" / name).read_bytes())
+    report = (tmp_path / "once" / "report.txt").read_text()
+    if "w_samples" in doc:
+        assert status == 1
+        assert report.count("check raised ValueError('w is outside") == 3
+    else:
+        assert status == 0
 
 
 def test_plot_emitted_when_requested(tmp_path):

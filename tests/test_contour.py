@@ -235,6 +235,63 @@ def test_quadrature_error_carries_partial_value():
     assert isinstance(exc.value.partial, complex)
 
 
+def _reciprocal(z):
+    return 1.0 / (z - 1.0)
+
+
+# A Meril rung near the edge of the shifted dual cone (eps' = 1e-5): about
+# 14000 radians of e^{z*w} over 7000 units, where 2048 Gauss-Kronrod
+# panels miss 1e-11 by a gap of 1.1e-11.
+LONG_SEGMENT = Segment(9875.437937775943 + 9875.579359132178j,
+                       14813.192262213932 + 14813.333683570165j)
+LONG_SEGMENT_W = -1.4142346695368226 - 1.4142024551221317j
+
+
+def test_unsettled_piece_is_bisected(monkeypatch):
+    halves = contour._halves
+    split = []
+
+    def counted(piece):
+        split.append(piece)
+        return halves(piece)
+
+    monkeypatch.setattr(contour, "_halves", counted)
+    w = LONG_SEGMENT_W
+    got = integrate(OrientedContour([LONG_SEGMENT]), _reciprocal, 1e-11, w=w)
+    assert split == [LONG_SEGMENT]
+    seg = LONG_SEGMENT
+    x, wt = np.polynomial.legendre.leggauss(30)
+    t = ((np.arange(8000)[:, None] + 0.5 + 0.5 * x) / 8000).ravel()
+    z = seg.point(t)
+    want = complex((np.exp(z * w) * _reciprocal(z)) @ np.tile(
+        wt / 16000, 8000)) * (seg.end - seg.start)
+    assert abs(got.value - want) <= got.error <= 1e-11
+    # Pieces that settle are never split: the same segment a tenth as
+    # long, an arc and a circle.
+    split.clear()
+    short = Segment(seg.start, seg.point(0.1))
+    for c in (OrientedContour([short]),
+              OrientedContour([Arc(0j, 3.0, 0.5, 2.0)]),
+              circle_contour(0.2j, 2.0)):
+        integrate(c, _reciprocal, 1e-11, w=w)
+    assert split == []
+    # Without the bisection the piece raises, as it did before it.
+    monkeypatch.setattr(contour, "_MAX_SPLITS", 0)
+    with pytest.raises(QuadratureError, match="not settled at 30720"):
+        integrate(OrientedContour([LONG_SEGMENT]), _reciprocal, 1e-11, w=w)
+
+
+def test_halves_keep_orientation_and_endpoints():
+    for piece in (Segment(1 + 2j, -3 + 0.5j), Arc(1j, 2.0, 0.3, -1.9)):
+        a, b = contour._halves(piece)
+        assert a.point(0.0) == piece.point(0.0)
+        assert a.point(1.0) == b.point(0.0)
+        assert abs(b.point(1.0) - piece.point(1.0)) <= 1e-15
+        for half in (a, b):
+            assert half.length == pytest.approx(0.5 * piece.length,
+                                                rel=1e-15)
+
+
 def test_open_boundary_rays_match_contour_ends():
     s = thicken(sector(1 + 1j, 0.2, math.pi / 5), 0.25)
     (b_in, d_in), (b_out, d_out) = open_boundary_rays(s)

@@ -1,13 +1,19 @@
 """Growth classification: hand-built members and planted escapees."""
 
 import math
+from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from convlap import growth
 from convlap.convexgeom import ConvexBody, sector, support_function
 from convlap.growth import (
     DEFAULT_EPS_LADDER,
+    SUP_GROWTH_FACTOR,
     GrowthReport,
+    GrowthSample,
     classify_growth,
     exp_class_verdict,
     growth_ratio_sup,
@@ -177,3 +183,130 @@ def test_exp_class_verdict_aggregation():
                          verdict="bounded", growth_rate=0.0)])
     with pytest.raises(ValueError):
         exp_class_verdict([])
+
+
+# ---- one lattice per ladder ----
+
+def _per_eps_reference(v, h, eps, radii, rays, fit):
+    """growth_ratio_sup with the lattice sampled anew for each eps, and
+    fit(xs, ys) for the slope."""
+    directions = [complex(math.cos(2 * math.pi * k / rays),
+                          math.sin(2 * math.pi * k / rays))
+                  for k in range(rays)]
+    samples, log_sups = [], []
+    for radius in radii:
+        best = -math.inf
+        for k, d in enumerate(directions):
+            w = radius * d
+            if not v.domain_contains(w):
+                continue
+            hw = float(h(w))
+            log_v = v.log_abs(w)
+            log_ratio = log_v - hw - eps * abs(w)
+            samples.append(GrowthSample(
+                w=w, abs_value=growth._lin(log_v), support=hw,
+                ratio=growth._lin(log_ratio), log_ratio=log_ratio,
+                ray_index=k, radius=radius))
+            if log_ratio > best:
+                best = log_ratio
+        log_sups.append(best)
+    q = len(radii) // 4
+    window = log_sups[q:]
+    log_tol = math.log(SUP_GROWTH_FACTOR)
+    nonincreasing = all(b <= a + log_tol for a, b in zip(window, window[1:]))
+    fit_pts = [(r, s) for r, s in zip(radii[q:], window) if math.isfinite(s)]
+    if len(fit_pts) >= 2:
+        rate = fit([r for r, _ in fit_pts], [s for _, s in fit_pts])
+    elif window and window[-1] == -math.inf:
+        rate = -math.inf
+    else:
+        rate = 0.0
+    verdict = ("bounded" if nonincreasing else
+               "unbounded" if rate > eps / 2 else "inconclusive")
+    samples.sort(key=lambda s: (s.ray_index, s.radius))
+    return GrowthReport(
+        epsilon=eps, radii=tuple(radii), rays=rays, samples=tuple(samples),
+        radius_sups=tuple(growth._lin(s) for s in log_sups),
+        log_radius_sups=tuple(log_sups), verdict=verdict, growth_rate=rate)
+
+
+def _polyfit_slope(xs, ys):
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
+class _CountedLogAbs:
+    """A transform value whose log_abs calls are counted per w."""
+
+    def __init__(self, v):
+        self.v = v
+        self.calls = Counter()
+
+    def domain_contains(self, w):
+        return self.v.domain_contains(w)
+
+    def log_abs(self, w):
+        self.calls[w] += 1
+        return self.v.log_abs(w)
+
+
+SECTOR = sector(0j, 0.0, math.pi / 4)
+GROWTH_CASES = (
+    (polya_transform(MeromorphicDatum([(0.3 + 0.2j, 2, 1.0),
+                                       (-0.4j, 1, 0.5 - 1j)]),
+                     UNIT_DISK, 2.0), UNIT_DISK),
+    (meril_transform(MeromorphicDatum([(1 + 0j, 1, 1.0)]), SECTOR, 0.1, 0.1),
+     SECTOR),
+    (exp_at(2 + 0j), UNIT_DISK),
+)
+
+
+@pytest.mark.parametrize("v, body", GROWTH_CASES)
+def test_lattice_is_sampled_once_per_ladder(v, body):
+    radii = tuple(float(r) for r in np.geomspace(1.0, 100.0, 9))
+    counted = _CountedLogAbs(v)
+    h_calls = Counter()
+
+    def h(w):
+        h_calls[w] += 1
+        return support_function(body, w)
+
+    verdict = classify_growth(counted, h, radii=radii, rays=12)
+    lattice = [r * complex(math.cos(2 * math.pi * k / 12),
+                           math.sin(2 * math.pi * k / 12))
+               for r in radii for k in range(12)]
+    inside = [w for w in lattice if v.domain_contains(w)]
+    assert inside and sorted(counted.calls.values()) == [1] * len(inside)
+    assert set(counted.calls) == set(inside) == set(h_calls)
+    assert set(h_calls.values()) == {1}
+    # Field for field the reports of sampling once per eps.
+    h_plain = lambda w: support_function(body, w)
+    want = [_per_eps_reference(v, h_plain, eps, radii, 12, growth._slope)
+            for eps in DEFAULT_EPS_LADDER]
+    got = [growth_ratio_sup(counted, h, eps, radii=radii, rays=12)
+           for eps in DEFAULT_EPS_LADDER]
+    assert got == want
+    assert verdict == exp_class_verdict(want)
+    # np.polyfit, which the slope replaced, gives the same verdicts.
+    fitted = [_per_eps_reference(v, h_plain, eps, radii, 12, _polyfit_slope)
+              for eps in DEFAULT_EPS_LADDER]
+    assert [r.verdict for r in fitted] == [r.verdict for r in got]
+    for a, b in zip(got, fitted):
+        assert a.growth_rate == pytest.approx(b.growth_rate, rel=1e-12)
+
+
+def test_slope_matches_polyfit_and_exact_least_squares():
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        n = int(rng.integers(2, 26))
+        xs = sorted(float(x) for x in 10.0 ** rng.uniform(0.0, 4.0, n))
+        b = rng.normal() * 10.0 ** rng.uniform(-3.0, 1.0)
+        ys = [float(b * x + rng.normal() * (1.0 + 0.1 * abs(b) * x))
+              for x in xs]
+        got = growth._slope(xs, ys)
+        assert type(got) is float
+        assert got == pytest.approx(_polyfit_slope(xs, ys), rel=1e-12)
+        fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+        mx, my = sum(fx) / n, sum(fy) / n
+        exact = (sum((x - mx) * (y - my) for x, y in zip(fx, fy))
+                 / sum((x - mx) ** 2 for x in fx))
+        assert got == pytest.approx(float(exact), rel=1e-13)

@@ -432,6 +432,22 @@ def test_meril_long_rung_is_resolved():
     assert abs(t.value - residue_oracle(LONG_RUNG_U, w)) <= t.error <= 1e-11
 
 
+def test_meril_near_the_dual_cone_edge_bisects_long_rungs():
+    # eps' = 1e-5 and w at 0.99999 of the dual half-width: the kernel
+    # decays at about 1e-5 per unit along one ray, the truncation runs
+    # past 1e6, and rungs thousands long do not settle on 2048
+    # Gauss-Kronrod panels (QuadratureError before they were bisected).
+    u = MeromorphicDatum([(1 + 0j, 1, 1.0)])
+    v = meril_transform(u, SECTOR, 0.1, 1e-5)
+    dual = polar_cone(asymptotic_cone(SECTOR))
+    w = 1e-5 * bisector(dual) + 2.0 * cmath.exp(
+        1j * (dual.axis + 0.99999 * dual.half_width))
+    value, error = v.with_error(w)
+    ref = residue_oracle(u, w)
+    assert abs(value - ref) <= error
+    assert abs(value - ref) / (1.0 + abs(ref)) <= 1e-9
+
+
 def test_meril_evaluates_u_once_per_node_array(monkeypatch):
     arrays = []
     call = MeromorphicDatum.__call__
