@@ -27,13 +27,6 @@ TWO_PI = 2.0 * math.pi
 # Unit normals whose cross product is at most this count as parallel.
 _PARALLEL = 1e-12
 
-# Angular descriptions of closed convex cones of directions, used for
-# recession reasoning.  Forms:
-#   ("zero",)            the trivial cone {0}
-#   ("full",)            every direction
-#   ("arc", lo, hi)      directions with angle in [lo, hi], 0 <= hi-lo <= pi
-#   ("line", theta)      the two directions theta, theta+pi
-
 
 def _norm_angle(a: float) -> float:
     """Reduce to (-pi, pi]."""
@@ -208,25 +201,6 @@ def _closed_polygon(lines, slack: float):
             if math.dist(corners[k], corners[(k + 1) % n]) > slack] or [0]
     return Polygon(tuple(corners[k] for k in keep), (),
                    tuple(dq[k] for k in keep))
-
-
-def recession_cone(poly: Polygon):
-    """Directions v with z + t*v inside the polygon for all t >= 0, as an
-    angular cone description."""
-    if not poly.rays:
-        return ("zero",)
-    if not poly.edges:
-        return ("full",)
-    (ix, iy), (ox, oy) = poly.rays[:2]
-    lo = math.atan2(oy, ox)
-    if poly.vertices:
-        # From the exit ray counterclockwise to the entry ray; a turn past
-        # pi is rounding across a single ray.
-        width = (math.atan2(iy, ix) - lo) % TWO_PI
-        return ("arc", lo, lo + (width if width <= math.pi else 0.0))
-    if len(poly.edges) == 1:
-        return ("arc", lo, lo + math.pi)
-    return ("line", lo)
 
 
 def maximize_min_affine(pieces, halfplanes, tol: float = 1e-11):

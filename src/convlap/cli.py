@@ -164,12 +164,17 @@ def _as_int(x, path: str) -> int:
     return x
 
 
-def _as_pair(x, path: str) -> complex:
+def _as_reals(x, path: str, n=None, form: str = "") -> tuple:
+    """The numbers of an array; exactly n of them, shaped as form, when
+    n is given."""
     lst = _as_list(x, path)
-    if len(lst) != 2:
-        _fail(path, "expected a [re, im] pair")
-    return complex(_as_real(lst[0], path + "[0]"),
-                   _as_real(lst[1], path + "[1]"))
+    if n is not None and len(lst) != n:
+        _fail(path, f"expected {form}")
+    return tuple(_as_real(v, f"{path}[{i}]") for i, v in enumerate(lst))
+
+
+def _as_pair(x, path: str) -> complex:
+    return complex(*_as_reals(x, path, 2, "a [re, im] pair"))
 
 
 def _parse_set(doc, path: str):
@@ -185,15 +190,9 @@ def _parse_set(doc, path: str):
         except ValueError as exc:
             _fail(path, str(exc))
     if kind == "region":
-        hp = []
-        for i, row in enumerate(_as_list(obj.get("halfplanes"),
-                                         path + ".halfplanes")):
-            p = f"{path}.halfplanes[{i}]"
-            lst = _as_list(row, p)
-            if len(lst) != 3:
-                _fail(p, "expected [nx, ny, c]")
-            hp.append(tuple(_as_real(v, f"{p}[{j}]")
-                            for j, v in enumerate(lst)))
+        hp = [_as_reals(row, f"{path}.halfplanes[{i}]", 3, "[nx, ny, c]")
+              for i, row in enumerate(_as_list(obj.get("halfplanes"),
+                                               path + ".halfplanes"))]
         try:
             return ConvexRegion(hp)
         except ValueError as exc:
@@ -253,13 +252,8 @@ def parse_scenario(text: str) -> Scenario:
     if kind == "legendre":
         pieces = []
         for i, row in enumerate(_as_list(doc.get("pieces", []), "$.pieces")):
-            p = f"$.pieces[{i}]"
-            lst = _as_list(row, p)
-            if len(lst) != 3:
-                _fail(p, "expected [b_re, b_im, c]")
-            pieces.append((complex(_as_real(lst[0], p + "[0]"),
-                                   _as_real(lst[1], p + "[1]")),
-                           _as_real(lst[2], p + "[2]")))
+            bx, by, c = _as_reals(row, f"$.pieces[{i}]", 3, "[b_re, b_im, c]")
+            pieces.append((complex(bx, by), c))
         if not isinstance(domain, ConvexBody):
             _fail("$.set", "legendre scenarios need a bounded body domain")
         pl_function = PLConvexFunction(pieces, domain)
@@ -368,9 +362,7 @@ def parse_scenario(text: str) -> Scenario:
     if ladder is None:
         eps_ladder = DEFAULT_EPS_LADDER
     else:
-        eps_ladder = tuple(_as_real(v, f"$.growth.eps_ladder[{i}]")
-                           for i, v in enumerate(_as_list(ladder,
-                                                          "$.growth.eps_ladder")))
+        eps_ladder = _as_reals(ladder, "$.growth.eps_ladder")
         if not eps_ladder or any(e <= 0 for e in eps_ladder):
             _fail("$.growth.eps_ladder", "needs positive entries")
         if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
@@ -379,9 +371,7 @@ def parse_scenario(text: str) -> Scenario:
     if radii_doc is None:
         growth_radii = _GROWTH_RADII
     else:
-        growth_radii = tuple(_as_real(v, f"$.growth.radii[{i}]")
-                             for i, v in enumerate(_as_list(radii_doc,
-                                                            "$.growth.radii")))
+        growth_radii = _as_reals(radii_doc, "$.growth.radii")
     growth_rays = _as_int(gdoc.get("rays", _GROWTH_RAYS), "$.growth.rays")
     if growth_rays < 1:
         _fail("$.growth.rays", "needs at least one ray")

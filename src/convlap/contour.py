@@ -103,11 +103,6 @@ _MAX_SPLITS = 4  # bisections of an unsettled piece (see integrate)
 _DIVISORS = np.arange(1.0, (_TRAPEZOID_MIN_NODES << _LEVELS[True][1]) + 1)
 
 
-def _unit(a: np.ndarray) -> np.ndarray:
-    """e^{ia} for an array (or a number) of angles."""
-    return np.cos(a) + 1j * np.sin(a)
-
-
 @dataclass(frozen=True)
 class Segment:
     start: complex
@@ -143,7 +138,8 @@ class Arc:
     def point_and_derivative(self, t):
         """z(t) and z'(t), from one evaluation of e^{i angle}."""
         sweep = self.angle1 - self.angle0
-        unit = _unit(self.angle0 + t * sweep)
+        a = self.angle0 + t * sweep
+        unit = np.cos(a) + 1j * np.sin(a)
         return (self.center + self.radius * unit,
                 1j * sweep * self.radius * unit)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import _lp
-from ._lp import _norm_angle, ang_dist
+from ._lp import TWO_PI, _norm_angle, ang_dist
 
 __all__ = [
     "ConvexBody",
@@ -142,8 +142,9 @@ class Cone:
 
     kind is one of "zero", "plane", "sector", "line".  A sector is the
     set of directions within ``half_width`` of ``axis`` (half_width in
-    [0, pi/2]; 0 is a ray, pi/2 a closed half-plane).  A line is the
-    full line through the origin with direction ``axis``.
+    [0, pi/2]; 0 is a ray, pi/2 a closed half-plane, and up to 1e-12
+    past pi/2 is rounding, stored as pi/2).  A line is the full line
+    through the origin with direction ``axis``.
     """
 
     kind: str
@@ -157,7 +158,7 @@ class Cone:
         hw = float(self.half_width)
         if self.kind == "sector" and not (0.0 <= hw <= 0.5 * math.pi + 1e-12):
             raise ConeError("sector half-width must lie in [0, pi/2]")
-        object.__setattr__(self, "half_width", hw)
+        object.__setattr__(self, "half_width", min(hw, 0.5 * math.pi))
 
     def contains(self, z: complex, tol: float = 1e-9) -> bool:
         z = complex(z)
@@ -196,18 +197,6 @@ class Cone:
 
 def _cis(theta: float) -> complex:
     return complex(math.cos(theta), math.sin(theta))
-
-
-def _cone_from_desc(desc) -> Cone:
-    kind = desc[0]
-    if kind == "zero":
-        return Cone("zero")
-    if kind == "full":
-        return Cone("plane")
-    if kind == "line":
-        return Cone("line", desc[1])
-    _, lo, hi = desc
-    return Cone("sector", 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
 # ---- support functions ----
@@ -332,10 +321,25 @@ def asymptotic_cone(s) -> Cone:
         return s
     if isinstance(s, ConvexBody):
         return Cone("zero")
-    if isinstance(s, ConvexRegion):
-        return _cone_from_desc(
-            _lp.recession_cone(_core_polygon(s.halfplanes)))
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    if not isinstance(s, ConvexRegion):
+        raise TypeError(f"unsupported set type {type(s).__name__}")
+    poly = _core_polygon(s.halfplanes)
+    if not poly.rays:
+        return Cone("zero")
+    if not poly.edges:
+        return Cone("plane")
+    (ix, iy), (ox, oy) = poly.rays[:2]
+    lo = math.atan2(oy, ox)
+    if poly.vertices:
+        # From the exit ray counterclockwise to the entry ray; a turn past
+        # pi is rounding across a single ray.
+        width = (math.atan2(iy, ix) - lo) % TWO_PI
+        hi = lo + (width if width <= math.pi else 0.0)
+    elif len(poly.edges) == 1:
+        hi = lo + math.pi
+    else:
+        return Cone("line", lo)
+    return Cone("sector", 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
 def polar_cone(c: Cone) -> Cone:
@@ -396,15 +400,9 @@ def affine_dimension(s) -> int:
         poly = _core_polygon(s.halfplanes)
         return 0 if len(poly.vertices) == 1 and not poly.rays else 1
     if isinstance(s, Cone):
-        if s.kind == "plane":
-            return 2
-        if s.kind == "zero":
-            return 0
-        if s.kind == "line":
-            return 1
-        if s.half_width > 1e-12:
-            return 2
-        return 1
+        if s.kind == "sector":
+            return 2 if s.half_width > 1e-12 else 1
+        return {"zero": 0, "line": 1, "plane": 2}[s.kind]
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 

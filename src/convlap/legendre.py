@@ -98,14 +98,11 @@ def _collapsed_pieces(f: PLConvexFunction):
 
 def _domain_halfplanes(domain):
     """Half-plane list of an un-rounded polyhedral domain."""
-    if isinstance(domain, ConvexRegion):
-        if domain.rounding != 0.0:
-            raise UnsupportedConjugate("rounded domains have no "
-                                       "polyhedral description")
-        return list(domain.halfplanes)
     if domain.rounding != 0.0:
         raise UnsupportedConjugate("rounded domains have no polyhedral "
                                    "description")
+    if isinstance(domain, ConvexRegion):
+        return list(domain.halfplanes)
     verts = domain.vertices
     if len(verts) == 1:
         v = verts[0]
@@ -311,14 +308,5 @@ def _sum_with_cone_dim(f: PLConvexFunction, pieces) -> int:
 
 def legendre_dimensions(f: PLConvexFunction) -> LegendreDimensions:
     """dim of the affine hulls of dom(f) and dom(f*)."""
-    dom_dim = affine_dimension(f.domain)
-    pieces = _collapsed_pieces(f)
-    if len(pieces) <= 1:
-        cone = polar_cone(asymptotic_cone(f.domain))
-        conj_dim = affine_dimension(cone)
-    else:
-        try:
-            conj_dim = affine_dimension(conjugate(f).domain)
-        except UnsupportedConjugate:
-            conj_dim = _sum_with_cone_dim(f, pieces)
-    return LegendreDimensions(dom_dim, conj_dim)
+    return LegendreDimensions(affine_dimension(f.domain),
+                              _sum_with_cone_dim(f, _collapsed_pieces(f)))

@@ -199,16 +199,15 @@ class TransformResult:
     """Evaluator for a transform value v(w), with provenance.
 
     provenance: "contour", "residue", or "area-oracle".  domain: where
-    the evaluator is defined (checked; out-of-domain w raises).  When
-    the underlying datum's residue sum is known to equal v (true for
-    every transform built here), residue_terms carries it and powers
-    the overflow-safe log_abs.
+    the evaluator is defined (checked; out-of-domain w raises).
+    residue_terms are the terms of the datum whose residue sum equals v;
+    they power the overflow-safe log_abs.
     """
 
     provenance: str
     domain: str
     full_eval: Callable[[complex], tuple[complex, float]]
-    residue_terms: Optional[tuple] = None
+    residue_terms: tuple
     member: Optional[Callable[[complex], bool]] = None
     diagnostics: Optional[Callable] = None
 
@@ -224,13 +223,8 @@ class TransformResult:
         return self.member(complex(w))
 
     def log_abs(self, w: complex) -> float:
-        """log|v(w)| without overflow, via the residue form when known."""
-        w = complex(w)
-        if self.residue_terms is not None:
-            return _residue_log_abs(self.residue_terms, w)
-        v, _ = self.full_eval(w)
-        av = abs(v)
-        return math.log(av) if av > 0 else -math.inf
+        """log|v(w)| without overflow, via the residue form."""
+        return _residue_log_abs(self.residue_terms, complex(w))
 
 
 def residue_transform(u: MeromorphicDatum) -> TransformResult:
@@ -322,16 +316,6 @@ class MerilTrace:
     error: float
 
 
-def default_radius_schedule(u: MeromorphicDatum, S_eps,
-                            eps: float) -> tuple[float, ...]:
-    """Geometric ladder: R0 = 2(max pole modulus + eps + 1), ratio 1.5,
-    40 steps, bumped when the thickened boundary's corners need more
-    room."""
-    r0 = 2.0 * (u.max_pole_modulus + eps + 1.0)
-    r0 = max(r0, 1.5 * (open_boundary_extent(S_eps) + 1.0))
-    return tuple(r0 * 1.5 ** k for k in range(40))
-
-
 def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
                     eps_prime: float,
                     radius_schedule=None,
@@ -360,7 +344,11 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
     shift = eps_prime * bisector(dual)
     S_eps = thicken(S, eps)
     if radius_schedule is None:
-        radius_schedule = default_radius_schedule(u, S_eps, eps)
+        # Geometric, ratio 1.5, 40 steps from 2(max |pole| + eps + 1),
+        # bumped when the thickened boundary's corners need more room.
+        r0 = max(2.0 * (u.max_pole_modulus + eps + 1.0),
+                 1.5 * (open_boundary_extent(S_eps) + 1.0))
+        radius_schedule = tuple(r0 * 1.5 ** k for k in range(40))
     radii = tuple(float(R) for R in radius_schedule)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("the radius schedule must be strictly increasing")

@@ -103,6 +103,39 @@ def test_schema_violations_carry_json_path():
                "pieces": []})
 
 
+@pytest.mark.parametrize("doc, message", [
+    (dict(MINIMAL_POLYA, terms=[{"pole": [0.3, 0.0, 1.0]}]),
+     "$.terms[0].pole: expected a [re, im] pair"),
+    (dict(MINIMAL_POLYA, terms=[{"pole": [0.3, "0"]}]),
+     "$.terms[0].pole[1]: expected a number"),
+    (dict(MINIMAL_POLYA, set={"type": "body", "vertices": {}}),
+     "$.set.vertices: expected an array"),
+    ({"kind": "meril", "terms": [],
+      "set": {"type": "region",
+              "halfplanes": [[0.0, 1.0, 1.0], [1.0, 0.0]]}},
+     "$.set.halfplanes[1]: expected [nx, ny, c]"),
+    ({"kind": "meril", "terms": [],
+      "set": {"type": "region", "halfplanes": [[0.0, 1.0, None]]}},
+     "$.set.halfplanes[0][2]: expected a number"),
+    ({"kind": "legendre", "set": MINIMAL_POLYA["set"],
+      "pieces": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]},
+     "$.pieces[1]: expected [b_re, b_im, c]"),
+    ({"kind": "legendre", "set": MINIMAL_POLYA["set"],
+      "pieces": [[1.0, 1e999, 0.0]]},
+     "$.pieces[0][1]: expected a finite number"),
+    (dict(MINIMAL_POLYA, growth={"eps_ladder": 0.5}),
+     "$.growth.eps_ladder: expected an array"),
+    (dict(MINIMAL_POLYA, growth={"eps_ladder": [0.5, True]}),
+     "$.growth.eps_ladder[1]: expected a number"),
+    (dict(MINIMAL_POLYA, growth={"radii": [1.0, 3.0, "10"]}),
+     "$.growth.radii[2]: expected a number"),
+])
+def test_number_lists_name_the_failing_entry(doc, message):
+    with pytest.raises(ScenarioError) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
 def test_quick_polya_run_passes(tmp_path):
     sc = parse(QUICK_POLYA)
     status = run_scenario(sc, out_dir=tmp_path)

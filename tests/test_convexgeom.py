@@ -239,6 +239,54 @@ def test_asymptotic_cone_of_halfstrip_is_ray():
     assert cone.axis == pytest.approx(0.0, abs=1e-12)
 
 
+# One region per shape of its core Polygon, with the asymptotic cone the
+# angular-description path gave for it, field for field.
+_CONE_SHAPES = {
+    "bounded": ([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)],
+                ("zero", 0.0, 0.0)),
+    "ray": ([(1, 1, 0), (-1, -1, 0), (1, -1, 0)],
+            ("sector", 2.356194490192345, 0.0)),
+    "sector": ([(math.cos(2.0), math.sin(2.0), 0.2),
+                (math.cos(-1.9), math.sin(-1.9), 0.1)],
+               ("sector", 0.050000000000000044, 0.37920367320510334)),
+    # Edge normals 1e-13 short of antiparallel: the exit-to-entry turn
+    # reads 2 pi minus rounding, which is one ray.
+    "rounded-ray": ([(math.cos(0.3), math.sin(0.3), 0.0),
+                     (math.cos(0.3 + math.pi + 1e-13),
+                      math.sin(0.3 + math.pi + 1e-13), 0.0),
+                     (math.cos(2.3), math.sin(2.3), 0.5)],
+                    ("sector", -1.270796326794797, 0.0)),
+    "half-plane": ([(0.6, 0.8, 1.0)],
+                   ("sector", -2.214297435588181, 1.5707963267948966)),
+    "slab": ([(0.6, 0.8, 1.0), (-0.6, -0.8, 0.5)],
+             ("line", -0.6435011087932844, 0.0)),
+    "line": ([(0.6, 0.8, 0.25), (-0.6, -0.8, -0.25)],
+             ("line", -0.6435011087932844, 0.0)),
+    "plane": ([], ("plane", 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_CONE_SHAPES))
+def test_asymptotic_cone_pinned_on_every_polygon_shape(shape):
+    halfplanes, (kind, axis, half_width) = _CONE_SHAPES[shape]
+    cone = asymptotic_cone(ConvexRegion(halfplanes))
+    assert cone.kind == kind
+    assert cone.axis == axis
+    assert cone.half_width == half_width
+
+
+def test_halfplane_rounded_past_a_right_angle_has_a_ray_polar():
+    # The core's half-width reads pi/2 + 2.2e-16; the polar is the ray
+    # along the conjugate of the normal, not a ConeError.
+    nx, ny = 0.9536244523743874, 0.3009990096888189
+    cone = asymptotic_cone(ConvexRegion([(nx, ny, 0.0)]))
+    assert cone.half_width == 0.5 * math.pi
+    pol = polar_cone(cone)
+    assert pol.kind == "sector" and pol.half_width == 0.0
+    assert pol.axis == pytest.approx(math.atan2(-ny, nx), abs=1e-15)
+    assert affine_dimension(pol) == 1
+
+
 def test_polar_of_positive_ray_is_left_halfplane():
     ray = Cone("sector", 0.0, 0.0)
     pol = polar_cone(ray)

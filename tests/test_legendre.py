@@ -6,6 +6,7 @@ forms quoted in comments were derived by hand from the separable
 structure of the test functions.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from convlap.convexgeom import (
     Cone,
     ConvexBody,
     ConvexRegion,
+    affine_dimension,
     asymptotic_cone,
     bisector,
     polar_cone,
@@ -387,6 +389,73 @@ def test_dimensions_single_piece_on_thick_sector():
     dims = legendre_dimensions(f)
     assert (dims.domain_hull, dims.conjugate_hull) == (2, 2)
     assert dims.complement_trivial
+
+
+def test_dimensions_on_a_halfplane_rounded_past_a_right_angle():
+    # Its cone's half-width reads pi/2 + 2.2e-16: the conjugate domain
+    # is a shifted ray, not a ConeError.
+    region = ConvexRegion([(0.9536244523743874, 0.3009990096888189, 0.0)])
+    for pieces in ([], [(0.5 - 1j, 0.25)]):
+        f = PLConvexFunction(pieces, region)
+        dims = legendre_dimensions(f)
+        assert (dims.domain_hull, dims.conjugate_hull) == (2, 1)
+        form = symbolic_conjugate(f)
+        assert form.domain_cone.kind == "sector"
+        assert form.domain_cone.half_width == 0.0
+
+
+def _random_domain(rng, kind):
+    """An un-rounded domain: a polygon, a point, a sector, a half-plane,
+    a slab or line, a slab or line cut across one end, or the plane."""
+    a = rng.uniform(-math.pi, math.pi)
+    n = (math.cos(a), math.sin(a))
+    c = rng.uniform(-1, 1)
+    width = rng.choice([0.0, rng.uniform(0.1, 1.0)])
+    if kind == 0:
+        k = int(rng.integers(3, 7))
+        z0 = complex(*rng.uniform(-1, 1, 2))
+        return ConvexBody([z0 + cmath.exp(1j * (a + 2 * math.pi * t / k))
+                           for t in np.arange(k) + rng.uniform(-0.3, 0.3, k)])
+    if kind == 1:
+        return ConvexBody([complex(*rng.uniform(-1, 1, 2))])
+    if kind == 2:
+        return sector(complex(*rng.uniform(-1, 1, 2)), a,
+                      rng.uniform(0.05, 1.5))
+    if kind == 3:
+        return ConvexRegion([(*n, c)])
+    slab = [(*n, c + width), (-n[0], -n[1], width - c)]
+    if kind == 4:
+        return ConvexRegion(slab)
+    if kind == 5:
+        b = a + 0.5 * math.pi + rng.uniform(-1.2, 1.2)
+        return ConvexRegion(slab + [(math.cos(b), math.sin(b),
+                                     rng.uniform(-1, 1))])
+    return PLANE
+
+
+def test_dimensions_match_the_conjugate_domain():
+    # The reference is the dimension of the whole conjugate's domain.
+    # Some gradient sets are collinear, along a random direction or
+    # along or across the domain's first boundary line.
+    rng = np.random.default_rng(14)
+    for i in range(700):
+        domain = _random_domain(rng, i % 7)
+        k = int(rng.integers(2, 6))
+        mode = i // 7 % 3
+        if mode == 0:
+            pieces = [(complex(*rng.normal(0.0, 1.5, 2)), float(rng.normal()))
+                      for _ in range(k)]
+        else:
+            d = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            if mode == 2 and getattr(domain, "halfplanes", ()):
+                nx, ny, _ = domain.halfplanes[0]
+                d = complex(ny, nx) * rng.choice([1.0, 1j])
+            b0 = complex(*rng.normal(0.0, 1.5, 2))
+            pieces = [(b0 + float(t) * d, float(rng.normal()))
+                      for t in rng.normal(0.0, 1.0, k)]
+        f = PLConvexFunction(pieces, domain)
+        assert (legendre_dimensions(f).conjugate_hull
+                == affine_dimension(conjugate(f).domain)), f
 
 
 # ---- validation ----
