@@ -73,7 +73,6 @@ __all__ = [
     "open_boundary_extent",
     "circle_hit",
     "integrate",
-    "winding_number",
 ]
 
 # Gauss-Kronrod (7, 15) on [-1, 1] (QUADPACK's qk15): the nonnegative
@@ -264,29 +263,24 @@ def circle_hit(base: complex, direction: complex, R: float) -> float:
     return t
 
 
-def region_boundary_contour(s, truncation: float | None = None,
-                            with_closing_arc: bool = False):
+def region_boundary_contour(s, truncation: float | None = None):
     """Positively oriented boundary of a thickened convex set.
 
     Bounded sets give a closed contour (truncation is ignored).  An
     unbounded region needs a truncation radius R enclosing every corner;
-    the chain then starts and ends on C(0,R).  With with_closing_arc the
-    arc of C(0,R) closing the truncated region (from the chain's exit
-    back to its entry, counterclockwise) is returned as a second value.
+    the chain then starts and ends on C(0,R).
     """
     if not isinstance(s, (ConvexBody, ConvexRegion)):
         raise TypeError(f"unsupported set type {type(s).__name__}")
     if isinstance(s, ConvexBody) or region_is_bounded(s):
         walk = boundary_walk(s)  # no facet only for a one-vertex body
         if walk.normals:  # the last facet's normal comes before corner 0
-            out = OrientedContour(_offset_pieces(
+            return OrientedContour(_offset_pieces(
                 walk.normals[-1:] + walk.normals, walk.corners, s.rounding,
                 closed=True))
-        elif s.rounding <= 0.0:
+        if s.rounding <= 0.0:
             raise ValueError("a single point has no boundary contour")
-        else:
-            out = circle_contour(walk.corners[0], s.rounding)
-        return (out, None) if with_closing_arc else out
+        return circle_contour(walk.corners[0], s.rounding)
     if truncation is None:
         raise ValueError("an unbounded region needs a truncation radius")
     R = float(truncation)
@@ -294,18 +288,10 @@ def region_boundary_contour(s, truncation: float | None = None,
     if _chain_extent(mid, b_in, b_out) >= R * (1.0 - 1e-9):
         raise ValueError("truncation circle must enclose every corner: "
                          "increase R")
-    t_in = circle_hit(b_in, d_in, R)
-    t_out = circle_hit(b_out, d_out, R)
-    entry = b_in + t_in * d_in
-    exit_ = b_out + t_out * d_out
-    pieces = [Segment(entry, b_in)] + mid + [Segment(b_out, exit_)]
-    out = OrientedContour(pieces)
-    if not with_closing_arc:
-        return out
-    a0 = math.atan2(exit_.imag, exit_.real)
-    a1 = math.atan2(entry.imag, entry.real)
-    sweep = (a1 - a0) % (2 * math.pi)
-    return out, Arc(0j, R, a0, a0 + sweep)
+    entry = b_in + circle_hit(b_in, d_in, R) * d_in
+    exit_ = b_out + circle_hit(b_out, d_out, R) * d_out
+    return OrientedContour([Segment(entry, b_in)] + mid
+                           + [Segment(b_out, exit_)])
 
 
 # ---- quadrature ----
@@ -467,9 +453,13 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     other than a full circle is bisected as in QUADPACK, each half taking
     half its share, up to _MAX_SPLITS deep; else QuadratureError is
     raised.  The estimate is the sum over the pieces of gap + floor, plus
-    the dropped Taylor terms' bound on circles.
+    the dropped Taylor terms' bound on circles.  A w that is not finite
+    raises ValueError.
     """
-    return _integrate(c.pieces, g, abs_tol, complex(w), _MAX_SPLITS)
+    w = complex(w)
+    if not cmath.isfinite(w):
+        raise ValueError(f"w must be finite, not {w}")
+    return _integrate(c.pieces, g, abs_tol, w, _MAX_SPLITS)
 
 
 def _integrate(pieces, g, abs_tol: float, w: complex,
@@ -527,10 +517,3 @@ def _integrate(pieces, g, abs_tol: float, w: complex,
         err += gap + floor + extra
     return IntegralResult(value, err)
 
-
-def winding_number(c: OrientedContour, a: complex,
-                   abs_tol: float = 1e-10) -> float:
-    """(1/2 pi i) times the integral of dz/(z - a)."""
-    a = complex(a)
-    res = integrate(c, lambda z: 1.0 / (z - a), abs_tol)
-    return (res.value / (2j * math.pi)).real

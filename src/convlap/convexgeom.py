@@ -160,7 +160,8 @@ class Cone:
             raise ConeError("sector half-width must lie in [0, pi/2]")
         object.__setattr__(self, "half_width", min(hw, 0.5 * math.pi))
 
-    def contains(self, z: complex, tol: float = 1e-9) -> bool:
+    def contains(self, z: complex) -> bool:
+        """Membership up to an angle of 1e-9."""
         z = complex(z)
         if abs(z) == 0.0:
             return True
@@ -171,8 +172,8 @@ class Cone:
         theta = math.atan2(z.imag, z.real)
         if self.kind == "line":
             d = ang_dist(theta, self.axis)
-            return d <= tol or d >= math.pi - tol
-        return ang_dist(theta, self.axis) <= self.half_width + tol
+            return d <= 1e-9 or d >= math.pi - 1e-9
+        return ang_dist(theta, self.axis) <= self.half_width + 1e-9
 
     def strictly_contains(self, z: complex, margin: float = 0.0) -> bool:
         """Interior membership with a Euclidean clearance from the
@@ -303,10 +304,6 @@ def signed_distance(s, z: complex) -> float:
     if isinstance(s, ConvexRegion):
         return _region_core_signed(s, z) - s.rounding
     raise TypeError(f"unsupported set type {type(s).__name__}")
-
-
-def contains(s, z: complex, tol: float = 1e-9) -> bool:
-    return signed_distance(s, z) <= tol
 
 
 # ---- cones ----

@@ -89,14 +89,11 @@ def cutoff_eval(p: CutoffProfile, z: complex) -> float:
 
 @dataclass(frozen=True)
 class AreaResult:
+    """The fine pass's value, its error estimate and its node count."""
+
     value: complex
     error: float
-    resolution: int
     nodes: int
-    within_tolerance: bool | None
-
-    def __complex__(self) -> complex:
-        return self.value
 
 
 @lru_cache(maxsize=None)
@@ -177,17 +174,16 @@ def _band_nodes(p: CutoffProfile, grid: int):
 
 
 def area_laplace(u: MeromorphicDatum, p: CutoffProfile, w: complex,
-                 grid: int = 512,
-                 tolerance: float | None = None) -> AreaResult:
+                 grid: int = 512) -> AreaResult:
     """Integrate e^{zw} * u * dbar(psi) over the cutoff band.
 
     The value is the fine pass of _band_nodes (3-4k nodes at grid 512),
     whose rule is built once per profile and grid (the last 16 kept).
     The error estimate is its gap to the coarse pass, a true half in both
-    directions, plus 16 eps times the sum of the fine pass's |terms|.
-    When a tolerance is given, within_tolerance reports whether the
-    estimate met it.  The named OverflowError is raised before any
-    quadrature when e^{zw} leaves the float range on the band.
+    directions, plus 16 eps times the sum of the fine pass's |terms|;
+    the caller compares it with its own tolerance.  The named
+    OverflowError is raised before any quadrature when e^{zw} leaves the
+    float range on the band.
     """
     if not isinstance(p, CutoffProfile):
         raise TypeError("p must be a CutoffProfile")
@@ -213,6 +209,4 @@ def area_laplace(u: MeromorphicDatum, p: CutoffProfile, w: complex,
     fine = complex(terms.sum())
     coarse = complex(np.sum(np.exp(z_c * w) * u(z_c) * weights_c))
     err = abs(fine - coarse) + 16.0 * _EPS * float(np.abs(terms).sum())
-    ok = None if tolerance is None else bool(err <= tolerance)
-    return AreaResult(value=fine, error=err, resolution=grid, nodes=z.size,
-                      within_tolerance=ok)
+    return AreaResult(value=fine, error=err, nodes=z.size)

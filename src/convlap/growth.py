@@ -46,7 +46,7 @@ SUP_GROWTH_FACTOR = 1.05
 class GrowthSample:
     """One evaluation of the growth functional.
 
-    ratio is |v(w)| e^{-h(w)-eps*norm(w)}; log_ratio is its logarithm,
+    ratio is |v(w)| e^{-h(w)-eps*|w|}; log_ratio is its logarithm,
     kept separately because the linear value may overflow to inf.
     """
 
@@ -99,8 +99,8 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 @lru_cache(maxsize=1)
-def _sample(v, h, ladder: tuple[float, ...], rays: int, norm) -> tuple:
-    """Per radius, (w, h(w), log|v(w)|, ray index, norm(w)) at the ray
+def _sample(v, h, ladder: tuple[float, ...], rays: int) -> tuple:
+    """Per radius, (w, h(w), log|v(w)|, ray index, |w|) at the ray
     points in v's domain: kept for the next eps (holding v and h keeps
     their ids from being reused)."""
     directions = [complex(math.cos(2 * math.pi * k / rays),
@@ -109,7 +109,7 @@ def _sample(v, h, ladder: tuple[float, ...], rays: int, norm) -> tuple:
     out = []
     for radius in ladder:
         ws = [(k, radius * d) for k, d in enumerate(directions)]
-        out.append(tuple((w, float(h(w)), v.log_abs(w), k, norm(w))
+        out.append(tuple((w, float(h(w)), v.log_abs(w), k, abs(w))
                          for k, w in ws if v.domain_contains(w)))
         if not out[-1]:
             raise ValueError(
@@ -119,17 +119,17 @@ def _sample(v, h, ladder: tuple[float, ...], rays: int, norm) -> tuple:
 
 
 def growth_ratio_sup(v, h: Callable[[complex], float], eps: float,
-                     radii: Sequence[float] | None = None, rays: int = 64,
-                     norm: Callable[[complex], float] = abs) -> GrowthReport:
-    """Sample the growth functional of v on rays x radii and judge it.
+                     radii: Sequence[float] | None = None,
+                     rays: int = 64) -> GrowthReport:
+    """Sample |v(w)| e^{-h(w) - eps*|w|} on rays x radii and judge it.
 
     v needs log_abs(w) and domain_contains(w); sampling skips points
-    outside the domain.  v, h and norm key the cached lattice (_sample),
-    so they must be hashable and pure.  Verdict "bounded" means the per-radius sups
-    stop increasing (within SUP_GROWTH_FACTOR) after the first quartile
-    of the ladder; "unbounded" means the log sup grows linearly in the
-    radius with fitted slope above eps/2; anything else is
-    "inconclusive".
+    outside the domain.  v and h key the cached lattice (_sample), so
+    they must be hashable and pure.  Verdict "bounded" means the
+    per-radius sups stop increasing (within SUP_GROWTH_FACTOR) after the
+    first quartile of the ladder; "unbounded" means the log sup grows
+    linearly in the radius with fitted slope above eps/2; anything else
+    is "inconclusive".
     """
     if eps <= 0 or not math.isfinite(eps):
         raise ValueError("eps must be a positive finite real")
@@ -143,7 +143,7 @@ def growth_ratio_sup(v, h: Callable[[complex], float], eps: float,
 
     samples: list[GrowthSample] = []
     log_sups: list[float] = []
-    for radius, points in zip(ladder, _sample(v, h, ladder, rays, norm)):
+    for radius, points in zip(ladder, _sample(v, h, ladder, rays)):
         best = -math.inf
         for w, hw, log_v, k, nw in points:
             log_ratio = log_v - hw - eps * nw
@@ -217,9 +217,9 @@ def exp_class_verdict(reports: Sequence[GrowthReport]) -> ExpClassVerdict:
 
 def classify_growth(v, h: Callable[[complex], float],
                     eps_ladder: Sequence[float] = DEFAULT_EPS_LADDER,
-                    radii: Sequence[float] | None = None, rays: int = 64,
-                    norm: Callable[[complex], float] = abs) -> ExpClassVerdict:
+                    radii: Sequence[float] | None = None,
+                    rays: int = 64) -> ExpClassVerdict:
     """Run growth_ratio_sup across an eps ladder and aggregate."""
-    reports = [growth_ratio_sup(v, h, eps, radii=radii, rays=rays, norm=norm)
+    reports = [growth_ratio_sup(v, h, eps, radii=radii, rays=rays)
                for eps in eps_ladder]
     return exp_class_verdict(reports)

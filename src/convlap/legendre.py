@@ -74,9 +74,9 @@ class PLConvexFunction:
         object.__setattr__(self, "pieces", ps)
         object.__setattr__(self, "domain", domain)
 
-    def value(self, z: complex, tol: float = 1e-9) -> float:
+    def value(self, z: complex) -> float:
         z = complex(z)
-        if signed_distance(self.domain, z) > tol:
+        if signed_distance(self.domain, z) > 1e-9:
             return math.inf
         if not self.pieces:
             return 0.0
@@ -166,8 +166,8 @@ class ConjugateForm:
         return support_function(self.base, complex(w) - self.shift) \
             + self.offset
 
-    def domain_contains(self, w: complex, tol: float = 1e-9) -> bool:
-        return self.domain_cone.contains(complex(w) - self.shift, tol)
+    def domain_contains(self, w: complex) -> bool:
+        return self.domain_cone.contains(complex(w) - self.shift)
 
     def domain_interior_contains(self, w: complex,
                                  margin: float = 0.0) -> bool:

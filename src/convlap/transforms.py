@@ -26,13 +26,14 @@ n-node sums plus the roundoff floor 16 eps e^M sum |u(z_k) w_k| and the
 dropped Taylor terms' bound; at 4096 nodes a gap above both the target
 and that floor raises QuadratureError.
 
-Meril integrates the unscaled e^{z*w} u(z) with the same loop up to the
-first radius of a geometric ladder where the closed-form tail of both
-boundary rays (``ray_tail_bound``) is at most tolerance/1000.  Pieces
-and rules do not depend on w and ``integrate`` caches u at their nodes
-by value, so each w costs one exp per rule level.  A kernel peak (max
-Re(c*w) over the boundary walk's corners c, plus eps*|w|) beyond
-log(float max) raises the named OverflowError before any quadrature.
+Meril integrates the unscaled e^{z*w} u(z) with the same loop, to
+MERIL_ABS_TOL per contour, up to the first radius of a geometric ladder
+where the closed-form tail of both boundary rays (``ray_tail_bound``) is
+at most MERIL_TAIL_TOL.  Pieces and rules do not depend on w and
+``integrate`` caches u at their nodes by value, so each w costs one exp
+per rule level.  A kernel peak (max Re(c*w) over the boundary walk's
+corners c, plus eps*|w|) beyond log(float max) raises the named
+OverflowError before any quadrature.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ TWO_PI = 2.0 * math.pi
 POLYA_CLEARANCE = 0.1
 # Largest x with e^x finite in double precision.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+MERIL_ABS_TOL = 1e-11  # Meril's quadrature target per contour
+MERIL_TAIL_TOL = 1e-3 * 1e-9  # its ray tail cut-off, 1.0000000000000002e-12
 
 
 def _overflow(w: complex, exponent: float) -> OverflowError:
@@ -198,14 +201,13 @@ def _residue_log_abs(terms, w: complex) -> float:
 class TransformResult:
     """Evaluator for a transform value v(w), with provenance.
 
-    provenance: "contour", "residue", or "area-oracle".  domain: where
-    the evaluator is defined (checked; out-of-domain w raises).
+    provenance: "contour" or "residue".  member, when given, tells
+    whether w lies in the evaluator's domain (out-of-domain w raises).
     residue_terms are the terms of the datum whose residue sum equals v;
     they power the overflow-safe log_abs.
     """
 
     provenance: str
-    domain: str
     full_eval: Callable[[complex], tuple[complex, float]]
     residue_terms: tuple
     member: Optional[Callable[[complex], bool]] = None
@@ -233,7 +235,7 @@ def residue_transform(u: MeromorphicDatum) -> TransformResult:
     def full(w: complex) -> tuple[complex, float]:
         return residue_oracle(u, w), 0.0
 
-    return TransformResult("residue", "entire plane", full, u.terms)
+    return TransformResult("residue", full, u.terms)
 
 
 def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
@@ -268,7 +270,7 @@ def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
         res = integrate(circle, u, abs_tol * math.exp(M), w=w)
         return res.value, res.error
 
-    return TransformResult("contour", "entire plane", full, u.terms)
+    return TransformResult("contour", full, u.terms)
 
 
 def _ray_sup(u: MeromorphicDatum, base: complex, direction: complex,
@@ -311,19 +313,16 @@ class MerilTrace:
     values: tuple[complex, ...]
     gaps: tuple[float, ...]
     bounds: tuple[float, ...]
-    converged: bool
     value: complex
     error: float
 
 
 def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
                     eps_prime: float,
-                    radius_schedule=None,
-                    tolerance: float = 1e-9,
-                    abs_tol: float = 1e-11) -> TransformResult:
+                    radius_schedule=None) -> TransformResult:
     """v(w) over the positively oriented boundary of the thickening S_eps.
 
-    Truncated where the closed-form tail is at most tolerance/1000 (see
+    Truncated where the closed-form tail is at most MERIL_TAIL_TOL (see
     the module docstring), which the error estimate adds to the quadrature
     estimate; ConvergenceError carries the value and tail at the last
     radius when no radius meets that.  w must lie in the open dual cone
@@ -379,17 +378,17 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         # ray_tail_bound of both rays beyond each radius.
         tail = sum(np.exp((z * w).real) * sup / -(d * w).real
                    for z, d, sup in tails)
-        met = np.flatnonzero(tail <= 1e-3 * tolerance)
+        met = np.flatnonzero(tail <= MERIL_TAIL_TOL)
         stop = int(met[0]) if met.size else len(radii) - 1
         (z_in, _, _), (z_out, _, _) = tails
         rungs.extend((OrientedContour([Segment(z_in[k + 1], z_in[k])]),
                       OrientedContour([Segment(z_out[k], z_out[k + 1])]))
                      for k in range(len(rungs), stop))
 
-        res = integrate(base_contour, u, abs_tol, w=w)
+        res = integrate(base_contour, u, MERIL_ABS_TOL, w=w)
         values, gaps, bounds, err = [res.value], [], [], res.error
         for k, rung in enumerate(rungs[:stop]):
-            parts = [integrate(c, u, abs_tol, w=w) for c in rung]
+            parts = [integrate(c, u, MERIL_ABS_TOL, w=w) for c in rung]
             step = sum(p.value for p in parts)
             step_err = sum(p.error for p in parts)
             values.append(values[-1] + step)
@@ -402,7 +401,7 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
                 f"truncation schedule exhausted; last tail bound "
                 f"{last:.3e}", values[-1], last)
         return MerilTrace(radii[:stop + 1], tuple(values), tuple(gaps),
-                          tuple(bounds), True, values[-1], err + last)
+                          tuple(bounds), values[-1], err + last)
 
     def full(w: complex) -> tuple[complex, float]:
         t = trace(w)
@@ -411,10 +410,7 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
     def member(w: complex) -> bool:
         return dual.strictly_contains(complex(w) - shift, margin=1e-9)
 
-    return TransformResult(
-        "contour",
-        "open dual cone of the region, shifted by eps' * xi0",
-        full, u.terms, member, trace)
+    return TransformResult("contour", full, u.terms, member, trace)
 
 
 def borel_inverse(coefficients) -> MeromorphicDatum:

@@ -21,7 +21,6 @@ from convlap.contour import (
     integrate,
     open_boundary_rays,
     region_boundary_contour,
-    winding_number,
 )
 from convlap.convexgeom import (
     ConvexBody,
@@ -199,6 +198,12 @@ def test_contour_deformation_for_rational_integrand():
     assert abs(r1.value - TWO_PI_I * (1 + 0.5j)) <= 1e-11
 
 
+def winding_number(c, a):
+    """(1/2 pi i) times the integral of dz/(z - a), a off the contour."""
+    res = integrate(c, lambda z: 1.0 / (z - a), 1e-10)
+    return (res.value / (2j * math.pi)).real
+
+
 def test_winding_numbers_of_circle():
     c = circle_contour(0j, 2.0)
     assert winding_number(c, 0j) == pytest.approx(1.0, abs=1e-9)
@@ -209,20 +214,15 @@ def test_winding_numbers_of_circle():
 
 def test_truncated_chain_plus_closing_arc_is_a_positive_loop():
     s = thicken(sector(0j, 0.0, math.pi / 4), 0.3)
-    chain, arc = region_boundary_contour(s, truncation=8.0,
-                                         with_closing_arc=True)
-    loop = OrientedContour(list(chain.pieces) + [arc])
+    chain = region_boundary_contour(s, truncation=8.0)
+    # The arc of C(0, 8) from the chain's exit back to its entry, CCW.
+    a0 = cmath.phase(chain.end)
+    sweep = (cmath.phase(chain.start) - a0) % (2 * math.pi)
+    loop = OrientedContour(list(chain.pieces) + [Arc(0j, 8.0, a0, a0 + sweep)])
     assert loop.closed
     # 3+0j sits inside the truncated thickened sector, -3 outside.
     assert winding_number(loop, 3 + 0j) == pytest.approx(1.0, abs=1e-9)
     assert winding_number(loop, -3 + 0j) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_closing_arc_skipped_for_bounded_sets():
-    c, arc = region_boundary_contour(thicken(SQUARE, 0.1),
-                                     with_closing_arc=True)
-    assert arc is None
-    assert c.closed
 
 
 def test_quadrature_error_carries_partial_value():
@@ -279,6 +279,24 @@ def test_unsettled_piece_is_bisected(monkeypatch):
     monkeypatch.setattr(contour, "_MAX_SPLITS", 0)
     with pytest.raises(QuadratureError, match="not settled at 30720"):
         integrate(OrientedContour([LONG_SEGMENT]), _reciprocal, 1e-11, w=w)
+
+
+def test_quadrature_error_partial_sums_the_pieces_reached(monkeypatch):
+    # Without bisection the long segment raises behind a short one that
+    # settles: the partial value is the short piece's value, at its share
+    # of the tolerance, plus the long piece's sum on its finest rule.
+    monkeypatch.setattr(contour, "_MAX_SPLITS", 0)
+    w = LONG_SEGMENT_W
+    short = Segment(LONG_SEGMENT.start - (1 + 0.5j), LONG_SEGMENT.start)
+    with pytest.raises(QuadratureError, match="not settled at 30720") as exc:
+        integrate(OrientedContour([short, LONG_SEGMENT]), _reciprocal,
+                  1e-11, w=w)
+    share = 1e-11 * (short.length / (short.length + LONG_SEGMENT.length))
+    head = integrate(OrientedContour([short]), _reciprocal, share, w=w)
+    rule = contour._rule(LONG_SEGMENT, contour._LEVELS[False][1])
+    finest = complex(np.exp(rule.nodes * w) * _reciprocal(rule.nodes)
+                     @ rule.weights)
+    assert exc.value.partial == head.value + finest
 
 
 def test_halves_keep_orientation_and_endpoints():

@@ -97,18 +97,6 @@ def test_escapee_fails_membership_at_small_eps():
     assert verdict.monotone
 
 
-def test_norm_scaling_preserves_membership():
-    double = lambda w: 2 * abs(w)
-    member = polya_transform(
-        MeromorphicDatum([(0.3 + 0j, 1, 1.0)]), UNIT_DISK, 2.0)
-    escapee = exp_at(3 + 0j)
-    for v, want in ((member, True), (escapee, False)):
-        plain = classify_growth(v, disk_support)
-        scaled = classify_growth(v, disk_support, norm=double)
-        assert plain.member == want
-        assert scaled.member == want
-
-
 def test_meril_output_sampled_inside_shifted_cone():
     region = sector(0j, 0.0, math.pi / 4)
     u = MeromorphicDatum([(1 + 0j, 1, 1.0)])

