@@ -7,9 +7,10 @@ thickened convex sets leave the set on the left.
 
 Every piece is integrated by one loop over nested rules, vectorised in
 numpy, of e^{z*w} g(z) dz for a caller's w (0 by default).  A level's
-rule, cached per (piece, level), holds nodes, weights and the weights of
-a coarser rule embedded in the same nodes; g at a level's nodes is
-cached with it per (piece, level, g) and read for every w.  A full
+rule holds nodes, weights and the weights of a coarser rule embedded in
+the same nodes.  It is cached with g at its nodes per (piece, level, g)
+and read for every w; a full circle's rule is also cached on its own
+per (piece, level), since every datum on that circle shares it.  A full
 circle takes the periodic trapezoid rule (Trefethen & Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes
 doubling up to 4096, its even-indexed half as the coarse rule; other
@@ -332,49 +333,50 @@ def _gauss_kronrod_panels(level: int):
     panels = 1 << level
     t = ((np.arange(panels)[:, None] + _GK_T) / panels).ravel()
     gauss = np.arange(t.size).reshape(panels, -1)[:, 1::2].ravel()
+    gauss.setflags(write=False)  # every Gauss-Kronrod entry holds it
     return (t, gauss, np.tile(_GK_W / panels, panels),
             np.tile(_G_OVER_K, panels))
 
 
 @lru_cache(maxsize=256)
-def _rule(piece, level: int) -> _Rule:
-    """The piece's rule at a level (see the module docstring), at
-    parameters t in [0, 1]; cached, with read-only arrays."""
-    if _is_full_circle(piece):
-        n = _TRAPEZOID_MIN_NODES << level
-        nodes, dz = piece.point_and_derivative(np.arange(n) / n)
-        weights = dz * (1.0 / n)
-        # Coarse: every other node.  All weights share one modulus.
-        rule = _Rule(nodes, weights, slice(None, None, 2),
-                     2.0 * weights[::2], 16.0 * _EPS * abs(weights[0]))
-    else:
-        t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
-        nodes, dz = piece.point_and_derivative(t)
-        weights = dz * t_weights
-        rule = _Rule(nodes, weights, gauss, weights[gauss] * g_over_k,
-                     16.0 * _EPS * float(np.abs(weights).max()))
-    for a in (x for x in rule if isinstance(x, np.ndarray)):
-        a.flags.writeable = False
+def _rule(piece: Arc, level: int) -> _Rule:
+    """A full circle's read-only trapezoid rule at a level, for every g."""
+    n = _TRAPEZOID_MIN_NODES << level
+    nodes, dz = piece.point_and_derivative(np.arange(n) / n)
+    weights = dz * (1.0 / n)
+    # Coarse: every other node.  All weights share one modulus.
+    rule = _Rule(nodes, weights, slice(None, None, 2), 2.0 * weights[::2],
+                 16.0 * _EPS * abs(weights[0]))
+    for a in (nodes, weights, rule.coarse_weights):
+        a.setflags(write=False)
     return rule
 
 
 @lru_cache(maxsize=256)
 def _level(piece, level: int, g) -> tuple:
-    """The piece's rule at a level and g there, cached with read-only
-    arrays: on a full circle g's trapezoid moments (see the module
-    docstring), F for n and n/2 nodes and sum |g(z_k) w_k|, else g."""
-    rule = _rule(piece, level)
-    values = g(rule.nodes)
-    if not _is_full_circle(piece):
-        values.flags.writeable = False
-        return rule, values
-    h = values * rule.weights
-    ccw = piece.angle1 > piece.angle0
-    fine = np.fft.ifft(h, norm="forward") if ccw else np.fft.fft(h)
-    half = len(h) // 2
-    coarse = fine[:half] + fine[half:]
-    fine.flags.writeable = coarse.flags.writeable = False
-    return rule, (fine, coarse, float(np.abs(h).sum()))
+    """The piece's rule at a level and g there, with read-only arrays: on
+    a full circle its _rule and g's trapezoid moments (see the module
+    docstring), F for n and n/2 nodes and sum |g(z_k) w_k|; else its
+    Gauss-Kronrod rule, built here, and g at the nodes."""
+    if _is_full_circle(piece):
+        rule = _rule(piece, level)
+        h = g(rule.nodes) * rule.weights
+        ccw = piece.angle1 > piece.angle0
+        fine = np.fft.ifft(h, norm="forward") if ccw else np.fft.fft(h)
+        half = len(h) // 2
+        coarse = fine[:half] + fine[half:]
+        fine.flags.writeable = coarse.flags.writeable = False
+        return rule, (fine, coarse, float(np.abs(h).sum()))
+    t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
+    nodes, dz = piece.point_and_derivative(t)
+    weights = dz * t_weights
+    rule = _Rule(nodes, weights, gauss, weights[gauss] * g_over_k,
+                 16.0 * _EPS * float(np.abs(weights).max()))
+    for a in (nodes, weights, rule.coarse_weights):
+        a.setflags(write=False)
+    values = g(nodes)
+    values.setflags(write=False)
+    return rule, values
 
 
 def _scaled_taylor(x: complex, count: int) -> np.ndarray:
@@ -456,10 +458,15 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     the dropped Taylor terms' bound on circles.  A w that is not finite
     raises ValueError.
     """
+    return _integrate(c.pieces, g, abs_tol, _finite_w(w), _MAX_SPLITS)
+
+
+def _finite_w(w) -> complex:
+    """w as a complex; ValueError, naming it, when it is not finite."""
     w = complex(w)
     if not cmath.isfinite(w):
         raise ValueError(f"w must be finite, not {w}")
-    return _integrate(c.pieces, g, abs_tol, w, _MAX_SPLITS)
+    return w
 
 
 def _integrate(pieces, g, abs_tol: float, w: complex,

@@ -51,7 +51,6 @@ class GrowthSample:
     """
 
     w: complex
-    abs_value: float
     support: float
     ratio: float
     log_ratio: float
@@ -148,8 +147,7 @@ def growth_ratio_sup(v, h: Callable[[complex], float], eps: float,
         for w, hw, log_v, k, nw in points:
             log_ratio = log_v - hw - eps * nw
             samples.append(GrowthSample(
-                w=w, abs_value=_lin(log_v), support=hw,
-                ratio=_lin(log_ratio), log_ratio=log_ratio,
+                w=w, support=hw, ratio=_lin(log_ratio), log_ratio=log_ratio,
                 ray_index=k, radius=radius))
             if log_ratio > best:
                 best = log_ratio

@@ -13,6 +13,7 @@ queries (``TransformResult.log_abs``) go through the residue form in a
 log-sum-exp style.  Where the value itself would overflow a float
 (M, or Re(a*w) for the residue sum, above log(float max) ~ 709.78) the
 evaluators raise an OverflowError that names |w| and points to log_abs.
+Evaluators, the oracle, log_abs and ray_tail_bound reject a non-finite w.
 
 Polya integrates over the full circle C(c, r), c = 0 unless the caller
 centres it on the body, in the moment form of ``contour.integrate``: the
@@ -51,6 +52,7 @@ import numpy as np
 from .contour import (
     OrientedContour,
     Segment,
+    _finite_w,
     circle_contour,
     circle_hit,
     integrate,
@@ -137,7 +139,8 @@ class MeromorphicDatum:
         """u(z): a complex for a number, an array for a numpy array."""
         if isinstance(z, np.ndarray):
             z = z.astype(complex, copy=False)
-            acc = np.zeros_like(z)
+            # 0j + the first term: the bits of zeros_like(z) + it, unfilled.
+            acc = 0j if self.terms else np.zeros_like(z)
         else:
             z = complex(z)
             acc = 0j
@@ -155,9 +158,10 @@ def residue_oracle(u: MeromorphicDatum, w: complex) -> complex:
 
     Each term c*(z-a)^{-m} contributes 2 pi i * c * w^{m-1} e^{a*w}/(m-1)!.
     Terms are accumulated in declaration order.  Raises OverflowError
-    when some Re(a*w) is beyond the float range of e^x.
+    when some Re(a*w) is beyond the float range of e^x, and ValueError
+    when w is not finite.
     """
-    w = complex(w)
+    w = _finite_w(w)
     acc = 0j
     try:
         for a, m, c in u.terms:
@@ -170,7 +174,6 @@ def residue_oracle(u: MeromorphicDatum, w: complex) -> complex:
 
 def _residue_log_abs(terms, w: complex) -> float:
     """log of the residue sum's magnitude, safe for huge |w|."""
-    w = complex(w)
     if not terms:
         return -math.inf
     if w == 0:
@@ -225,8 +228,9 @@ class TransformResult:
         return self.member(complex(w))
 
     def log_abs(self, w: complex) -> float:
-        """log|v(w)| without overflow, via the residue form."""
-        return _residue_log_abs(self.residue_terms, complex(w))
+        """log|v(w)| without overflow, via the residue form; ValueError
+        when w is not finite."""
+        return _residue_log_abs(self.residue_terms, _finite_w(w))
 
 
 def residue_transform(u: MeromorphicDatum) -> TransformResult:
@@ -265,8 +269,9 @@ def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
 
     def full(w: complex) -> tuple[complex, float]:
         M = (center * w).real + r * abs(w)
-        if M > _LOG_FLOAT_MAX:
-            raise _overflow(w, M)
+        # A w that is not finite makes M inf or nan; _finite_w names it.
+        if not M <= _LOG_FLOAT_MAX:
+            raise _overflow(_finite_w(w), M)
         res = integrate(circle, u, abs_tol * math.exp(M), w=w)
         return res.value, res.error
 
@@ -293,7 +298,7 @@ def ray_tail_bound(u: MeromorphicDatum, base: complex, direction: complex,
     decays; t may be an array, giving one bound per entry."""
     if abs(abs(direction) - 1.0) > 1e-12:
         raise ValueError("the ray direction must be a unit vector")
-    rate = -(direction * w).real
+    rate = -(direction * _finite_w(w)).real
     if not rate > 0.0:
         raise ValueError("e^{z*w} does not decay along the ray")
     t_arr = np.asarray(t, dtype=float)
@@ -367,7 +372,7 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         return region_boundary_contour(S_eps, truncation=radii[0]), tails
 
     def trace(w: complex) -> MerilTrace:
-        w = complex(w)
+        w = _finite_w(w)
         if not dual.strictly_contains(w - shift, margin=1e-9):
             raise ValueError(
                 "w is outside the shifted open dual cone of the region")

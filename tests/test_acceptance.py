@@ -311,7 +311,7 @@ def test_criterion_8_borel_round_trip():
              f"degrees <= 6", time.perf_counter() - t0, 5.0)
 
 
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, same_package_env):
     t0 = time.perf_counter()
     env_cmd = [sys.executable, "-m", "convlap.cli", "run"]
     ref = str(SCENARIO_DIR / "reference_polya.json")

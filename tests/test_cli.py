@@ -404,7 +404,7 @@ def test_seed_changes_only_sampling(tmp_path):
     assert "seed: 1" in r1 and "seed: 2" in r2
 
 
-def test_module_entry_point_imports_cli_once():
+def test_module_entry_point_imports_cli_once(same_package_env):
     # The package loads cli lazily, so running it as a module does not
     # find it already imported (a RuntimeWarning, an error here).
     proc = subprocess.run(

@@ -293,10 +293,46 @@ def test_quadrature_error_partial_sums_the_pieces_reached(monkeypatch):
                   1e-11, w=w)
     share = 1e-11 * (short.length / (short.length + LONG_SEGMENT.length))
     head = integrate(OrientedContour([short]), _reciprocal, share, w=w)
-    rule = contour._rule(LONG_SEGMENT, contour._LEVELS[False][1])
+    rule = contour._level(LONG_SEGMENT, contour._LEVELS[False][1],
+                          _reciprocal)[0]
     finest = complex(np.exp(rule.nodes * w) * _reciprocal(rule.nodes)
                      @ rule.weights)
     assert exc.value.partial == head.value + finest
+
+
+@pytest.mark.parametrize("level", [0, 5, 11])
+def test_segment_entries_hold_the_gauss_kronrod_rule_bitwise(level):
+    # Nodes, weights, coarse weights and floor scale as the segment's
+    # parametrisation and the level's panels give them; Meril's rungs end
+    # at numpy.complex128 points, and the scale stays a Python float.
+    t, gauss, t_weights, g_over_k = contour._gauss_kronrod_panels(level)
+    for seg in (Segment(-0.3 + 0.2j, 0.9 - 0.5j),
+                Segment(np.complex128(31.25 - 7.5j),
+                        np.complex128(-4.0 + 60.125j))):
+        nodes, dz = seg.point_and_derivative(t)
+        weights = dz * t_weights
+        rule, values = contour._level(seg, level, _reciprocal)
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
+        assert rule.coarse.tobytes() == gauss.tobytes()
+        assert rule.coarse_weights.tobytes() == (
+            weights[gauss] * g_over_k).tobytes()
+        assert type(rule.floor_scale) is float
+        assert rule.floor_scale == 16.0 * contour._EPS * float(
+            np.abs(weights).max())
+        assert values.tobytes() == _reciprocal(nodes).tobytes()
+
+
+@pytest.mark.parametrize("piece", [
+    Segment(-0.3 + 0.2j, 0.9 - 0.5j), Arc(0.1 - 0.1j, 0.9, 0.4, 2.9),
+    circle_contour(0.2 + 0.1j, 1.5).pieces[0]],
+    ids=["segment", "arc", "circle"])
+def test_level_entries_are_read_only(piece):
+    rule, data = contour._level(piece, 2, _reciprocal)
+    arrays = [a for a in rule + (data if isinstance(data, tuple) else
+                                 (data,)) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_halves_keep_orientation_and_endpoints():

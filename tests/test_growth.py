@@ -192,7 +192,7 @@ def _per_eps_reference(v, h, eps, radii, rays, fit):
             log_v = v.log_abs(w)
             log_ratio = log_v - hw - eps * abs(w)
             samples.append(GrowthSample(
-                w=w, abs_value=growth._lin(log_v), support=hw,
+                w=w, support=hw,
                 ratio=growth._lin(log_ratio), log_ratio=log_ratio,
                 ray_index=k, radius=radius))
             if log_ratio > best:

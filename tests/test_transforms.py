@@ -263,16 +263,54 @@ def test_meril_double_pole_matches_residue():
 
 def test_non_finite_w_is_rejected_by_name():
     # Polya at inf used to fail in math.ceil with a bare OverflowError, and
-    # Meril at nan to bisect until QuadratureError.
-    polya = polya_transform(MeromorphicDatum([(0.1 + 0j, 1, 1.0)]),
-                            DISK_HALF, 1.0)
+    # Meril at nan to bisect until QuadratureError.  Off-centre Polya at inf
+    # raised OverflowError, Meril at inf named the dual cone, and the
+    # oracle and log_abs returned nan, which a check `gap > err` passes;
+    # ray_tail_bound gave a bound of 0 at w = -inf.
+    u = MeromorphicDatum([(0.1 + 0j, 1, 1.0)])
+    polya = polya_transform(u, DISK_HALF, 1.0)
+    off_centre = polya_transform(u, DISK_HALF, 1.0, center=0.1)
     meril = meril_transform(MeromorphicDatum([(1 + 0j, 1, 1.0)]), SECTOR,
                             0.1, 0.1)
-    for v, w in ((polya, complex("nan")), (polya, complex("inf")),
-                 (polya, complex(0.0, -math.inf)),
-                 (meril, complex("nan"))):
-        with pytest.raises(ValueError, match="w must be finite"):
-            v(w)
+    for f in (polya, off_centre, meril, meril.diagnostics, polya.log_abs,
+              meril.log_abs, lambda w: residue_oracle(u, w),
+              lambda w: ray_tail_bound(u, 2 + 0j, 1 + 0j, 1.0, w)):
+        for w in (complex("inf"), complex("-inf"), complex("nan"),
+                  complex(0.0, math.inf), complex(0.0, -math.inf)):
+            with pytest.raises(ValueError, match="w must be finite"):
+                f(w)
+
+
+def test_meril_traces_are_pinned_bitwise():
+    # (value, error, gaps, bounds) of three traces to the last bit: how a
+    # level's rule and u at its nodes are cached must not move them.
+    u = MeromorphicDatum([(1.2 + 0.3j, 1, 0.5 - 1j), (2 - 0.4j, 2, 0.75j)])
+    v = meril_transform(u, SECTOR, 0.1, 0.1)
+    pinned = {
+        -0.7 + 0j: (
+            3.717414635920012 + 0.9858112295335992j, 7.953760108967537e-13,
+            (0.012694952487998713, 0.002562121279529716,
+             0.00021356493971748096, 4.076951466520753e-06,
+             1.1403642825067182e-08, 2.536037050246794e-12),
+            (0.04411313211643916, 0.005660091840325141,
+             0.0003453535406725986, 6.711209138610989e-06,
+             2.3011861134391468e-08, 5.7806174241948255e-12)),
+        -2.7631829820086553 + 1.1682550269259515j: (
+            0.0021141640255219435 + 0.16355209904542292j,
+            2.8970940337143035e-13,
+            (6.20449796891551e-05, 1.2221986979056872e-06,
+             4.108306527085844e-09, 9.58512384084516e-13),
+            (0.00022399307166078467, 3.95282755574982e-06,
+             1.2307520173504051e-08, 2.7484008615367086e-12)),
+        -12.380034223645175 - 8.46963710092553j: (
+            2.084353555047914e-05 - 2.361022050235099e-05j,
+            8.467608289351017e-14,
+            (1.8365397016099464e-09, 1.9061783170612618e-13),
+            (1.082929013499244e-08, 1.1117334784268317e-12)),
+    }
+    for w, want in pinned.items():
+        t = v.diagnostics(w)
+        assert (t.value, t.error, t.gaps, t.bounds) == want, w
 
 
 def test_meril_gaps_dominated_by_tail_bound():
@@ -602,6 +640,10 @@ def test_datum_evaluates_arrays_elementwise():
         assert (got.real, got.imag) == (scalar.real, scalar.imag)
         assert [math.copysign(1.0, x) for x in (got.real, got.imag)] == [
             math.copysign(1.0, x) for x in (scalar.real, scalar.imag)]
+    # No terms: still an array, of zeros.
+    empty = MeromorphicDatum([])(z)
+    assert isinstance(empty, np.ndarray) and empty.shape == z.shape
+    assert not empty.any()
     # Equal datums share one hash.
     twin = MeromorphicDatum(list(u.terms))
     assert twin == u and hash(twin) == hash(u)
