@@ -24,12 +24,18 @@ Scenario schema (all lengths are plane coordinates, pairs are [re, im]):
               default 1.25*(max|vertex - mean| + rounding)
     eps       thickening, default 0.1                  (meril)
     eps_prime cone shift, default = eps                (meril)
-    checks    subset of the kind's check vocabulary (defaults per kind)
+    checks    checks to run, in this order, from the kind's vocabulary;
+              default: all of it but meril's growth.  Default tolerances:
+                polya     oracle 1e-9, contour-independence 1e-10, growth
+                meril     oracle 1e-8, tail-dominance,
+                          epsilon-robustness 1e-8, growth
+                legendre  biconjugation 1e-9, fenchel-young 1e-10
+                oracle    growth
     w_grid    {"limit": L, "n": n} oracle grid, default 3.0 / 21
     w_samples [[x,y], ...] explicit oracle points      (meril)
     growth    {"eps_ladder": [...], "rays": n, "radii": [...]}
     samples_count  random sample count for legendre checks, default 100
-    tolerances     {check-name: override}
+    tolerances     {check-name: override}, for checks that have a tolerance
     plot      true to emit plot.svg, default false
 """
 
@@ -83,25 +89,6 @@ class ScenarioError(ValueError):
     """Configuration problem, reported with the JSON path at fault."""
 
 
-_KIND_CHECKS = {
-    "polya": ("oracle", "contour-independence", "growth"),
-    "meril": ("oracle", "tail-dominance", "epsilon-robustness", "growth"),
-    "legendre": ("biconjugation", "fenchel-young"),
-    "oracle": ("growth",),
-}
-_DEFAULT_CHECKS = dict(
-    _KIND_CHECKS, meril=("oracle", "tail-dominance", "epsilon-robustness"))
-_DEFAULT_TOL = {
-    # Quadrature roundoff scales like e^{r|w|} * 1e-16.  The default radius
-    # hugs the body (1.25 times its extent: r|w| <= 5.3 for the unit disk
-    # on the default grid), which leaves room for 1e-9.
-    ("polya", "oracle"): 1e-9,
-    ("meril", "oracle"): 1e-8,
-    ("polya", "contour-independence"): 1e-10,
-    ("meril", "epsilon-robustness"): 1e-8,
-    ("legendre", "biconjugation"): 1e-9,
-    ("legendre", "fenchel-young"): 1e-10,
-}
 _CSV_COLUMNS = ("w_re", "w_im", "v_re", "v_im", "v_err", "h", "ratio",
                 "ray_index", "radius")
 _GROWTH_RADII = tuple(float(r) for r in np.geomspace(1.0, 100.0, 13))
@@ -330,15 +317,18 @@ def parse_scenario(text: str) -> Scenario:
     tolerances = {}
     tol_doc = _as_dict(doc.get("tolerances", {}), "$.tolerances")
     for name, value in tol_doc.items():
+        path = f"$.tolerances.{name}"
         if name not in _KIND_CHECKS[kind]:
-            _fail(f"$.tolerances.{name}", f"no such check for kind {kind!r}")
-        tolerances[name] = _as_real(value, f"$.tolerances.{name}")
+            _fail(path, f"no such check for kind {kind!r}")
+        if _CHECKS[name][1][kind] is None:
+            _fail(path, f"check {name!r} takes no tolerance")
+        tolerances[name] = _as_real(value, path)
         if tolerances[name] <= 0:
-            _fail(f"$.tolerances.{name}", "must be positive")
+            _fail(path, "must be positive")
     for name in checks:
-        key = (kind, name)
-        if name not in tolerances and key in _DEFAULT_TOL:
-            tolerances[name] = _DEFAULT_TOL[key]
+        default = _CHECKS[name][1][kind]
+        if default is not None:
+            tolerances.setdefault(name, default)
 
     grid = _as_dict(doc.get("w_grid", {}), "$.w_grid")
     w_limit = _as_real(grid.get("limit", 3.0), "$.w_grid.limit")
@@ -398,9 +388,9 @@ def parse_scenario(text: str) -> Scenario:
 
 @dataclass
 class _CheckResult:
-    name: str
     passed: bool
     detail: str
+    report: GrowthReport | None = None  # growth: the last eps's report
 
 
 def _square_grid(limit: float, n: int) -> list[complex]:
@@ -445,8 +435,7 @@ def _meril_traces(v):
     return replace(v, full_eval=full, diagnostics=trace)
 
 
-def _check_oracle(sc: Scenario, v, scale: float) -> _CheckResult:
-    tol = sc.tolerances["oracle"] * scale
+def _check_oracle(sc: Scenario, v, rng, tol: float) -> _CheckResult:
     if sc.kind == "meril":
         points = _meril_points(sc)
     else:
@@ -457,14 +446,13 @@ def _check_oracle(sc: Scenario, v, scale: float) -> _CheckResult:
         got = v(w)
         worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
     ok = worst <= tol
-    return _CheckResult("oracle", ok,
-                        f"max scaled deviation {worst:.3e} over "
-                        f"{len(points)} points (tolerance {tol:.1e})")
+    return _CheckResult(ok, f"max scaled deviation {worst:.3e} over "
+                            f"{len(points)} points (tolerance {tol:.1e})")
 
 
-def _check_contour_independence(sc: Scenario, scale: float) -> _CheckResult:
-    tol = sc.tolerances["contour-independence"] * scale
-    vs = [sc.transform] + [
+def _check_contour_independence(sc: Scenario, v, rng,
+                                tol: float) -> _CheckResult:
+    vs = [v] + [
         polya_transform(sc.datum, sc.domain, f * sc.r, sc.center)
         for f in (1.5, 3.0)]
     worst = 0.0
@@ -479,41 +467,36 @@ def _check_contour_independence(sc: Scenario, scale: float) -> _CheckResult:
             worst = max(worst, abs(a - b))
             if excess > 0:
                 ok = False
-    return _CheckResult("contour-independence", ok,
-                        f"radii {sc.r:g}/{1.5 * sc.r:g}/{3 * sc.r:g}, "
-                        f"max pairwise gap {worst:.3e} "
-                        f"(allowance {tol:.1e} + quadrature errors)")
+    return _CheckResult(ok, f"radii {sc.r:g}/{1.5 * sc.r:g}/{3 * sc.r:g}, "
+                            f"max pairwise gap {worst:.3e} "
+                            f"(allowance {tol:.1e} + quadrature errors)")
 
 
-def _growth_reports(sc: Scenario, v) -> list[GrowthReport]:
+def _check_growth(sc: Scenario, v, rng, tol: None) -> _CheckResult:
     h = lambda w: support_function(sc.domain, w)
-    return [growth_ratio_sup(v, h, eps, radii=sc.growth_radii,
-                             rays=sc.growth_rays)
-            for eps in sc.eps_ladder]
-
-
-def _check_growth(sc: Scenario, reports: list[GrowthReport]) -> _CheckResult:
+    reports = [growth_ratio_sup(v, h, eps, radii=sc.growth_radii,
+                                rays=sc.growth_rays)
+               for eps in sc.eps_ladder]
     verdict = exp_class_verdict(reports)
     ladder = ", ".join(f"{e:g}" for e in verdict.epsilons)
     if verdict.member:
-        return _CheckResult("growth", True,
-                            f"member of the exponential class across "
-                            f"eps ladder {ladder}")
+        return _CheckResult(True, f"member of the exponential class across "
+                                  f"eps ladder {ladder}", reports[-1])
     for eps, rep in zip(verdict.epsilons, reports):
         if rep.verdict != "bounded":
             outermost = [s for s in rep.samples if s.radius == rep.radii[-1]]
             ray = max(outermost, key=lambda s: s.log_ratio).ray_index
             angle = 2.0 * math.pi * ray / rep.rays
             return _CheckResult(
-                "growth", False,
-                f"non-member: verdict {rep.verdict} at eps={eps:g}; "
+                False, f"non-member: verdict {rep.verdict} at eps={eps:g}; "
                 f"worst ray {ray} (angle {angle:.3f} rad, "
-                f"growth rate {rep.growth_rate:.3g} per unit radius)")
-    return _CheckResult("growth", False,
-                        f"non-member: eps ladder {ladder} inconsistent")
+                f"growth rate {rep.growth_rate:.3g} per unit radius)",
+                reports[-1])
+    return _CheckResult(False, f"non-member: eps ladder {ladder} inconsistent",
+                        reports[-1])
 
 
-def _check_tail_dominance(sc: Scenario, v) -> _CheckResult:
+def _check_tail_dominance(sc: Scenario, v, rng, tol: None) -> _CheckResult:
     points = _meril_points(sc)
     steps = 0
     for w in points:
@@ -522,16 +505,13 @@ def _check_tail_dominance(sc: Scenario, v) -> _CheckResult:
             steps += 1
             if gap > bound:
                 return _CheckResult(
-                    "tail-dominance", False,
-                    f"gap {gap:.3e} exceeds closed-form tail bound "
+                    False, f"gap {gap:.3e} exceeds closed-form tail bound "
                     f"{bound:.3e} at w={w}")
-    return _CheckResult("tail-dominance", True,
-                        f"all {steps} truncation gaps past the first step "
-                        f"dominated by the closed-form tail bound")
+    return _CheckResult(True, f"all {steps} truncation gaps past the first "
+                              f"step dominated by the closed-form tail bound")
 
 
-def _check_eps_robustness(sc: Scenario, v, scale: float) -> _CheckResult:
-    tol = sc.tolerances["epsilon-robustness"] * scale
+def _check_eps_robustness(sc: Scenario, v, rng, tol: float) -> _CheckResult:
     points = _meril_points(sc)
     half_eps = meril_transform(sc.datum, sc.domain, 0.5 * sc.eps,
                                sc.eps_prime)
@@ -542,9 +522,8 @@ def _check_eps_robustness(sc: Scenario, v, scale: float) -> _CheckResult:
         base = v(w)
         worst = max(worst, abs(base - half_eps(w)), abs(base - half_shift(w)))
     ok = worst <= tol
-    return _CheckResult("epsilon-robustness", ok,
-                        f"max gap {worst:.3e} against eps/2 and eps'/2 "
-                        f"runs (tolerance {tol:.1e})")
+    return _CheckResult(ok, f"max gap {worst:.3e} against eps/2 and eps'/2 "
+                            f"runs (tolerance {tol:.1e})")
 
 
 def _interior_samples(body: ConvexBody, rng, count: int) -> list[complex]:
@@ -560,8 +539,7 @@ def _interior_samples(body: ConvexBody, rng, count: int) -> list[complex]:
     return out
 
 
-def _check_biconjugation(sc: Scenario, rng, scale: float) -> _CheckResult:
-    tol = sc.tolerances["biconjugation"] * scale
+def _check_biconjugation(sc: Scenario, v, rng, tol: float) -> _CheckResult:
     f = sc.pl_function
     f_cc = conjugate(conjugate(f))
     worst = 0.0
@@ -569,13 +547,12 @@ def _check_biconjugation(sc: Scenario, rng, scale: float) -> _CheckResult:
         a, b = f.value(z), f_cc.value(z)
         worst = max(worst, abs(a - b) / (1.0 + abs(a)))
     ok = worst <= tol
-    return _CheckResult("biconjugation", ok,
-                        f"max scaled gap {worst:.3e} on {sc.samples_count} "
-                        f"interior points (tolerance {tol:.1e})")
+    return _CheckResult(ok, f"max scaled gap {worst:.3e} on "
+                            f"{sc.samples_count} interior points "
+                            f"(tolerance {tol:.1e})")
 
 
-def _check_fenchel_young(sc: Scenario, rng, scale: float) -> _CheckResult:
-    tol = sc.tolerances["fenchel-young"] * scale
+def _check_fenchel_young(sc: Scenario, v, rng, tol: float) -> _CheckResult:
     f = sc.pl_function
     zs = _interior_samples(f.domain, rng, sc.samples_count)
     worst = 0.0
@@ -588,9 +565,30 @@ def _check_fenchel_young(sc: Scenario, rng, scale: float) -> _CheckResult:
             worst = max(worst, violation)
             pairs += 1
     ok = worst <= tol
-    return _CheckResult("fenchel-young", ok,
-                        f"max inequality violation {worst:.3e} on {pairs} "
-                        f"pairs (tolerance {tol:.1e})")
+    return _CheckResult(ok, f"max inequality violation {worst:.3e} on "
+                            f"{pairs} pairs (tolerance {tol:.1e})")
+
+
+# Every check: its function, called as check(sc, v, rng, tol), and the
+# kinds that have it, each with the check's default tolerance there (None:
+# the check takes none).  A kind's vocabulary follows this order.
+_CHECKS = {
+    # Quadrature roundoff scales like e^{r|w|} * 1e-16.  The default Polya
+    # radius hugs the body (1.25 times its extent: r|w| <= 5.3 for the unit
+    # disk on the default grid), which leaves room for 1e-9.
+    "oracle": (_check_oracle, {"polya": 1e-9, "meril": 1e-8}),
+    "contour-independence": (_check_contour_independence, {"polya": 1e-10}),
+    "tail-dominance": (_check_tail_dominance, {"meril": None}),
+    "epsilon-robustness": (_check_eps_robustness, {"meril": 1e-8}),
+    "growth": (_check_growth, {"polya": None, "meril": None, "oracle": None}),
+    "biconjugation": (_check_biconjugation, {"legendre": 1e-9}),
+    "fenchel-young": (_check_fenchel_young, {"legendre": 1e-10}),
+}
+_KIND_CHECKS = {kind: tuple(name for name, (_, tols) in _CHECKS.items()
+                            if kind in tols)
+                for kind in ("polya", "meril", "legendre", "oracle")}
+_DEFAULT_CHECKS = dict(_KIND_CHECKS, meril=tuple(
+    name for name in _KIND_CHECKS["meril"] if name != "growth"))
 
 
 # ---- artifact writers ----
@@ -669,39 +667,29 @@ def run_scenario(sc: Scenario, out_dir: str | Path = ".",
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    results: list[_CheckResult] = []
-    growth_report: GrowthReport | None = None
+    results: list[tuple[str, _CheckResult]] = []
     v = _meril_traces(sc.transform) if sc.kind == "meril" else sc.transform
     for name in sc.checks:
         try:
-            if name == "oracle":
-                results.append(_check_oracle(sc, v, tolerance_scale))
-            elif name == "contour-independence":
-                results.append(_check_contour_independence(sc, tolerance_scale))
-            elif name == "growth":
-                reports = _growth_reports(sc, v)
-                growth_report = reports[-1]
-                results.append(_check_growth(sc, reports))
-            elif name == "tail-dominance":
-                results.append(_check_tail_dominance(sc, v))
-            elif name == "epsilon-robustness":
-                results.append(_check_eps_robustness(sc, v, tolerance_scale))
-            elif name == "biconjugation":
-                results.append(_check_biconjugation(sc, rng, tolerance_scale))
-            elif name == "fenchel-young":
-                results.append(_check_fenchel_young(sc, rng, tolerance_scale))
+            tol = sc.tolerances.get(name)
+            if tol is not None:
+                tol *= tolerance_scale
+            results.append((name, _CHECKS[name][0](sc, v, rng, tol)))
         except Exception as exc:  # a crashed check fails; artifacts still land
-            results.append(_CheckResult(name, False, f"check raised {exc!r}"))
+            results.append((name, _CheckResult(False,
+                                               f"check raised {exc!r}")))
+    growth_report = next((r.report for _, r in results
+                          if r.report is not None), None)
 
-    all_pass = all(r.passed for r in results) and bool(results)
+    all_pass = all(r.passed for _, r in results) and bool(results)
     lines = [f"scenario: {sc.label}",
              f"kind: {sc.kind}",
              f"seed: {seed}",
              f"tolerance-scale: {tolerance_scale:g}"]
     if sc.defaults_applied:
         lines.append("defaults applied: " + "; ".join(sc.defaults_applied))
-    for r in results:
-        lines.append(f"check {r.name}: "
+    for name, r in results:
+        lines.append(f"check {name}: "
                      f"{'PASS' if r.passed else 'FAIL'} - {r.detail}")
     lines.append(f"result: {'PASS' if all_pass else 'FAIL'}")
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

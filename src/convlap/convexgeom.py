@@ -177,8 +177,10 @@ class Cone:
 
     def strictly_contains(self, z: complex, margin: float = 0.0) -> bool:
         """Interior membership with a Euclidean clearance from the
-        boundary of at least ``margin``."""
+        boundary of at least ``margin``; False for a non-finite z."""
         z = complex(z)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            return False
         if self.kind == "plane":
             return True
         if self.kind in ("zero", "line"):

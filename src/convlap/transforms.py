@@ -323,8 +323,7 @@ class MerilTrace:
 
 
 def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
-                    eps_prime: float,
-                    radius_schedule=None) -> TransformResult:
+                    eps_prime: float) -> TransformResult:
     """v(w) over the positively oriented boundary of the thickening S_eps.
 
     Truncated where the closed-form tail is at most MERIL_TAIL_TOL (see
@@ -347,15 +346,11 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
     dual = polar_cone(asymptotic_cone(S))
     shift = eps_prime * bisector(dual)
     S_eps = thicken(S, eps)
-    if radius_schedule is None:
-        # Geometric, ratio 1.5, 40 steps from 2(max |pole| + eps + 1),
-        # bumped when the thickened boundary's corners need more room.
-        r0 = max(2.0 * (u.max_pole_modulus + eps + 1.0),
-                 1.5 * (open_boundary_extent(S_eps) + 1.0))
-        radius_schedule = tuple(r0 * 1.5 ** k for k in range(40))
-    radii = tuple(float(R) for R in radius_schedule)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("the radius schedule must be strictly increasing")
+    # Geometric, ratio 1.5, 40 steps from 2(max |pole| + eps + 1), bumped
+    # when the thickened boundary's corners need more room.
+    r0 = max(2.0 * (u.max_pole_modulus + eps + 1.0),
+             1.5 * (open_boundary_extent(S_eps) + 1.0))
+    radii = tuple(r0 * 1.5 ** k for k in range(40))
     rays = open_boundary_rays(S_eps)
     corners = boundary_walk(S_eps).corners
     # Rung k: the ray pieces between radii[k] and radii[k + 1], the entry

@@ -95,6 +95,12 @@ def test_schema_violations_carry_json_path():
         parse(dict(MINIMAL_POLYA, r=-1.0))
     with pytest.raises(ScenarioError, match=r"\$\.tolerances\.oracle"):
         parse(dict(MINIMAL_POLYA, tolerances={"oracle": -1.0}))
+    # A check without a tolerance takes no override.
+    with pytest.raises(ScenarioError, match=r"\$\.tolerances\.growth: .*no"):
+        parse(dict(MINIMAL_POLYA, tolerances={"growth": 1e-3}))
+    with pytest.raises(ScenarioError,
+                       match=r"\$\.tolerances\.tail-dominance: .*no"):
+        parse(dict(REFERENCE_MERIL, tolerances={"tail-dominance": 1e-3}))
     with pytest.raises(ScenarioError, match=r"\$\.growth\.eps_ladder"):
         parse(dict(MINIMAL_POLYA, growth={"eps_ladder": [0.1, 0.5]}))
     with pytest.raises(ScenarioError, match=r"\$\.set"):
@@ -360,6 +366,43 @@ def test_meril_traces_are_evaluated_once_per_run(tmp_path, monkeypatch, doc):
         assert report.count("check raised ValueError('w is outside") == 3
     else:
         assert status == 0
+
+
+QUICK_GROWTH = {"eps_ladder": [0.5, 0.1], "rays": 4, "radii": [1.0, 10.0]}
+
+
+# Each kind's whole vocabulary, listed against the table's order, and the
+# tolerance text each line shows at tolerance_scale=10 (None: the check
+# has no tolerance).
+@pytest.mark.parametrize("doc, expected", [
+    (dict(QUICK_POLYA, growth=QUICK_GROWTH),
+     {"growth": None, "contour-independence": "allowance 1.0e-09",
+      "oracle": "tolerance 1.0e-08"}),
+    (dict(REFERENCE_MERIL, w_samples=[[-2.0, 0.5]], growth=QUICK_GROWTH),
+     {"growth": None, "epsilon-robustness": "tolerance 1.0e-07",
+      "tail-dominance": None, "oracle": "tolerance 1.0e-07"}),
+    (dict(json.loads((SCENARIO_DIR / "reference_legendre.json").read_text()),
+          samples_count=5),
+     {"fenchel-young": "tolerance 1.0e-09",
+      "biconjugation": "tolerance 1.0e-08"}),
+    (dict(json.loads((SCENARIO_DIR / "planted_growth.json").read_text()),
+          growth=QUICK_GROWTH),
+     {"growth": None}),
+])
+def test_every_check_runs_in_document_order_at_its_default_tolerance(
+        tmp_path, doc, expected):
+    sc = parse(dict(doc, checks=list(expected)))
+    assert set(sc.checks) == set(cli._KIND_CHECKS[sc.kind])
+    run_scenario(sc, out_dir=tmp_path, tolerance_scale=10)
+    lines = [line for line in (tmp_path / "report.txt").read_text()
+             .splitlines() if line.startswith("check ")]
+    assert [line.split(":")[0] for line in lines] == [
+        f"check {name}" for name in expected]
+    for line, text in zip(lines, expected.values()):
+        if text is None:
+            assert "tolerance" not in line and "allowance" not in line
+        else:
+            assert text in line, line
 
 
 def test_plot_emitted_when_requested(tmp_path):

@@ -73,3 +73,32 @@ def test_repeated_meril_evaluation_reads_the_cached_datum():
         assert names["transforms.meril.eval"]["count"] == 1
         assert names["contour.integrate"]["count"] >= 1
         assert names[tracing.COUNTED_NAME]["count"] == 0
+
+
+def test_polya_scenario_with_growth_enters_the_traced_layers(tmp_path):
+    # The scenario-mix workload expects these layers to be entered
+    # (CALLED in tracing.py); a refactor that drops one from the runner's
+    # call path would otherwise surface only in a traced benchmark run.
+    import json
+
+    from convlap.cli import parse_scenario, run_scenario
+
+    tracing = _load_tracing()
+    doc = {"kind": "polya",
+           "set": {"type": "body", "vertices": [[0.0, 0.0]], "rounding": 1.0},
+           "terms": [{"pole": [0.3, 0.0], "order": 1}],
+           "checks": ["oracle", "growth"], "w_grid": {"limit": 1.5, "n": 3},
+           "growth": {"eps_ladder": [0.5, 0.1], "rays": 4,
+                      "radii": [1.0, 10.0]}}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        status = run_scenario(parse_scenario(json.dumps(doc)), tmp_path)
+    finally:
+        tracer.remove()
+    assert status == 0
+    names = tracer.summary()["names"]
+    for name in ("cli.parse_scenario", "cli.run_scenario",
+                 "growth.growth_ratio_sup", "transforms.log_abs",
+                 "convexgeom.support_function"):
+        assert names.get(name, {}).get("count", 0) >= 1, name

@@ -352,6 +352,11 @@ def test_meril_domain_enforced():
     with pytest.raises(ValueError, match="dual cone"):
         # On the shifted cone boundary, not strictly inside.
         v(-0.1 + 0j)
+    for w in (complex(math.nan, 0), complex(math.nan, 1),
+              complex(-math.inf, 0), complex(-math.inf, 1)):
+        assert not v.domain_contains(w)
+        with pytest.raises(ValueError):
+            v(w)
 
 
 def test_meril_validation():
@@ -365,23 +370,28 @@ def test_meril_validation():
     with pytest.raises(ValueError, match="inside"):
         meril_transform(MeromorphicDatum([(-3 + 0j, 1, 1.0)]),
                         SECTOR, 0.1, 0.1)
-    with pytest.raises(ValueError, match="increasing"):
-        meril_transform(u, SECTOR, 0.1, 0.1, radius_schedule=[10.0, 5.0])
     with pytest.raises(ValueError, match="positive"):
         meril_transform(u, SECTOR, 0.0, 0.1)
 
 
 def test_meril_nonconvergence_reports_tail():
+    # eps' = 1e-8 and w just inside the shifted dual cone: the kernel
+    # barely decays along the rays, so no radius of the default ladder
+    # brings the tail down.
     u = MeromorphicDatum([(1 + 0j, 1, 1.0)])
-    v = meril_transform(u, SECTOR, 0.1, 0.1,
-                        radius_schedule=[8.0, 9.0, 10.0])
+    w = 2e-8 * bisector(polar_cone(asymptotic_cone(SECTOR)))
+    v = meril_transform(u, SECTOR, 0.1, 1e-8)
     with pytest.raises(ConvergenceError) as exc:
-        v(-0.3 + 0j)
-    # The closed-form tail of both rays beyond the last radius.
-    want = sum(ray_tail_bound(u, b, d, contour.circle_hit(b, d, 10.0), -0.3)
-               for b, d in contour.open_boundary_rays(thicken(SECTOR, 0.1)))
+        v(w)
+    # The closed-form tail of both rays beyond the last default radius.
+    s_eps = thicken(SECTOR, 0.1)
+    r0 = max(2.0 * (1.0 + 0.1 + 1.0),
+             1.5 * (contour.open_boundary_extent(s_eps) + 1.0))
+    last = r0 * 1.5 ** 39
+    want = sum(ray_tail_bound(u, b, d, contour.circle_hit(b, d, last), w)
+               for b, d in contour.open_boundary_rays(s_eps))
     assert exc.value.last_tail_bound == pytest.approx(want, rel=1e-12)
-    assert want > 1e-3 * 1e-9
+    assert want > 1.0
     assert isinstance(exc.value.partial, complex)
 
 
