@@ -5,20 +5,22 @@ the list order (arcs sweep from their start angle to their end angle,
 counterclockwise when the sweep is positive).  Boundary contours of
 thickened convex sets leave the set on the left.
 
-Every piece is integrated by one loop over nested rules, vectorised in
-numpy, of e^{z*w} g(z) dz for a caller's w (0 by default).  A level's
-rule holds nodes, weights and the weights of a coarser rule embedded in
-the same nodes.  It is cached with g at its nodes per (piece, level, g)
-and read for every w; a full circle's rule is also cached on its own
-per (piece, level), since every datum on that circle shares it.  A full
-circle takes the periodic trapezoid rule (Trefethen & Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes
-doubling up to 4096, its even-indexed half as the coarse rule; other
-pieces take Gauss-Kronrod 15 on 1 to 2048 equal panels with the
-embedded Gauss-7 (Piessens et al., QUADPACK, 1983), and multiply the
-cached g by e^{z*w} once per level on the whole node array.  Their
-error estimate is the fine-coarse gap plus a roundoff floor of
-16 eps sum |f_k| max|w_k|.
+``integrate`` sums e^{z*w} g(z) dz, for a caller's w (0 by default),
+over a contour's pieces from per-piece kernels, loops over nested rules
+vectorised in numpy, each given a share of the tolerance: _circle on a
+full circle, and elsewhere _segment, which bisects and is also the
+one-piece entry.  A level's rule holds nodes, weights and the weights of
+a coarser rule embedded in the same nodes.  It is cached with g at its
+nodes per (piece, level, g) and read for every w; a full circle's rule
+is also cached on its own per (piece, level), since every datum on that
+circle shares it.  A full circle takes the periodic trapezoid rule
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Rev. 2014) on 64 nodes doubling up to 4096, its even-indexed half
+as the coarse rule; other pieces take Gauss-Kronrod 15 on 1 to 2048
+equal panels with the embedded Gauss-7 (Piessens et al., QUADPACK,
+1983), and multiply the cached g by e^{z*w} once per level on the whole
+node array.  Their error estimate is the fine-coarse gap plus a roundoff
+floor of 16 eps sum |f_k| max|w_k|.
 
 On a full circle C(c, rho) the trapezoid sum is taken in moment form for
 every w, w = 0 included, where the Taylor terms are [1, 0, ...]
@@ -99,6 +101,7 @@ _EPS = float(np.finfo(float).eps)
 # Nodes per unit of |w| * length for e^{z*w} (see integrate).
 _NODES_PER_RATE = 2.0
 _MAX_SPLITS = 4  # bisections of an unsettled piece (see integrate)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x with e^x finite
 # The m in the Taylor ratios x/m, up to the top circle level's node count.
 _DIVISORS = np.arange(1.0, (_TRAPEZOID_MIN_NODES << _LEVELS[True][1]) + 1)
 
@@ -107,6 +110,7 @@ _DIVISORS = np.arange(1.0, (_TRAPEZOID_MIN_NODES << _LEVELS[True][1]) + 1)
 class Segment:
     start: complex
     end: complex
+    full_circle = False  # see Arc
 
     def point(self, t):
         return self.start + t * (self.end - self.start)
@@ -131,6 +135,11 @@ class Arc:
     radius: float
     angle0: float
     angle1: float
+
+    def __post_init__(self):  # stored once, like a datum's hash
+        object.__setattr__(self, "full_circle",
+                           abs(self.angle1 - self.angle0) == 2 * math.pi)
+        object.__setattr__(self, "start_unit", _cis(self.angle0))
 
     def point(self, t):
         return self.point_and_derivative(t)[0]
@@ -164,6 +173,7 @@ class OrientedContour:
             if abs(a.point(1.0) - b.point(0.0)) > 1e-12 * scale:
                 raise ValueError("consecutive pieces must share endpoints")
         object.__setattr__(self, "pieces", ps)
+        object.__setattr__(self, "lengths", tuple(p.length for p in ps))
 
     @property
     def start(self) -> complex:
@@ -180,7 +190,7 @@ class OrientedContour:
 
     @property
     def length(self) -> float:
-        return sum(p.length for p in self.pieces)
+        return sum(self.lengths)
 
     def reversed(self) -> "OrientedContour":
         return OrientedContour(tuple(p.reversed()
@@ -297,8 +307,7 @@ def region_boundary_contour(s, truncation: float | None = None):
 
 # ---- quadrature ----
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: complex
     error: float
 
@@ -310,12 +319,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, partial: complex):
         super().__init__(message)
         self.partial = partial
-
-
-def _is_full_circle(piece) -> bool:
-    """Whether piece is an arc sweeping exactly once around its center."""
-    return (isinstance(piece, Arc)
-            and abs(piece.angle1 - piece.angle0) == 2 * math.pi)
 
 
 class _Rule(NamedTuple):
@@ -358,7 +361,7 @@ def _level(piece, level: int, g) -> tuple:
     a full circle its _rule and g's trapezoid moments (see the module
     docstring), F for n and n/2 nodes and sum |g(z_k) w_k|; else its
     Gauss-Kronrod rule, built here, and g at the nodes."""
-    if _is_full_circle(piece):
+    if piece.full_circle:
         rule = _rule(piece, level)
         h = g(rule.nodes) * rule.weights
         ccw = piece.angle1 > piece.angle0
@@ -402,13 +405,13 @@ def _scaled_taylor(x: complex, count: int) -> np.ndarray:
 
 
 def _node_sums(piece, level: int, g, w: complex):
-    """Fine sum, coarse sum, roundoff floor, 0 (no dropped terms) and
-    node count of e^{z*w} g(z) dz at a level, from g at the nodes."""
+    """Fine sum, coarse sum, roundoff floor and node count of
+    e^{z*w} g(z) dz at a level, from g at the nodes."""
     (nodes, weights, idx, coarse_weights, scale), values = _level(
         piece, level, g)
     f = np.exp(nodes * w) * values
     return (complex(f @ weights), complex(f[idx] @ coarse_weights),
-            float(np.abs(f).sum()) * scale, 0.0, len(f))
+            float(np.abs(f).sum()) * scale, len(f))
 
 
 def _moment_sums(piece: Arc, level: int, g, terms: np.ndarray,
@@ -444,21 +447,22 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
 
     g maps a numpy array of nodes to an array of values, cached at each
     level's nodes (on a full circle, as moments) per (piece, level, g) and
-    read for every w, so g must be hashable and pure.  Each piece starts
-    at its first rule level with at least 2|w| nodes per unit of its
-    length (on coarser panels, which do not resolve the kernel,
-    Gauss-Kronrod and Gauss-7 can agree by chance) or, on a full circle in
-    moment form (see the module docstring), with a coarse rule of at least
-    as many nodes as Taylor terms.  It doubles until the gap between its
-    fine and coarse sums is within the roundoff floor or within its share
-    of abs_tol, proportional to its length.  Past the top level a piece
-    other than a full circle is bisected as in QUADPACK, each half taking
-    half its share, up to _MAX_SPLITS deep; else QuadratureError is
-    raised.  The estimate is the sum over the pieces of gap + floor, plus
-    the dropped Taylor terms' bound on circles.  A w that is not finite
-    raises ValueError.
+    read for every w, so g must be hashable and pure.  Each piece's kernel,
+    _circle or _segment (see the module docstring), takes a share of
+    abs_tol proportional to its length.  It starts at the first level with
+    at least 2|w| nodes per unit of length (Gauss-Kronrod and Gauss-7 can
+    agree by chance on coarser panels, which do not resolve the kernel) or,
+    on a full circle, as many coarse nodes as Taylor terms, and doubles
+    until the fine-coarse gap is within the roundoff floor or the share.
+    Past the top level _segment bisects, each half taking half the share,
+    up to _MAX_SPLITS deep; else QuadratureError is raised.  The estimate
+    sums gap + floor, plus the dropped Taylor terms' bound on circles.
+    Non-finite sums where e^{z*w} peaks beyond log(float max) raise a named
+    OverflowError; a w that is not finite raises ValueError.  _segment is
+    the one-piece entry: this on one segment, for a w already checked.
     """
-    return _integrate(c.pieces, g, abs_tol, _finite_w(w), _MAX_SPLITS)
+    return _integrate(c.pieces, c.lengths, g, abs_tol, _finite_w(w),
+                      _MAX_SPLITS)
 
 
 def _finite_w(w) -> complex:
@@ -469,58 +473,84 @@ def _finite_w(w) -> complex:
     return w
 
 
-def _integrate(pieces, g, abs_tol: float, w: complex,
+def _integrate(pieces, lengths, g, abs_tol: float, w: complex,
                splits: int) -> IntegralResult:
-    """integrate over pieces, each with splits bisections left."""
-    lengths = [p.length for p in pieces]
+    """integrate over pieces of these lengths, splits bisections left."""
     total_len = sum(lengths)
     value, err = 0j, 0.0
     for piece, length in zip(pieces, lengths):
         if length == 0.0:
             continue
         tol = abs_tol * (length / total_len)
-        circle = _is_full_circle(piece)
-        size, top = _LEVELS[circle]
-        if circle:
-            y = piece.radius * abs(w)
-            count = math.ceil(y + 12.0 * math.sqrt(y) + 40.0)
-            if count > size << top:
-                raise QuadratureError(
-                    f"e^(z*w) on {piece} needs {count} Taylor terms, more "
-                    f"than {size << top} nodes resolve", value)
-            terms = _scaled_taylor(piece.radius * w * _cis(piece.angle0),
-                                   count)
-            factor = cmath.exp(piece.center * w + y)
-            # The dropped terms m >= count shrink by at least y/(count+1).
-            tail = float(abs(terms[-1])) * y / count / (1.0 - y / (count + 1))
-            need = 2 * count
-        else:
-            need = _NODES_PER_RATE * abs(w) * length
-        level = 0
-        while size << level < need and level < top:
-            level += 1
-        while True:
-            fine, coarse, floor, extra, n = (
-                _moment_sums(piece, level, g, terms, factor, tail)
-                if circle else _node_sums(piece, level, g, w))
-            gap = abs(fine - coarse)
-            if gap <= max(tol, floor):
-                break
-            if level < top:
-                level += 1
-            elif circle or not splits:
-                raise QuadratureError(
-                    f"rule not settled at {n} nodes on {piece}: gap "
-                    f"{gap:.3e}, roundoff floor {floor:.3e}", value + fine)
-            else:  # the halves' value and estimate
-                try:
-                    halves = _integrate(_halves(piece), g, tol, w, splits - 1)
-                except QuadratureError as exc:
-                    exc.partial += value
-                    raise
-                fine, gap, floor, extra = halves.value, halves.error, 0.0, 0.0
-                break
-        value += fine
-        err += gap + floor + extra
+        try:
+            part, est = (_circle(piece, g, tol, w) if piece.full_circle
+                         else _segment(piece, g, tol, w, splits))
+        except QuadratureError as exc:
+            exc.partial += value
+            raise
+        value += part
+        err += est
     return IntegralResult(value, err)
 
+
+def _kernel_overflow(piece, peak: float) -> OverflowError:
+    return OverflowError(
+        f"e^(z*w) on {piece} reaches e^{peak:.6g}, beyond the float range "
+        f"(e^{_LOG_FLOAT_MAX:.2f})")
+
+
+def _circle(piece: Arc, g, tol: float, w: complex):
+    """(value, estimate) on a full circle, in moment form, to tol."""
+    size, top = _LEVELS[True]
+    y = piece.radius * abs(w)
+    try:  # math.ceil overflows at y = inf, cmath.exp beyond log(float max)
+        count = math.ceil(y + 12.0 * math.sqrt(y) + 40.0)
+        if count > size << top:
+            raise QuadratureError(
+                f"e^(z*w) on {piece} needs {count} Taylor terms, more than "
+                f"{size << top} nodes resolve", 0j)
+        terms = _scaled_taylor(piece.radius * w * piece.start_unit, count)
+        factor = cmath.exp(piece.center * w + y)
+    except OverflowError:
+        raise _kernel_overflow(piece, (piece.center * w).real + y) from None
+    # The dropped terms m >= count shrink by at least y/(count+1).
+    tail = float(abs(terms[-1])) * y / count / (1.0 - y / (count + 1))
+    level = 0
+    while size << level < 2 * count and level < top:
+        level += 1
+    for level in range(level, top + 1):
+        fine, coarse, floor, extra, n = _moment_sums(piece, level, g, terms,
+                                                     factor, tail)
+        gap = abs(fine - coarse)
+        if gap <= max(tol, floor):
+            return fine, gap + floor + extra
+    raise QuadratureError(f"rule not settled at {n} nodes on {piece}: gap "
+                          f"{gap:.3e}, roundoff floor {floor:.3e}", fine)
+
+
+def _segment(piece, g, tol: float, w: complex, splits: int = _MAX_SPLITS):
+    """(value, estimate) on a segment or an arc to tol, splits bisections
+    left; with the default, integrate on [piece] for a w already checked."""
+    size, top = _LEVELS[False]
+    need = _NODES_PER_RATE * abs(w) * piece.length
+    level = 0
+    while size << level < need and level < top:
+        level += 1
+    for level in range(level, top + 1):
+        fine, coarse, floor, n = _node_sums(piece, level, g, w)
+        gap = abs(fine - coarse)
+        if gap <= max(tol, floor):
+            return fine, gap + floor
+        if not math.isfinite(gap):  # the kernel's peak on the piece
+            peak = (max((piece.start * w).real, (piece.end * w).real)
+                    if isinstance(piece, Segment)
+                    else (piece.center * w).real + piece.radius * abs(w))
+            if peak > _LOG_FLOAT_MAX:
+                raise _kernel_overflow(piece, peak)
+    if not splits:
+        raise QuadratureError(f"rule not settled at {n} nodes on {piece}: "
+                              f"gap {gap:.3e}, roundoff floor {floor:.3e}",
+                              fine)
+    halves = _halves(piece)  # past the top level
+    return _integrate(halves, [h.length for h in halves], g, tol, w,
+                      splits - 1)

@@ -27,14 +27,16 @@ n-node sums plus the roundoff floor 16 eps e^M sum |u(z_k) w_k| and the
 dropped Taylor terms' bound; at 4096 nodes a gap above both the target
 and that floor raises QuadratureError.
 
-Meril integrates the unscaled e^{z*w} u(z) with the same loop, to
-MERIL_ABS_TOL per contour, up to the first radius of a geometric ladder
-where the closed-form tail of both boundary rays (``ray_tail_bound``) is
-at most MERIL_TAIL_TOL.  Pieces and rules do not depend on w and
-``integrate`` caches u at their nodes by value, so each w costs one exp
-per rule level.  A kernel peak (max Re(c*w) over the boundary walk's
-corners c, plus eps*|w|) beyond log(float max) raises the named
-OverflowError before any quadrature.
+Meril integrates the unscaled e^{z*w} u(z) up to the first radius of a
+geometric ladder where the closed-form tail of both boundary rays
+(``ray_tail_bound``) is at most MERIL_TAIL_TOL: the contour to the first
+radius through ``integrate`` and each rung segment, a ray's piece
+between two radii, through the one-piece entry ``contour._segment``,
+each to MERIL_ABS_TOL.  Pieces and rules do not depend on w and u is
+cached at their nodes by value, so each w costs one exp per rule level.
+A kernel peak (max Re(c*w) over the boundary walk's corners c, plus
+eps*|w|) beyond log(float max) raises the named OverflowError before any
+quadrature.
 """
 
 from __future__ import annotations
@@ -43,16 +45,16 @@ import cmath
 import functools
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .contour import (
-    OrientedContour,
+    _LOG_FLOAT_MAX,
     Segment,
     _finite_w,
+    _segment,
     circle_contour,
     circle_hit,
     integrate,
@@ -89,8 +91,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # Clearance between a Polya circle and the body, as a share of its radius.
 POLYA_CLEARANCE = 0.1
-# Largest x with e^x finite in double precision.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 MERIL_ABS_TOL = 1e-11  # Meril's quadrature target per contour
 MERIL_TAIL_TOL = 1e-3 * 1e-9  # its ray tail cut-off, 1.0000000000000002e-12
 
@@ -157,38 +157,40 @@ def residue_oracle(u: MeromorphicDatum, w: complex) -> complex:
     """Exact residue sum of e^{z*w} u(z) over all poles, times 2 pi i.
 
     Each term c*(z-a)^{-m} contributes 2 pi i * c * w^{m-1} e^{a*w}/(m-1)!.
-    Terms are accumulated in declaration order.  Raises OverflowError
-    when some Re(a*w) is beyond the float range of e^x, and ValueError
-    when w is not finite.
+    Terms are accumulated in declaration order.  Raises OverflowError,
+    naming the largest term's log-magnitude, when a term or the sum
+    leaves the float range, and ValueError when w is not finite.
     """
     w = _finite_w(w)
     acc = 0j
     try:
         for a, m, c in u.terms:
             acc += c * w ** (m - 1) * cmath.exp(a * w) / math.factorial(m - 1)
+        value = 2j * math.pi * acc
+        if cmath.isfinite(value):
+            return value
     except OverflowError:
-        top = max((a * w).real for a, _, _ in u.terms)
-        raise _overflow(w, top) from None
-    return 2j * math.pi * acc
+        pass
+    logs = _term_logs(u.terms, w) if w else []  # at 0 only (m-1)! overflows
+    raise _overflow(w, max(logs, default=math.inf))
+
+
+def _term_logs(terms, w: complex) -> list[float]:
+    """log|2 pi c w^{m-1} e^{a*w}/(m-1)!| of each term with c != 0."""
+    lw = math.log(abs(w))
+    return [math.log(TWO_PI * abs(c)) + (m - 1) * lw + (a * w).real
+            - math.lgamma(m) for a, m, c in terms if c != 0]
 
 
 def _residue_log_abs(terms, w: complex) -> float:
     """log of the residue sum's magnitude, safe for huge |w|."""
-    if not terms:
-        return -math.inf
     if w == 0:
         total = sum(c for _, m, c in terms if m == 1)
         return math.log(TWO_PI * abs(total)) if total != 0 else -math.inf
-    logs: list[float] = []
-    phases: list[float] = []
-    lw = math.log(abs(w))
+    logs = _term_logs(terms, w)
     aw = cmath.phase(w)
-    for a, m, c in terms:
-        if c == 0:
-            continue
-        logs.append(math.log(TWO_PI * abs(c)) + (m - 1) * lw
-                    + (a * w).real - math.lgamma(m))
-        phases.append(cmath.phase(1j * c) + (m - 1) * aw + (a * w).imag)
+    phases = [cmath.phase(1j * c) + (m - 1) * aw + (a * w).imag
+              for a, m, c in terms if c != 0]
     if not logs:
         return -math.inf
     top = max(logs)
@@ -223,9 +225,7 @@ class TransformResult:
         return self.full_eval(complex(w))
 
     def domain_contains(self, w: complex) -> bool:
-        if self.member is None:
-            return True
-        return self.member(complex(w))
+        return self.member is None or self.member(complex(w))
 
     def log_abs(self, w: complex) -> float:
         """log|v(w)| without overflow, via the residue form; ValueError
@@ -272,8 +272,8 @@ def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
         # A w that is not finite makes M inf or nan; _finite_w names it.
         if not M <= _LOG_FLOAT_MAX:
             raise _overflow(_finite_w(w), M)
-        res = integrate(circle, u, abs_tol * math.exp(M), w=w)
-        return res.value, res.error
+        value, error = integrate(circle, u, abs_tol * math.exp(M), w=w)
+        return value, error
 
     return TransformResult("contour", full, u.terms)
 
@@ -381,16 +381,16 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         met = np.flatnonzero(tail <= MERIL_TAIL_TOL)
         stop = int(met[0]) if met.size else len(radii) - 1
         (z_in, _, _), (z_out, _, _) = tails
-        rungs.extend((OrientedContour([Segment(z_in[k + 1], z_in[k])]),
-                      OrientedContour([Segment(z_out[k], z_out[k + 1])]))
+        rungs.extend((Segment(z_in[k + 1], z_in[k]),
+                      Segment(z_out[k], z_out[k + 1]))
                      for k in range(len(rungs), stop))
 
-        res = integrate(base_contour, u, MERIL_ABS_TOL, w=w)
-        values, gaps, bounds, err = [res.value], [], [], res.error
-        for k, rung in enumerate(rungs[:stop]):
-            parts = [integrate(c, u, MERIL_ABS_TOL, w=w) for c in rung]
-            step = sum(p.value for p in parts)
-            step_err = sum(p.error for p in parts)
+        value, err = integrate(base_contour, u, MERIL_ABS_TOL, w=w)
+        values, gaps, bounds = [value], [], []
+        for k, (s_in, s_out) in enumerate(rungs[:stop]):
+            (a, a_err), (b, b_err) = (_segment(s_in, u, MERIL_ABS_TOL, w),
+                                      _segment(s_out, u, MERIL_ABS_TOL, w))
+            step, step_err = 0j + a + b, a_err + b_err  # from 0j, as integrate
             values.append(values[-1] + step)
             gaps.append(abs(step))
             bounds.append(float(tail[k]) + step_err)

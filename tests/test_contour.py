@@ -281,6 +281,28 @@ def test_unsettled_piece_is_bisected(monkeypatch):
         integrate(OrientedContour([LONG_SEGMENT]), _reciprocal, 1e-11, w=w)
 
 
+def _pole_at_tenth(z):
+    return 1.0 / (z - 0.1)
+
+
+def test_kernel_overflow_is_named_before_climbing_or_bisecting(monkeypatch):
+    # e^{z*w} peaks at e^720 on each piece.  The circle used to raise a
+    # bare OverflowError from cmath.exp, the segment to climb to 2048
+    # panels and bisect 4 deep before QuadratureError (gap nan, floor inf).
+    split = []
+    monkeypatch.setattr(contour, "_halves", split.append)
+    for c in (circle_contour(0j, 1.0), OrientedContour([Segment(0j, 1 + 0j)]),
+              OrientedContour([Arc(0j, 1.0, 0.0, 1.0)])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match=r"e\^720, beyond the "
+                               r"float range"):
+                integrate(c, _pole_at_tenth, w=720)
+    # r|w| = inf raised a bare OverflowError from math.ceil.
+    with pytest.raises(OverflowError, match=r"e\^inf, beyond the float"):
+        integrate(circle_contour(0j, 10.0), _pole_at_tenth, w=1e308)
+    assert split == []
+
+
 def test_quadrature_error_partial_sums_the_pieces_reached(monkeypatch):
     # Without bisection the long segment raises behind a short one that
     # settles: the partial value is the short piece's value, at its share

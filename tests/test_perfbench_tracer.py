@@ -8,17 +8,25 @@ reads perfbench/ and changes nothing there.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(TRACING, "perfbench_tracing")
 
 
 def test_tracer_resolves_every_entry_point():
@@ -102,3 +110,30 @@ def test_polya_scenario_with_growth_enters_the_traced_layers(tmp_path):
                  "growth.growth_ratio_sup", "transforms.log_abs",
                  "convexgeom.support_function"):
         assert names.get(name, {}).get("count", 0) >= 1, name
+
+
+@pytest.mark.parametrize("workload", ["polya-grid", "meril-cone"])
+def test_first_batch_enters_every_layer_the_workload_calls(workload,
+                                                           tmp_path):
+    # A traced benchmark run reports correct: false when a layer listed in
+    # CALLED is never entered, as rerouting Meril's rungs, its base
+    # contour or Polya past contour.integrate can make happen.  Batch 0 of
+    # pass 0, seed 1, already enters every one of them.
+    from convlap import contour
+
+    tracing = _load_tracing()
+    workloads = _load(ROOT / "perfbench" / "workloads.py",
+                      "perfbench_workloads")
+    batch = workloads.make_pass(workload, 1, 0, ROOT, tmp_path)[0]
+    contour._level.cache_clear()  # u is called on a cache miss only
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ctx = batch.build()
+        for op in batch.ops:
+            op(ctx)
+    finally:
+        tracer.remove()
+    names = tracer.summary()["names"]
+    assert [n for n in tracing.CALLED[workload]
+            if names.get(n, {}).get("count", 0) == 0] == []

@@ -697,6 +697,20 @@ def test_residue_oracle_overflow_is_named():
                                          rel=1e-12)
 
 
+def test_residue_oracle_names_the_largest_term_when_the_value_overflows():
+    # Every Re(a w) is in range here.  The sum overflowed to nan at a
+    # third-order pole at 0.9 and w = 780, and w^19 overflowed at w = 1e17
+    # with a message naming e^0.  Now both name the largest term's
+    # log-magnitude, log(2 pi |c|) + (m - 1) log|w| + Re(a w) - lgamma(m).
+    for u, w, exponent in ((MeromorphicDatum([(0.9, 3, 1.0)]), 780,
+                            "716.463"),
+                           (MeromorphicDatum([(0j, 20, 1.0)]), 1e17,
+                            "706.233")):
+        with pytest.raises(OverflowError, match=rf"needs e\^{exponent}, "
+                           r"beyond the float range"):
+            residue_oracle(u, w)
+
+
 # ---- Polya on the cached-node trapezoid rule ----
 
 def test_estimates_are_python_floats():
@@ -725,6 +739,34 @@ def test_polya_evaluation_is_bitwise_reproducible():
     contour._level.cache_clear()
     rebuilt = polya_transform(MeromorphicDatum(u.terms), DISK_HALF, 2.0)
     assert [rebuilt.with_error(w) for w in ws] == first
+
+
+def test_polya_values_are_pinned_bitwise():
+    # (value, error) to the last bit: how the quadrature loop is organised
+    # must not move them.  At w = 0, a grid point and |w| = 15 with r = 2,
+    # and on an off-centre circle, C(-20, 20), where rho|w| = 800 takes
+    # the Taylor terms from Stirling's series and at w = 80 the 2120 terms
+    # fold onto the coarse rule of the top level's 4096 nodes.
+    u = MeromorphicDatum([(0.2 - 0.1j, 2, 1.0), (-0.3 + 0.25j, 1, 0.5j)])
+    v = polya_transform(u, ConvexBody([0j], rounding=1.0), 2.0,
+                        abs_tol=1e-13)
+    far = polya_transform(MeromorphicDatum([(-20 + 0.3j, 2, 1.0 - 0.5j)]),
+                          ConvexBody([-20 + 0j], rounding=1), 20.0,
+                          center=-20)
+    pinned = [
+        (v, 0j, -3.141592653589793 - 1.3877787807814457e-16j,
+         1.3782790767523761e-14),
+        (v, 1.5 - 2.25j, 16.563457798186295 - 3.269289000962819j,
+         3.058912649579318e-12),
+        (v, 9 + 12j, -1240.092835138726 - 1430.266063319385j,
+         0.1467222803139091),
+        (far, 40, 1.1053544222258538e-19 + 5.059494325341022e-20j,
+         1.2482206087851997e-15),
+        (far, 80, -1.393206228673874e-20 - 8.264872025827866e-20j,
+         1.2482941212105604e-15),
+    ]
+    for t, w, value, error in pinned:
+        assert t.with_error(w) == (value, error), w
 
 
 def test_polya_evaluates_u_once_per_node_level(monkeypatch):
