@@ -30,10 +30,11 @@ and that floor raises QuadratureError.
 Meril integrates the unscaled e^{z*w} u(z) up to the first radius of a
 geometric ladder where the closed-form tail of both boundary rays
 (``ray_tail_bound``) is at most MERIL_TAIL_TOL: the contour to the first
-radius through ``integrate`` and each rung segment, a ray's piece
-between two radii, through the one-piece entry ``contour._segment``,
-each to MERIL_ABS_TOL.  Pieces and rules do not depend on w and u is
-cached at their nodes by value, so each w costs one exp per rule level.
+radius through ``integrate``, and the rungs, each ray's piece between
+two radii, through ``contour._rungs``, each segment to MERIL_ABS_TOL.
+Rungs share blocks of segments at one level, cached with u at their
+nodes by value, so a w costs one exp and one matrix product per block,
+about one block per evaluation, not a kernel call per rung segment.
 A kernel peak (max Re(c*w) over the boundary walk's corners c, plus
 eps*|w|) beyond log(float max) raises the named OverflowError before any
 quadrature.
@@ -52,9 +53,8 @@ import numpy as np
 
 from .contour import (
     _LOG_FLOAT_MAX,
-    Segment,
     _finite_w,
-    _segment,
+    _rungs,
     circle_contour,
     circle_hit,
     integrate,
@@ -157,21 +157,27 @@ def residue_oracle(u: MeromorphicDatum, w: complex) -> complex:
     """Exact residue sum of e^{z*w} u(z) over all poles, times 2 pi i.
 
     Each term c*(z-a)^{-m} contributes 2 pi i * c * w^{m-1} e^{a*w}/(m-1)!.
-    Terms are accumulated in declaration order.  Raises OverflowError,
-    naming the largest term's log-magnitude, when a term or the sum
-    leaves the float range, and ValueError when w is not finite.
+    Terms are accumulated in declaration order, each in log form where
+    its direct form overflows.  Raises OverflowError, naming the largest
+    term's log-magnitude, when a term or the sum leaves the float range,
+    and ValueError when w is not finite.
     """
     w = _finite_w(w)
     acc = 0j
     try:
         for a, m, c in u.terms:
-            acc += c * w ** (m - 1) * cmath.exp(a * w) / math.factorial(m - 1)
+            try:
+                acc += (c * w ** (m - 1) * cmath.exp(a * w)
+                        / math.factorial(m - 1))
+            except OverflowError:  # w^{m-1}, e^{a*w} or (m-1)! is no float
+                acc += w and c * cmath.exp(  # 0 for m > 1 at w = 0
+                    (m - 1) * cmath.log(w) + a * w - math.lgamma(m))
         value = 2j * math.pi * acc
         if cmath.isfinite(value):
             return value
     except OverflowError:
         pass
-    logs = _term_logs(u.terms, w) if w else []  # at 0 only (m-1)! overflows
+    logs = _term_logs(u.terms, w) if w else []  # at 0 only the sum can
     raise _overflow(w, max(logs, default=math.inf))
 
 
@@ -353,18 +359,21 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
     radii = tuple(r0 * 1.5 ** k for k in range(40))
     rays = open_boundary_rays(S_eps)
     corners = boundary_walk(S_eps).corners
-    # Rung k: the ray pieces between radii[k] and radii[k + 1], the entry
-    # ray's traversed inward; built as the truncation first reaches them.
-    rungs: list[tuple] = []
 
     @functools.cache
     def ladder():
         # The contour to radii[0]; per ray, its crossings with the circles
-        # and the bound on |u| beyond them (w enters only the decay).
+        # and the bound on |u| beyond them (w enters only the decay); rung
+        # k's rows, the entry ray inward, then the exit ray outward.
         ts = [np.array([circle_hit(b, d, R) for R in radii]) for b, d in rays]
         tails = [(b + t * d, d, _ray_sup(u, b, d, t))
                  for (b, d), t in zip(rays, ts)]
-        return region_boundary_contour(S_eps, truncation=radii[0]), tails
+        (z_in, _, _), (z_out, _, _) = tails
+        starts = np.column_stack((z_in[1:], z_out[:-1]))
+        ends = np.column_stack((z_in[:-1], z_out[1:]))
+        return (region_boundary_contour(S_eps, truncation=radii[0]), tails,
+                tuple(starts.ravel().tolist()), tuple(ends.ravel().tolist()),
+                np.abs(ends - starts).max(axis=1))
 
     def trace(w: complex) -> MerilTrace:
         w = _finite_w(w)
@@ -374,34 +383,24 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         peak = max((c * w).real for c in corners) + S_eps.rounding * abs(w)
         if peak > _LOG_FLOAT_MAX:
             raise _overflow(w, peak)
-        base_contour, tails = ladder()
+        base_contour, tails, starts, ends, lengths = ladder()
         # ray_tail_bound of both rays beyond each radius.
         tail = sum(np.exp((z * w).real) * sup / -(d * w).real
                    for z, d, sup in tails)
         met = np.flatnonzero(tail <= MERIL_TAIL_TOL)
         stop = int(met[0]) if met.size else len(radii) - 1
-        (z_in, _, _), (z_out, _, _) = tails
-        rungs.extend((Segment(z_in[k + 1], z_in[k]),
-                      Segment(z_out[k], z_out[k + 1]))
-                     for k in range(len(rungs), stop))
-
         value, err = integrate(base_contour, u, MERIL_ABS_TOL, w=w)
-        values, gaps, bounds = [value], [], []
-        for k, (s_in, s_out) in enumerate(rungs[:stop]):
-            (a, a_err), (b, b_err) = (_segment(s_in, u, MERIL_ABS_TOL, w),
-                                      _segment(s_out, u, MERIL_ABS_TOL, w))
-            step, step_err = 0j + a + b, a_err + b_err  # from 0j, as integrate
-            values.append(values[-1] + step)
-            gaps.append(abs(step))
-            bounds.append(float(tail[k]) + step_err)
-            err += step_err
+        steps, step_errs = _rungs(starts[:2 * stop], ends[:2 * stop],
+                                  lengths[:stop], u, MERIL_ABS_TOL, w)
+        values = tuple(np.cumsum([value] + steps).tolist())
         last = float(tail[stop])
         if not met.size:
             raise ConvergenceError(
                 f"truncation schedule exhausted; last tail bound "
                 f"{last:.3e}", values[-1], last)
-        return MerilTrace(radii[:stop + 1], tuple(values), tuple(gaps),
-                          tuple(bounds), values[-1], err + last)
+        bounds = tuple(t + e for t, e in zip(tail.tolist(), step_errs))
+        return MerilTrace(radii[:stop + 1], values, tuple(map(abs, steps)),
+                          bounds, values[-1], sum(step_errs, err) + last)
 
     def full(w: complex) -> tuple[complex, float]:
         t = trace(w)

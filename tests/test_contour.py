@@ -635,3 +635,59 @@ def test_kronrod_error_bounds_the_true_error_near_a_pole(piece):
                                 abs_tol=1e-13)
                 assert abs(res.value - _pole_integral(piece, w, a, m)) \
                     <= res.error
+
+
+# ---- truncation ladder rungs in blocks ----
+
+def _off_segment_pole(z):
+    return 1.0 / (z - (3.75 + 0.01j))
+
+
+def test_rungs_send_unsettled_rows_and_top_level_rungs_to_segment(
+        monkeypatch):
+    # Rungs 0 and 1 start at level 0 and share a block there.  The pole
+    # 0.01 off [3, 4.5] keeps that row from settling, so it alone climbs
+    # in _segment; rung 2, 5000 long at |w| = 2, starts at the top level
+    # and goes to _segment whole.
+    starts = (-3 + 0j, 2j, 3 + 0j, 3j, 5 + 0j, 5j)
+    ends = (-2 + 0j, 3j, 4.5 + 0j, 4.5j, 5005 + 0j, 5005j)
+    lengths = np.array([1.0, 1.5, 5000.0])
+    w = 2j
+    segment = contour._segment
+    seen = []
+
+    def recording(piece, g, tol, w, splits=contour._MAX_SPLITS):
+        if splits == contour._MAX_SPLITS:  # not a bisected half
+            seen.append(piece)
+        return segment(piece, g, tol, w, splits)
+
+    monkeypatch.setattr(contour, "_segment", recording)
+    contour._block.cache_clear()
+    steps, errs = contour._rungs(starts, ends, lengths, _off_segment_pole,
+                                 1e-11, w)
+    assert seen == [Segment(3 + 0j, 4.5 + 0j), Segment(5 + 0j, 5005 + 0j),
+                    Segment(5j, 5005j)]
+    assert contour._block.cache_info().currsize == 1
+    for k, (step, err) in enumerate(zip(steps, errs)):
+        ref = integrate(OrientedContour(
+            [Segment(starts[2 * k], ends[2 * k])]), _off_segment_pole,
+            1e-11, w=w)
+        ref_b = integrate(OrientedContour(
+            [Segment(starts[2 * k + 1], ends[2 * k + 1])]),
+            _off_segment_pole, 1e-11, w=w)
+        assert abs(step - (ref.value + ref_b.value)) <= (
+            err + ref.error + ref_b.error), k
+    assert type(steps[0]) is complex and type(errs[0]) is float
+
+
+def test_rung_blocks_are_read_only_and_bounded():
+    entry = contour._block((2 + 0j, 2j), (3 + 0j, 3j), 1, _off_segment_pole)
+    nodes, values, dz, weights, scale = entry
+    assert nodes.shape == values.shape == (2, 30)
+    assert weights.shape == (30, 2) and dz.shape == (2, 1)
+    for a in entry:
+        assert not a.flags.writeable
+    # Keyed by value: equal rows give the same entry.
+    assert contour._block((2 + 0j, 2j), (3.0 + 0j, 3j), 1,
+                          _off_segment_pole) is entry
+    assert contour._block.cache_info().maxsize == 16

@@ -19,6 +19,7 @@ from convlap.convexgeom import (
     bisector,
     polar_cone,
     sector,
+    signed_distance,
     thicken,
 )
 from convlap.transforms import (
@@ -281,36 +282,70 @@ def test_non_finite_w_is_rejected_by_name():
                 f(w)
 
 
+# The traces of test_meril_traces_are_pinned_bitwise from one kernel call
+# per rung segment, each from its own start level: the reference that
+# the rung blocks must stay within both estimates of.
+REFERENCE = {
+    -0.7 + 0j: (
+        3.717414635920012 + 0.9858112295335992j, 7.953760108967537e-13,
+        (0.012694952487998713, 0.002562121279529716,
+         0.00021356493971748096, 4.076951466520753e-06,
+         1.1403642825067182e-08, 2.536037050246794e-12),
+        (0.04411313211643916, 0.005660091840325141,
+         0.0003453535406725986, 6.711209138610989e-06,
+         2.3011861134391468e-08, 5.7806174241948255e-12)),
+    -2.7631829820086553 + 1.1682550269259515j: (
+        0.0021141640255219435 + 0.16355209904542292j,
+        2.8970940337143035e-13,
+        (6.20449796891551e-05, 1.2221986979056872e-06,
+         4.108306527085844e-09, 9.58512384084516e-13),
+        (0.00022399307166078467, 3.95282755574982e-06,
+         1.2307520173504051e-08, 2.7484008615367086e-12)),
+    -12.380034223645175 - 8.46963710092553j: (
+        2.084353555047914e-05 - 2.361022050235099e-05j,
+        8.467608289351017e-14,
+        (1.8365397016099464e-09, 1.9061783170612618e-13),
+        (1.082929013499244e-08, 1.1117334784268317e-12)),
+}
+
+
 def test_meril_traces_are_pinned_bitwise():
     # (value, error, gaps, bounds) of three traces to the last bit: how a
-    # level's rule and u at its nodes are cached must not move them.
+    # level's rule and u at its nodes are cached must not move them; and
+    # within both estimates of the REFERENCE traces, rung for rung.
     u = MeromorphicDatum([(1.2 + 0.3j, 1, 0.5 - 1j), (2 - 0.4j, 2, 0.75j)])
     v = meril_transform(u, SECTOR, 0.1, 0.1)
     pinned = {
         -0.7 + 0j: (
-            3.717414635920012 + 0.9858112295335992j, 7.953760108967537e-13,
+            3.717414635920012 + 0.9858112295335992j, 2.4984215827733603e-13,
             (0.012694952487998713, 0.002562121279529716,
              0.00021356493971748096, 4.076951466520753e-06,
-             1.1403642825067182e-08, 2.536037050246794e-12),
-            (0.04411313211643916, 0.005660091840325141,
-             0.0003453535406725986, 6.711209138610989e-06,
-             2.3011861134391468e-08, 5.7806174241948255e-12)),
+             1.1403642825067187e-08, 2.5360370502467935e-12),
+            (0.04411313211630449, 0.005660091840288756,
+             0.00034535354060384106, 6.7112088329144365e-06,
+             2.301186110696293e-08, 5.780617424194825e-12)),
         -2.7631829820086553 + 1.1682550269259515j: (
-            0.0021141640255219435 + 0.16355209904542292j,
-            2.8970940337143035e-13,
-            (6.20449796891551e-05, 1.2221986979056872e-06,
-             4.108306527085844e-09, 9.58512384084516e-13),
-            (0.00022399307166078467, 3.95282755574982e-06,
-             1.2307520173504051e-08, 2.7484008615367086e-12)),
+            0.002114164025521943 + 0.16355209904542292j,
+            1.6866840701659336e-13,
+            (6.204497968915511e-05, 1.2221986979056893e-06,
+             4.108306527085843e-09, 9.58512384084516e-13),
+            (0.000223993071643332, 3.952827452168348e-06,
+             1.230752016667049e-08, 2.748400861536708e-12)),
         -12.380034223645175 - 8.46963710092553j: (
             2.084353555047914e-05 - 2.361022050235099e-05j,
-            8.467608289351017e-14,
-            (1.8365397016099464e-09, 1.9061783170612618e-13),
-            (1.082929013499244e-08, 1.1117334784268317e-12)),
+            8.464773752233558e-14,
+            (1.8365397016099262e-09, 1.9061783170612618e-13),
+            (1.082929010664707e-08, 1.1117334784268317e-12)),
     }
     for w, want in pinned.items():
         t = v.diagnostics(w)
         assert (t.value, t.error, t.gaps, t.bounds) == want, w
+        value, error, gaps, _ = REFERENCE[w]
+        assert abs(t.value - value) <= error + t.error, w
+        assert len(t.gaps) == len(gaps), w
+        assert all(abs(a - b) <= error + t.error
+                   for a, b in zip(t.gaps, gaps)), w
+        assert abs(t.value - residue_oracle(u, w)) <= t.error, w
 
 
 def test_meril_gaps_dominated_by_tail_bound():
@@ -533,6 +568,62 @@ def test_meril_evaluates_u_once_per_node_array(monkeypatch):
     assert len(arrays) < 24 * 3
 
 
+def _seeded_meril_regions(rng, n: int):
+    """n (datum, region) pairs: sectors at the origin with a random axis
+    and half-angle in (0.2, 1.4), every other one with its apex cut off by
+    a third half-plane, and 1-3 poles inside."""
+    out = []
+    for i in range(n):
+        axis, gamma = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.2, 1.4)
+        hp = [(math.cos(t), math.sin(t), 0.0) for t in (
+            axis - gamma - math.pi / 2, axis + gamma + math.pi / 2)]
+        if i % 2:
+            tilt = rng.uniform(-1.0, 1.0) * min(0.4, 1.5 - gamma)
+            hp.append((math.cos(axis + math.pi + tilt),
+                       math.sin(axis + math.pi + tilt), -0.3 * math.cos(tilt)))
+        region = ConvexRegion(hp)
+        terms = []
+        while len(terms) < 1 + i % 3:
+            a = rng.uniform(0.8, 2.0) * cmath.exp(
+                1j * (axis + rng.uniform(-0.7, 0.7) * gamma))
+            if signed_distance(region, a) < -1e-3:
+                terms.append((a, int(rng.integers(1, 3)),
+                              complex(*rng.uniform(-1, 1, 2))))
+        out.append((MeromorphicDatum(terms), region))
+    return out
+
+
+def test_meril_rung_blocks_match_segment_on_each_rung(monkeypatch):
+    # Each rung's value from its block, against _segment on its two
+    # segments from their own start levels: within both estimates.
+    rng = np.random.default_rng(19)
+    rungs = transforms._rungs
+    calls = []
+
+    def recording(*args):
+        calls.append((args, rungs(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(transforms, "_rungs", recording)
+    checked = 0
+    for u, region in _seeded_meril_regions(rng, 12):
+        v = meril_transform(u, region, 0.1, 0.1)
+        dual = polar_cone(asymptotic_cone(region))
+        for mag in np.exp(rng.uniform(math.log(0.5), math.log(100.0), 5)):
+            w = 0.1 * bisector(dual) + mag * cmath.exp(1j * (
+                dual.axis + rng.uniform(-0.95, 0.95) * dual.half_width))
+            calls.clear()
+            v.diagnostics(w)
+            (starts, ends, _, _, tol, _), (steps, errs) = calls[0]
+            for k, (step, err) in enumerate(zip(steps, errs)):
+                (a, a_err), (b, b_err) = (
+                    contour._segment(contour.Segment(starts[i], ends[i]), u,
+                                     tol, w) for i in (2 * k, 2 * k + 1))
+                assert abs(step - (a + b)) <= err + a_err + b_err, (w, k)
+                checked += 1
+    assert checked >= 150
+
+
 # ---- Meril overflow ----
 
 def test_meril_overflow_is_named_before_quadrature(monkeypatch):
@@ -699,16 +790,46 @@ def test_residue_oracle_overflow_is_named():
 
 def test_residue_oracle_names_the_largest_term_when_the_value_overflows():
     # Every Re(a w) is in range here.  The sum overflowed to nan at a
-    # third-order pole at 0.9 and w = 780, and w^19 overflowed at w = 1e17
-    # with a message naming e^0.  Now both name the largest term's
-    # log-magnitude, log(2 pi |c|) + (m - 1) log|w| + Re(a w) - lgamma(m).
-    for u, w, exponent in ((MeromorphicDatum([(0.9, 3, 1.0)]), 780,
-                            "716.463"),
-                           (MeromorphicDatum([(0j, 20, 1.0)]), 1e17,
-                            "706.233")):
-        with pytest.raises(OverflowError, match=rf"needs e\^{exponent}, "
-                           r"beyond the float range"):
-            residue_oracle(u, w)
+    # third-order pole at 0.9 and w = 780 with a message naming e^0.  Now
+    # it names the largest term's log-magnitude,
+    # log(2 pi |c|) + (m - 1) log|w| + Re(a w) - lgamma(m).  (w^19 at
+    # w = 1e17 no longer raises: see the log-form test below.)
+    u = MeromorphicDatum([(0.9, 3, 1.0)])
+    with pytest.raises(OverflowError,
+                       match=r"needs e\^716.463, beyond the float range"):
+        residue_oracle(u, 780)
+
+
+@pytest.mark.parametrize("terms, w", [
+    ([(0j, 20, 1.0)], 1e17),  # w^19 overflows; the term is e^706.233
+    ([(0j, 20, 1.0)], -1e17j),
+    ([(0j, 200, 1.0)], 100),  # 199! is no float; the term is e^60.33
+    ([(0.5 + 0.2j, 200, 1 - 2j)], 80 - 30j),
+    ([(0j, 200, 1.0)], 1),  # e^-856: underflows to 0
+    ([(0j, 200, 1.0), (0.3, 1, 2.0)], 0),  # m > 1 contributes 0 at w = 0
+    ([(0j, 200, 1.0), (1.1, 2, 0.5j)], 1),
+])
+def test_residue_oracle_takes_overflowing_terms_in_log_form(terms, w):
+    # Values that fit in a float used to raise "needs e^706.233", "needs
+    # e^-856.096" or "needs e^inf" because w^{m-1} or (m-1)! overflowed.
+    u = MeromorphicDatum(terms)
+    value = residue_oracle(u, w)
+    want = residue_transform(u).log_abs(w)
+    if want < -745.0:  # below the smallest subnormal
+        assert value == 0
+    else:
+        assert math.log(abs(value)) == pytest.approx(want, rel=1e-13,
+                                                     abs=1e-13)
+
+
+def test_residue_oracle_keeps_the_bits_of_terms_that_fit():
+    u = MeromorphicDatum([(0.9, 3, 1.0), (0.2 - 0.1j, 170, 1e-300),
+                          (0.5j, 1, 2 - 1j)])
+    for w in (0.3 - 2j, 7.0, 1e-3j):
+        want = 0j
+        for a, m, c in u.terms:
+            want += c * w ** (m - 1) * cmath.exp(a * w) / math.factorial(m - 1)
+        assert residue_oracle(u, w) == 2j * math.pi * want
 
 
 # ---- Polya on the cached-node trapezoid rule ----
