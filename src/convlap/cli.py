@@ -362,6 +362,10 @@ def parse_scenario(text: str) -> Scenario:
         growth_radii = _GROWTH_RADII
     else:
         growth_radii = _as_reals(radii_doc, "$.growth.radii")
+        if not growth_radii or any(r <= 0 for r in growth_radii):
+            _fail("$.growth.radii", "needs positive entries")
+        if any(b <= a for a, b in zip(growth_radii, growth_radii[1:])):
+            _fail("$.growth.radii", "must be strictly increasing")
     growth_rays = _as_int(gdoc.get("rays", _GROWTH_RAYS), "$.growth.rays")
     if growth_rays < 1:
         _fail("$.growth.rays", "needs at least one ray")

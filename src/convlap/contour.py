@@ -20,11 +20,12 @@ as the coarse rule; other pieces take Gauss-Kronrod 15 on 1 to 2048
 equal panels with the embedded Gauss-7 (Piessens et al., QUADPACK,
 1983), and multiply the cached g by e^{z*w} once per level on the whole
 node array.  Their error estimate is the fine-coarse gap plus a roundoff
-floor of 16 eps sum |f_k| max|w_k|.  The rungs of a truncation ladder
-(Meril's ray pieces) take _rungs instead: consecutive rungs share one
-cached rectangular _block of segments at one level, so a w costs one
-exp, one matrix product and one row sum per block, not a kernel call
-per segment.
+floor of 16 eps sum |f_k| max|w_k|.  A contour's own such piece starts
+no lower than where it settles at w = 0, learned once by _settled_level.
+The rungs of a truncation ladder (Meril's ray pieces) take _rungs
+instead: consecutive rungs share one cached rectangular _block of
+segments at one level, so a w costs one exp, one matrix product and one
+row sum per block, not a kernel call per segment.
 
 On a full circle C(c, rho) the trapezoid sum is taken in moment form for
 every w, w = 0 included, where the Taylor terms are [1, 0, ...]
@@ -410,10 +411,10 @@ def _scaled_taylor(x: complex, count: int) -> np.ndarray:
     return peak * np.concatenate((down, [1.0], np.cumprod(x / k[m0:])))
 
 
-def _node_sums(piece, level: int, g, w: complex):
+def _node_sums(piece, level: int, g, w: complex, entry=_level):
     """Fine sum, coarse sum, roundoff floor and node count of
-    e^{z*w} g(z) dz at a level, from g at the nodes."""
-    (nodes, weights, idx, coarse_weights, scale), values = _level(
+    e^{z*w} g(z) dz at a level, from g at the nodes (entry's)."""
+    (nodes, weights, idx, coarse_weights, scale), values = entry(
         piece, level, g)
     f = np.exp(nodes * w) * values
     return (complex(f @ weights), complex(f[idx] @ coarse_weights),
@@ -457,8 +458,9 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     _circle or _segment (see the module docstring), takes a share of
     abs_tol proportional to its length.  It starts at the first level with
     at least 2|w| nodes per unit of length (Gauss-Kronrod and Gauss-7 can
-    agree by chance on coarser panels, which do not resolve the kernel) or,
-    on a full circle, as many coarse nodes as Taylor terms, and doubles
+    agree by chance on coarser panels, which do not resolve the kernel),
+    or at the first where the piece settles at w = 0 if higher (cached),
+    or, on a full circle, as many coarse nodes as Taylor terms, and doubles
     until the fine-coarse gap is within the roundoff floor or the share.
     Past the top level _segment bisects, each half taking half the share,
     up to _MAX_SPLITS deep; else QuadratureError is raised.  The estimate
@@ -488,8 +490,10 @@ def _integrate(pieces, lengths, g, abs_tol: float, w: complex,
             continue
         tol = abs_tol * (length / total_len)
         try:
-            part, est = (_circle(piece, g, tol, w) if piece.full_circle
-                         else _segment(piece, g, tol, w, splits))
+            part, est = (
+                _circle(piece, g, tol, w) if piece.full_circle
+                else _segment(piece, g, tol, w, splits, _settled_level(
+                    piece, g, tol) if splits == _MAX_SPLITS else 0))
         except QuadratureError as exc:
             exc.partial += value
             raise
@@ -533,12 +537,13 @@ def _circle(piece: Arc, g, tol: float, w: complex):
                           f"{gap:.3e}, roundoff floor {floor:.3e}", fine)
 
 
-def _segment(piece, g, tol: float, w: complex, splits: int = _MAX_SPLITS):
+def _segment(piece, g, tol: float, w: complex, splits: int = _MAX_SPLITS,
+             level: int = 0):
     """(value, estimate) on a segment or an arc to tol, splits bisections
-    left; with the default, integrate on [piece] for a w already checked."""
+    left, from this level or the one 2|w| nodes per unit length need; with
+    the defaults, integrate on [piece] for a w already checked."""
     size, top = _LEVELS[False]
     need = _NODES_PER_RATE * abs(w) * piece.length
-    level = 0
     while size << level < need and level < top:
         level += 1
     for level in range(level, top + 1):
@@ -559,6 +564,18 @@ def _segment(piece, g, tol: float, w: complex, splits: int = _MAX_SPLITS):
     halves = _halves(piece)  # past the top level
     return _integrate(halves, [h.length for h in halves], g, tol, w,
                       splits - 1)
+
+
+@lru_cache(maxsize=64)
+def _settled_level(piece, g, tol: float) -> int:
+    """First level at which the piece settles at w = 0 to tol, else 0: g's
+    own need.  Read past _level, so the climb evicts no entry a w reads."""
+    for level in range(_LEVELS[False][1] + 1):
+        fine, coarse, floor, _ = _node_sums(piece, level, g, 0j,
+                                            _level.__wrapped__)
+        if abs(fine - coarse) <= max(tol, floor):
+            return level
+    return 0
 
 
 @lru_cache(maxsize=16)

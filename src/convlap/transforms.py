@@ -30,8 +30,9 @@ and that floor raises QuadratureError.
 Meril integrates the unscaled e^{z*w} u(z) up to the first radius of a
 geometric ladder where the closed-form tail of both boundary rays
 (``ray_tail_bound``) is at most MERIL_TAIL_TOL: the contour to the first
-radius through ``integrate``, and the rungs, each ray's piece between
-two radii, through ``contour._rungs``, each segment to MERIL_ABS_TOL.
+radius through ``integrate``, whose pieces start where u alone settles
+(learned at the first w), and the rungs, each ray's piece between two
+radii, through ``contour._rungs``, each segment to MERIL_ABS_TOL.
 Rungs share blocks of segments at one level, cached with u at their
 nodes by value, so a w costs one exp and one matrix product per block,
 about one block per evaluation, not a kernel call per rung segment.

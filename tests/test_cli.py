@@ -103,6 +103,10 @@ def test_schema_violations_carry_json_path():
         parse(dict(REFERENCE_MERIL, tolerances={"tail-dominance": 1e-3}))
     with pytest.raises(ScenarioError, match=r"\$\.growth\.eps_ladder"):
         parse(dict(MINIMAL_POLYA, growth={"eps_ladder": [0.1, 0.5]}))
+    # Radii the growth check would reject at run time, with exit 1.
+    for radii in ([10.0, 1.0], [], [-1.0, 2.0]):
+        with pytest.raises(ScenarioError, match=r"\$\.growth\.radii"):
+            parse(dict(MINIMAL_POLYA, growth={"radii": radii}))
     with pytest.raises(ScenarioError, match=r"\$\.set"):
         parse({"kind": "legendre",
                "set": {"type": "region", "halfplanes": [[1.0, 0.0, 1.0]]},

@@ -654,19 +654,23 @@ def test_rungs_send_unsettled_rows_and_top_level_rungs_to_segment(
     lengths = np.array([1.0, 1.5, 5000.0])
     w = 2j
     segment = contour._segment
-    seen = []
+    seen, halves = [], []
 
-    def recording(piece, g, tol, w, splits=contour._MAX_SPLITS):
-        if splits == contour._MAX_SPLITS:  # not a bisected half
-            seen.append(piece)
-        return segment(piece, g, tol, w, splits)
+    def recording(piece, g, tol, w, splits=contour._MAX_SPLITS, level=0):
+        (seen if splits == contour._MAX_SPLITS else halves).append(piece)
+        return segment(piece, g, tol, w, splits, level)
 
+    # Neither the unsettled rows nor their bisected halves start from the
+    # level learned at w = 0: only integrate's own pieces do.
     monkeypatch.setattr(contour, "_segment", recording)
+    monkeypatch.setattr(contour, "_settled_level", None)
     contour._block.cache_clear()
     steps, errs = contour._rungs(starts, ends, lengths, _off_segment_pole,
                                  1e-11, w)
+    monkeypatch.undo()
     assert seen == [Segment(3 + 0j, 4.5 + 0j), Segment(5 + 0j, 5005 + 0j),
                     Segment(5j, 5005j)]
+    assert halves
     assert contour._block.cache_info().currsize == 1
     for k, (step, err) in enumerate(zip(steps, errs)):
         ref = integrate(OrientedContour(

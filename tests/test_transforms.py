@@ -23,6 +23,7 @@ from convlap.convexgeom import (
     thicken,
 )
 from convlap.transforms import (
+    MERIL_ABS_TOL,
     ConvergenceError,
     MeromorphicDatum,
     borel_inverse,
@@ -282,30 +283,31 @@ def test_non_finite_w_is_rejected_by_name():
                 f(w)
 
 
-# The traces of test_meril_traces_are_pinned_bitwise from one kernel call
-# per rung segment, each from its own start level: the reference that
-# the rung blocks must stay within both estimates of.
+# The traces of test_meril_traces_are_pinned_bitwise with every base
+# contour piece climbing from the level of its 2|w|*length nodes, not
+# from the level where u alone settles: the reference that the learned
+# start level must stay within both estimates of.
 REFERENCE = {
     -0.7 + 0j: (
-        3.717414635920012 + 0.9858112295335992j, 7.953760108967537e-13,
+        3.717414635920012 + 0.9858112295335992j, 2.4984215827733603e-13,
         (0.012694952487998713, 0.002562121279529716,
          0.00021356493971748096, 4.076951466520753e-06,
-         1.1403642825067182e-08, 2.536037050246794e-12),
-        (0.04411313211643916, 0.005660091840325141,
-         0.0003453535406725986, 6.711209138610989e-06,
-         2.3011861134391468e-08, 5.7806174241948255e-12)),
+         1.1403642825067187e-08, 2.5360370502467935e-12),
+        (0.04411313211630449, 0.005660091840288756,
+         0.00034535354060384106, 6.7112088329144365e-06,
+         2.301186110696293e-08, 5.780617424194825e-12)),
     -2.7631829820086553 + 1.1682550269259515j: (
-        0.0021141640255219435 + 0.16355209904542292j,
-        2.8970940337143035e-13,
-        (6.20449796891551e-05, 1.2221986979056872e-06,
-         4.108306527085844e-09, 9.58512384084516e-13),
-        (0.00022399307166078467, 3.95282755574982e-06,
-         1.2307520173504051e-08, 2.7484008615367086e-12)),
+        0.002114164025521943 + 0.16355209904542292j,
+        1.6866840701659336e-13,
+        (6.204497968915511e-05, 1.2221986979056893e-06,
+         4.108306527085843e-09, 9.58512384084516e-13),
+        (0.000223993071643332, 3.952827452168348e-06,
+         1.230752016667049e-08, 2.748400861536708e-12)),
     -12.380034223645175 - 8.46963710092553j: (
         2.084353555047914e-05 - 2.361022050235099e-05j,
-        8.467608289351017e-14,
-        (1.8365397016099464e-09, 1.9061783170612618e-13),
-        (1.082929013499244e-08, 1.1117334784268317e-12)),
+        8.464773752233558e-14,
+        (1.8365397016099262e-09, 1.9061783170612618e-13),
+        (1.082929010664707e-08, 1.1117334784268317e-12)),
 }
 
 
@@ -315,28 +317,14 @@ def test_meril_traces_are_pinned_bitwise():
     # within both estimates of the REFERENCE traces, rung for rung.
     u = MeromorphicDatum([(1.2 + 0.3j, 1, 0.5 - 1j), (2 - 0.4j, 2, 0.75j)])
     v = meril_transform(u, SECTOR, 0.1, 0.1)
-    pinned = {
-        -0.7 + 0j: (
-            3.717414635920012 + 0.9858112295335992j, 2.4984215827733603e-13,
-            (0.012694952487998713, 0.002562121279529716,
-             0.00021356493971748096, 4.076951466520753e-06,
-             1.1403642825067187e-08, 2.5360370502467935e-12),
-            (0.04411313211630449, 0.005660091840288756,
-             0.00034535354060384106, 6.7112088329144365e-06,
-             2.301186110696293e-08, 5.780617424194825e-12)),
-        -2.7631829820086553 + 1.1682550269259515j: (
-            0.002114164025521943 + 0.16355209904542292j,
-            1.6866840701659336e-13,
-            (6.204497968915511e-05, 1.2221986979056893e-06,
-             4.108306527085843e-09, 9.58512384084516e-13),
-            (0.000223993071643332, 3.952827452168348e-06,
-             1.230752016667049e-08, 2.748400861536708e-12)),
-        -12.380034223645175 - 8.46963710092553j: (
-            2.084353555047914e-05 - 2.361022050235099e-05j,
-            8.464773752233558e-14,
-            (1.8365397016099262e-09, 1.9061783170612618e-13),
-            (1.082929010664707e-08, 1.1117334784268317e-12)),
-    }
+    pinned = dict(REFERENCE)
+    pinned[-2.7631829820086553 + 1.1682550269259515j] = (
+        0.0021141640255218875 + 0.16355209904542292j,
+        2.3521473613860883e-14,
+        (6.204497968915511e-05, 1.2221986979056893e-06,
+         4.108306527085843e-09, 9.58512384084516e-13),
+        (0.000223993071643332, 3.952827452168348e-06,
+         1.230752016667049e-08, 2.748400861536708e-12))
     for w, want in pinned.items():
         t = v.diagnostics(w)
         assert (t.value, t.error, t.gaps, t.bounds) == want, w
@@ -568,6 +556,47 @@ def test_meril_evaluates_u_once_per_node_array(monkeypatch):
     assert len(arrays) < 24 * 3
 
 
+def test_meril_base_segments_start_where_u_alone_settles(monkeypatch):
+    # Each piece of the base contour starts at the level where u alone
+    # settles (w = 0, the piece's share of MERIL_ABS_TOL), learned once
+    # per piece and datum, or higher where 2|w| nodes per unit length need
+    # it.  The boundary segments run past the poles: from 2|w|*length
+    # nodes they climbed about four level rounds per w here; now one.
+    # The corner arc settles at level 0 at w = 0, so e^{z*w} alone sets
+    # its rounds, as before.
+    u = MeromorphicDatum([(1 + 0.2j, 2, 1.0), (1.5 - 0.1j, 1, 0.5j)])
+    v = meril_transform(u, SECTOR, 0.1, 0.1)
+    dual = polar_cone(asymptotic_cone(SECTOR))
+    rng = np.random.default_rng(20)
+    ws = [0.1 * bisector(dual) + mag * cmath.exp(
+        1j * (dual.axis + f * dual.half_width)) for mag, f in zip(
+        np.exp(rng.uniform(math.log(0.5), math.log(12.0), 24)),
+        rng.uniform(-0.95, 0.95, 24))]
+    contour._settled_level.cache_clear()
+    base = contour.region_boundary_contour(
+        thicken(SECTOR, 0.1), truncation=v.diagnostics(ws[0]).radii[0])
+    assert contour._settled_level.cache_info().misses == 3
+    levels = [contour._settled_level(
+        p, u, MERIL_ABS_TOL * (n / base.length))
+        for p, n in zip(base.pieces, base.lengths)]
+    assert levels[0] == levels[2] > 0 and levels[1] == 0
+    rounds = {p: 0 for p in base.pieces}
+    node_sums = contour._node_sums
+
+    def counting(piece, *args):
+        if piece in rounds:
+            rounds[piece] += 1
+        return node_sums(piece, *args)
+
+    monkeypatch.setattr(contour, "_node_sums", counting)
+    for w in ws:
+        value, error = v.with_error(w)
+        assert abs(value - residue_oracle(u, w)) <= error <= 1e-9
+    first, _, last = base.pieces
+    assert rounds[first] == rounds[last] == len(ws)
+    assert contour._settled_level.cache_info().misses == 3
+
+
 def _seeded_meril_regions(rng, n: int):
     """n (datum, region) pairs: sectors at the origin with a random axis
     and half-angle in (0.2, 1.4), every other one with its apex cut off by
@@ -622,6 +651,26 @@ def test_meril_rung_blocks_match_segment_on_each_rung(monkeypatch):
                 assert abs(step - (a + b)) <= err + a_err + b_err, (w, k)
                 checked += 1
     assert checked >= 150
+
+
+def test_meril_estimates_are_honest_near_the_cone_edge():
+    # Seeded sweep: cut and uncut sectors with 1-3 poles, eps' = 1e-3,
+    # |w| from 0.5 to 100 and w up to 0.999 of the dual half-width either
+    # side of the axis; the estimate is never below the oracle gap.
+    rng = np.random.default_rng(4)
+    for u, region in _seeded_meril_regions(rng, 12):
+        v = meril_transform(u, region, 0.1, 1e-3)
+        dual = polar_cone(asymptotic_cone(region))
+        offsets = np.concatenate(([-0.999, 0.999],
+                                  rng.uniform(-0.999, 0.999, 4)))
+        for mag, f in zip(np.exp(rng.uniform(math.log(0.5),
+                                             math.log(100.0), 6)), offsets):
+            w = 1e-3 * bisector(dual) + mag * cmath.exp(
+                1j * (dual.axis + f * dual.half_width))
+            value, error = v.with_error(w)
+            ref = residue_oracle(u, w)
+            assert abs(value - ref) <= error, w
+            assert abs(value - ref) / (1.0 + abs(ref)) <= 1e-8, w
 
 
 # ---- Meril overflow ----
