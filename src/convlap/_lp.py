@@ -9,11 +9,12 @@ halfplane_polygon intersects half-planes by sorting their normals by
 angle and sweeping them with a stack (unbounded sets) or a deque (bounded
 ones), as in de Berg et al., *Computational Geometry*, ch. 4.  Callers
 build a set's Polygon once and read everything off it: convexgeom keeps
-one per region (support function, vertices, recession cone, boundary),
-and legendre builds each conjugate from one Polygon per cell.
-maximize_min_affine, the maximum of a minimum of affine pieces over such
-cells, is left only behind interior_slack, the emptiness and interior
-test of regions.
+one core Polygon per body and per region, behind the support function,
+signed distance, boundary walk, asymptotic cone, affine dimension and
+boundedness alike, and legendre builds each conjugate from one Polygon
+per cell.  The LP, maximize_min_affine (the maximum of a minimum of
+affine pieces over such cells), is left only behind interior_slack: the
+region constructor's emptiness check and region_has_interior.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class Polygon(NamedTuple):
     unbounded, rays is (d_in, d_out), the unit directions toward infinity
     of its entry and exit rays; edges[0] carries the entry ray, edges[i]
     the edge from vertices[i-1] to vertices[i], and edges[-1] the exit
-    ray.  A point, a segment or a ray keeps this form.
+    ray.  A point, a segment or a ray keeps this form (a one-vertex
+    body lists the four axis-parallel half-planes through its point).
 
     A set containing a line (the plane, a half-plane, a slab, a line) has
     no vertices: edges holds its 0-2 boundary half-planes and rays

@@ -61,13 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convexgeom import (
-    ConvexBody,
-    ConvexRegion,
-    _cis,
-    boundary_walk,
-    region_is_bounded,
-)
+from .convexgeom import _cis, boundary_walk, region_is_bounded
 
 __all__ = [
     "Segment",
@@ -288,16 +282,12 @@ def region_boundary_contour(s, truncation: float | None = None):
     unbounded region needs a truncation radius R enclosing every corner;
     the chain then starts and ends on C(0,R).
     """
-    if not isinstance(s, (ConvexBody, ConvexRegion)):
-        raise TypeError(f"unsupported set type {type(s).__name__}")
-    if isinstance(s, ConvexBody) or region_is_bounded(s):
-        walk = boundary_walk(s)  # no facet only for a one-vertex body
+    if region_is_bounded(s):
+        walk = boundary_walk(s)  # no facet only for a rounded point
         if walk.normals:  # the last facet's normal comes before corner 0
             return OrientedContour(_offset_pieces(
                 walk.normals[-1:] + walk.normals, walk.corners, s.rounding,
                 closed=True))
-        if s.rounding <= 0.0:
-            raise ValueError("a single point has no boundary contour")
         return circle_contour(walk.corners[0], s.rounding)
     if truncation is None:
         raise ValueError("an unbounded region needs a truncation radius")

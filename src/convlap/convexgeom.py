@@ -12,16 +12,21 @@ conversion exactly once.
 Sets come in two flavors.  A ConvexBody is a compact set: the convex
 hull of finitely many vertices fattened by a closed disk of radius
 ``rounding``.  A ConvexRegion is a closed intersection of half-planes,
-fattened the same way; it may be unbounded.  Both support the same
-operations: support function, thickening, signed distance.  Cones keep
-their own small type because the degenerate cases ({0}, a ray, a line,
-a half-plane, the whole plane) all matter downstream.
+fattened the same way; it may be unbounded.  Each set has one core
+polygon (``core``, an ``_lp.Polygon``): a body builds it from its
+vertices, a region intersects its half-planes once.  The support
+function, signed distance, boundary walk, asymptotic cone, affine
+dimension and boundedness all read that polygon alone, so bodies and
+regions share every formula; only a region's interior test still asks
+the LP.  Cones keep their own small type because the degenerate cases
+({0}, a ray, a line, a half-plane, the whole plane) all matter
+downstream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import _lp
@@ -58,17 +63,22 @@ class ConvexBody:
 
     vertices: counterclockwise, strictly convex (no repeated point, no
     three collinear).  A single vertex is allowed (with rounding > 0 it
-    is a disk); exactly two are not.
+    is a disk); exactly two are not.  core: the un-rounded polygon, its
+    edges' half-planes in vertex order (a single vertex keeps the four
+    axis-parallel half-planes through it).
     """
 
     vertices: tuple[complex, ...]
     rounding: float = 0.0
+    core: _lp.Polygon = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices, rounding: float = 0.0):
         verts = tuple(complex(v) for v in vertices)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "rounding", float(rounding))
         self._validate()
+        object.__setattr__(self, "core", _lp.Polygon(
+            tuple((v.real, v.imag) for v in verts), (), _edges(verts)))
 
     def _validate(self) -> None:
         if not self.vertices:
@@ -96,6 +106,23 @@ class ConvexBody:
                         "counterclockwise")
 
 
+def _edges(verts) -> tuple:
+    """The half-plane (nx, ny, d) carrying each edge of a counterclockwise
+    vertex cycle; a single vertex is cut out by four."""
+    if len(verts) == 1:
+        v = verts[0]
+        return ((1.0, 0.0, v.real), (-1.0, 0.0, -v.real),
+                (0.0, 1.0, v.imag), (0.0, -1.0, -v.imag))
+    hp = []
+    n = len(verts)
+    for i in range(n):
+        e = verts[(i + 1) % n] - verts[i]
+        norm = abs(e)
+        nx, ny = e.imag / norm, -e.real / norm
+        hp.append((nx, ny, nx * verts[i].real + ny * verts[i].imag))
+    return tuple(hp)
+
+
 @dataclass(frozen=True)
 class ConvexRegion:
     """Intersection of half-planes {z : n . z <= d}, fattened by
@@ -119,6 +146,25 @@ class ConvexRegion:
             raise ValueError("rounding must be finite and >= 0")
         if _lp.interior_slack(self.halfplanes) < -1e-9:
             raise ValueError("the half-planes have empty intersection")
+
+    @property
+    def core(self) -> _lp.Polygon:
+        """The un-rounded polygon, built once per half-plane list."""
+        return _core_polygon(self.halfplanes)
+
+
+@lru_cache(maxsize=256)
+def _core_polygon(halfplanes) -> _lp.Polygon:
+    poly = _lp.halfplane_polygon(halfplanes)
+    if poly is None:
+        raise ValueError("the half-planes have empty intersection")
+    return poly
+
+
+def _core(s) -> _lp.Polygon:
+    if not isinstance(s, (ConvexBody, ConvexRegion)):
+        raise TypeError(f"unsupported set type {type(s).__name__}")
+    return s.core
 
 
 def sector(apex: complex, axis: float, half_angle: float) -> ConvexRegion:
@@ -207,18 +253,14 @@ def _cis(theta: float) -> complex:
 def support_function(s, w: complex) -> float:
     """h_s(w) = sup_{z in s} Re(z*w).  May be +inf for regions."""
     w = complex(w)
-    if isinstance(s, ConvexBody):
-        core = max((v * w).real for v in s.vertices)
-        return core + s.rounding * abs(w)
-    if isinstance(s, ConvexRegion):
-        # Finite exactly when Re(d*w) <= 0 along every ray d of the core;
-        # then the sup is attained at one of its points.
-        poly = _core_polygon(s.halfplanes)
-        u, v, r = w.real, w.imag, abs(w)
-        if any(dx * u - dy * v > 1e-11 * r for dx, dy in poly.rays):
-            return math.inf
-        return max(x * u - y * v for x, y in poly.points) + s.rounding * r
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    # Finite exactly when Re(d*w) <= 0 along every ray d of the core; then
+    # the sup is attained at one of its points.
+    poly = _core(s)
+    u, v, r = w.real, w.imag, abs(w)
+    if poly.rays and any(dx * u - dy * v > 1e-11 * r
+                         for dx, dy in poly.rays):
+        return math.inf
+    return max([x * u - y * v for x, y in poly.points]) + s.rounding * r
 
 
 def thicken(s, eps: float):
@@ -238,60 +280,50 @@ def thicken(s, eps: float):
 
 # ---- signed distance ----
 
-def _seg_dist(z: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    denom = (ab * ab.conjugate()).real
-    if denom == 0.0:
-        return abs(z - a)
-    t = ((z - a) * ab.conjugate()).real / denom
-    t = min(max(t, 0.0), 1.0)
-    return abs(z - (a + t * ab))
+def _flat(poly: _lp.Polygon) -> bool:
+    """Whether the core is a point, a segment or a ray: the lines of its
+    edges then cut out more than the set."""
+    n = len(poly.vertices)
+    if not poly.rays:
+        return n < 3
+    if n != 1:
+        return False
+    (ix, iy), (ox, oy) = poly.rays
+    return abs(ix * oy - iy * ox) <= 1e-12
 
 
-def _polygon_signed(vertices: tuple[complex, ...], z: complex) -> float:
-    n = len(vertices)
-    if n == 1:
-        return abs(z - vertices[0])
-    d = min(_seg_dist(z, vertices[i], vertices[(i + 1) % n])
-            for i in range(n))
-    inside = True
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        cr = ((b - a).real * (z - a).imag - (b - a).imag * (z - a).real)
-        if cr < 0.0:
-            inside = False
-            break
-    return -d if inside else d
-
-
-@lru_cache(maxsize=256)
-def _core_polygon(halfplanes) -> _lp.Polygon:
-    """The un-rounded core of a region, built once per half-plane list:
-    every region query reads it."""
-    poly = _lp.halfplane_polygon(halfplanes)
-    if poly is None:
-        raise ValueError("the half-planes have empty intersection")
-    return poly
-
-
-def _region_core_signed(region: ConvexRegion, z: complex) -> float:
-    hp = region.halfplanes
-    if not hp:
+def _core_signed(poly: _lp.Polygon, z: complex) -> float:
+    edges = poly.edges
+    if not edges:
         return -math.inf
-    viol = max(nx * z.real + ny * z.imag - d for nx, ny, d in hp)
-    if viol <= 0.0:
-        # Interior: nearest boundary point lies on the least-slack line
-        # and its foot is always feasible for a convex intersection.
+    x, y = z.real, z.imag
+    ts = [nx * x + ny * y - d for nx, ny, d in edges]
+    viol = max(ts)
+    if viol <= 0.0 and not _flat(poly):
+        # Interior: the nearest boundary point lies on the least-slack
+        # edge.
         return viol
-    best = math.inf
-    for nx, ny, d in hp:
-        t = nx * z.real + ny * z.imag - d
-        foot = complex(z.real - t * nx, z.imag - t * ny)
-        if _lp._feasible((foot.real, foot.imag), hp, 1e-9 * (1.0 + abs(d))):
-            best = min(best, abs(z - foot))
-    for x, y in _core_polygon(hp).vertices:
-        best = min(best, abs(z - complex(x, y)))
+    # Outside, or on a flat core: the nearest point is a vertex or the
+    # foot on the line of an edge, if the foot falls within the edge; an
+    # edge that z lies behind is not nearer than one it lies beyond.
+    # Edge i runs from ends[i] to ends[i + 1], None where it comes from
+    # or goes to infinity; a point's edges add nothing to its vertex.
+    verts = poly.vertices
+    if poly.rays:
+        ends = (None,) + verts + (None,) * (len(edges) - len(verts))
+    else:
+        ends = verts + verts[:1]
+    best = min([abs(z - complex(vx, vy)) for vx, vy in verts],
+               default=math.inf)
+    for (nx, ny, d), t, a, b in zip(edges, ts, ends, ends[1:]):
+        if t < 0.0 < viol:
+            continue
+        # The position along the edge, the same for z and its foot.
+        s = nx * y - ny * x
+        slack = 1e-9 * (1.0 + abs(d))
+        if ((a is None or s >= nx * a[1] - ny * a[0] - slack)
+                and (b is None or s <= nx * b[1] - ny * b[0] + slack)):
+            best = min(best, abs(z - complex(x - t * nx, y - t * ny)))
     return best
 
 
@@ -300,12 +332,7 @@ def signed_distance(s, z: complex) -> float:
 
     For a region with no half-planes (the whole plane) this is -inf.
     """
-    z = complex(z)
-    if isinstance(s, ConvexBody):
-        return _polygon_signed(s.vertices, z) - s.rounding
-    if isinstance(s, ConvexRegion):
-        return _region_core_signed(s, z) - s.rounding
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    return _core_signed(_core(s), complex(z)) - s.rounding
 
 
 # ---- cones ----
@@ -318,11 +345,7 @@ def asymptotic_cone(s) -> Cone:
     """
     if isinstance(s, Cone):
         return s
-    if isinstance(s, ConvexBody):
-        return Cone("zero")
-    if not isinstance(s, ConvexRegion):
-        raise TypeError(f"unsupported set type {type(s).__name__}")
-    poly = _core_polygon(s.halfplanes)
+    poly = _core(s)
     if not poly.rays:
         return Cone("zero")
     if not poly.edges:
@@ -371,38 +394,36 @@ def bisector(c: Cone) -> complex:
     return _cis(c.axis)
 
 
-def region_contains_line(region: ConvexRegion) -> bool:
+def region_contains_line(s) -> bool:
     # Only a set containing a line has no vertex.
-    return not _core_polygon(region.halfplanes).vertices
+    return not _core(s).vertices
 
 
-def region_is_bounded(region: ConvexRegion) -> bool:
-    return not _core_polygon(region.halfplanes).rays
+def region_is_bounded(s) -> bool:
+    return not _core(s).rays
 
 
-def region_has_interior(region: ConvexRegion) -> bool:
-    if region.rounding > 0.0:
+def region_has_interior(s) -> bool:
+    if s.rounding > 0.0:
         return True
-    return _lp.interior_slack(region.halfplanes) > 1e-12
+    # A body's core is flat only when it is a point; a region's may be
+    # flat however many vertices it has, and the LP decides.
+    if isinstance(s, ConvexBody):
+        return len(s.core.vertices) > 1
+    return _lp.interior_slack(s.halfplanes) > 1e-12
 
 
 def affine_dimension(s) -> int:
     """Real dimension of the affine hull of the set."""
-    if isinstance(s, ConvexBody):
-        if s.rounding > 0.0:
-            return 2
-        return 0 if len(s.vertices) == 1 else 2
-    if isinstance(s, ConvexRegion):
-        if region_has_interior(s):
-            return 2
-        # A point, or else a segment, a ray or a line.
-        poly = _core_polygon(s.halfplanes)
-        return 0 if len(poly.vertices) == 1 and not poly.rays else 1
     if isinstance(s, Cone):
         if s.kind == "sector":
             return 2 if s.half_width > 1e-12 else 1
         return {"zero": 0, "line": 1, "plane": 2}[s.kind]
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    poly = _core(s)
+    if region_has_interior(s):
+        return 2
+    # A point, or else a segment, a ray or a line.
+    return 0 if len(poly.vertices) == 1 and not poly.rays else 1
 
 
 # ---- boundary structure (consumed by the contour module) ----
@@ -426,28 +447,20 @@ class BoundaryWalk:
 def boundary_walk(s) -> BoundaryWalk:
     """Facet structure of the un-rounded core, ordered counterclockwise.
 
-    Bodies and bounded regions give closed walks.  Unbounded regions
-    containing no line give open chains.  Regions containing a line are
-    rejected: their boundary is not a single chain.
+    Bounded sets give closed walks, and a rounded point a walk with no
+    facet.  Unbounded regions containing no line give open chains.
+    Regions containing a line are rejected: their boundary is not a
+    single chain.
     """
-    if isinstance(s, ConvexBody):
-        verts = s.vertices
-        if len(verts) == 1:
-            return BoundaryWalk(True, (), (verts[0],))
-        n = len(verts)
-        normals = []
-        for i in range(n):
-            e = verts[(i + 1) % n] - verts[i]
-            normals.append(math.atan2(-e.real, e.imag))
-        return BoundaryWalk(True, tuple(normals), tuple(verts))
-    if not isinstance(s, ConvexRegion):
-        raise TypeError(f"unsupported set type {type(s).__name__}")
-    if region_contains_line(s):
+    poly = _core(s)
+    if not poly.vertices:
         raise ValueError("region contains a line: its boundary is not "
                          "a single chain")
     if not region_has_interior(s):
         raise ValueError("boundary walk needs a set with nonempty interior")
-    poly = _core_polygon(s.halfplanes)
+    corners = tuple(complex(x, y) for x, y in poly.vertices)
+    if len(corners) == 1 and not poly.rays:
+        return BoundaryWalk(True, (), corners)
     return BoundaryWalk(not poly.rays,
                         tuple(math.atan2(ny, nx) for nx, ny, _ in poly.edges),
-                        tuple(complex(x, y) for x, y in poly.vertices))
+                        corners)

@@ -103,19 +103,7 @@ def _domain_halfplanes(domain):
                                    "description")
     if isinstance(domain, ConvexRegion):
         return list(domain.halfplanes)
-    verts = domain.vertices
-    if len(verts) == 1:
-        v = verts[0]
-        return [(1.0, 0.0, v.real), (-1.0, 0.0, -v.real),
-                (0.0, 1.0, v.imag), (0.0, -1.0, -v.imag)]
-    hp = []
-    n = len(verts)
-    for i in range(n):
-        e = verts[(i + 1) % n] - verts[i]
-        norm = abs(e)
-        nx, ny = e.imag / norm, -e.real / norm
-        hp.append((nx, ny, nx * verts[i].real + ny * verts[i].imag))
-    return hp
+    return list(domain.core.edges)
 
 
 @lru_cache(maxsize=256)

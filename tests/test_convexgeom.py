@@ -400,6 +400,73 @@ def test_boundary_walk_skips_redundant_halfplanes():
     assert walk.corners == pytest.approx([0j])
 
 
+# ---- one core polygon behind bodies and regions ----
+
+def _same_walk(wa, wb, tol=1e-12):
+    """Equal closed walks up to where the cycle starts."""
+    assert wa.closed and wb.closed
+    n = len(wa.corners)
+    assert len(wb.corners) == n and len(wa.normals) == len(wb.normals)
+    k = min(range(n), key=lambda i: abs(wb.corners[i] - wa.corners[0]))
+    for i in range(n):
+        j = (i + k) % n
+        assert abs(wa.corners[i] - wb.corners[j]) <= tol
+        if wa.normals:
+            assert abs(math.remainder(wa.normals[i] - wb.normals[j],
+                                      2 * math.pi)) <= tol
+
+
+@pytest.mark.parametrize("rounding", [0.0, 0.25, 1.0])
+def test_bodies_and_the_regions_of_their_edges_agree(rounding):
+    # A region's vertices are intersections of its edge lines, so they
+    # match the body's only to rounding; the body's support function is
+    # the vertex maximum bit for bit.
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        k = int(rng.integers(3, 7))
+        angles = (rng.uniform(0.0, 2 * math.pi)
+                  + 2 * math.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k))
+                  / k)
+        centre = complex(*rng.uniform(-3, 3, 2))
+        radius = rng.uniform(0.5, 2.0)
+        body = ConvexBody([centre + radius * complex(math.cos(a), math.sin(a))
+                           for a in angles], rounding)
+        region = ConvexRegion(body.core.edges, rounding)
+        for w in (complex(*rng.uniform(-5, 5, 2)) for _ in range(20)):
+            h = support_function(body, w)
+            assert h == (max((v * w).real for v in body.vertices)
+                         + rounding * abs(w))
+            assert abs(h - support_function(region, w)) <= 1e-12
+        for z in (complex(*rng.uniform(-6, 6, 2)) for _ in range(40)):
+            assert abs(signed_distance(body, z)
+                       - signed_distance(region, z)) <= 1e-12
+        _same_walk(boundary_walk(body), boundary_walk(region))
+        for s in (body, region):
+            assert asymptotic_cone(s) == Cone("zero")
+            assert affine_dimension(s) == 2
+
+
+def test_one_vertex_bodies_and_their_regions_agree():
+    rng = np.random.default_rng(53)
+    for rounding in (0.0, 1.0):
+        body = ConvexBody([0.7 - 1.2j], rounding)
+        region = ConvexRegion(body.core.edges, rounding)
+        for z in [0.7 - 1.2j] + [complex(*rng.uniform(-4, 4, 2))
+                                 for _ in range(40)]:
+            d = signed_distance(body, z)
+            assert d == pytest.approx(abs(z - (0.7 - 1.2j)) - rounding,
+                                      abs=1e-12)
+            assert abs(d - signed_distance(region, z)) <= 1e-12
+        if rounding:
+            # A disk walks no facet around its one corner.
+            _same_walk(boundary_walk(body), boundary_walk(region))
+            assert boundary_walk(body).normals == ()
+        else:
+            for s in (body, region):
+                with pytest.raises(ValueError, match="interior"):
+                    boundary_walk(s)
+
+
 # ---- validation ----
 
 def test_body_validation():

@@ -137,3 +137,39 @@ def test_first_batch_enters_every_layer_the_workload_calls(workload,
     names = tracer.summary()["names"]
     assert [n for n in tracing.CALLED[workload]
             if names.get(n, {}).get("count", 0) == 0] == []
+
+
+@pytest.mark.parametrize("workload", ["polya-grid", "meril-cone"])
+def test_traced_pass_on_warm_caches_enters_every_layer(workload, tmp_path):
+    # ``run.py --trace 1`` runs pass 0 untraced and then again under the
+    # tracer in the same process, with every cache the first run filled.
+    # A layer that only a cache miss reaches drops out of that second
+    # run, so this repeats it: same pass, same order, nothing cleared.
+    # The ops are driven directly: run_batch arms ITIMER_PROF, and pytest
+    # installs no SIGPROF handler.
+    tracing = _load_tracing()
+    workloads = _load(ROOT / "perfbench" / "workloads.py",
+                      "perfbench_workloads")
+
+    def run_pass():
+        for batch in workloads.make_pass(workload, 1, 0, ROOT, tmp_path):
+            try:
+                ctx = batch.build()
+            except Exception:  # the runner fails such a batch's ops
+                continue
+            for op in batch.ops:
+                try:
+                    op(ctx)
+                except Exception:  # the runner counts the op as failed
+                    pass
+
+    run_pass()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_pass()
+    finally:
+        tracer.remove()
+    names = tracer.summary()["names"]
+    assert [n for n in tracing.CALLED[workload]
+            if names.get(n, {}).get("count", 0) == 0] == []

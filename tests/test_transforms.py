@@ -145,6 +145,49 @@ def test_polya_differentiation_law():
             assert abs(residue_oracle(u, w) - want) <= 1e-12
 
 
+def test_polya_estimates_are_honest_on_bodies_off_the_origin():
+    # Bodies centred up to 4 from the origin, 1-3 poles of order 1-3 at
+    # least 0.05 inside, and the CLI's default circle: centred on the
+    # mean of the vertices, with radius 1.25 times the body's extent
+    # from there.  The estimate never falls below the gap to the exact
+    # residue sum, for |w| log-uniform over [0.5, 60].
+    rng = np.random.default_rng(83)
+    dishonest = []
+    evaluations = 0
+    for i in range(40):
+        k = (1, 3, 4, 5, 6)[i % 5]
+        angles = (rng.uniform(0.0, 2 * math.pi)
+                  + 2 * math.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k))
+                  / k)
+        centre = rng.uniform(0.0, 4.0) * cmath.exp(
+            1j * rng.uniform(0.0, 2 * math.pi))
+        size = rng.uniform(0.5, 1.5)
+        body = ConvexBody([centre + size * cmath.exp(1j * a)
+                           for a in angles] if k > 1 else [centre],
+                          size if k == 1 else rng.uniform(0.0, 0.5))
+        terms = []
+        while len(terms) < 1 + i % 3:
+            a = centre + complex(*rng.uniform(-1.5, 1.5, 2))
+            if signed_distance(body, a) <= -0.05:
+                terms.append((a, int(rng.integers(1, 4)),
+                              complex(*rng.uniform(-1, 1, 2))))
+        u = MeromorphicDatum(terms)
+        mean = sum(body.vertices) / len(body.vertices)
+        extent = max(abs(v - mean) for v in body.vertices) + body.rounding
+        v = polya_transform(u, body, extent / (1.0 - 2 * transforms.
+                                                POLYA_CLEARANCE), mean)
+        for _ in range(9):
+            w = math.exp(rng.uniform(math.log(0.5), math.log(60.0))) * (
+                cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)))
+            value, error = v.with_error(w)
+            gap = abs(value - residue_oracle(u, w))
+            evaluations += 1
+            if gap > error:
+                dishonest.append((body, terms, w, gap, error))
+    assert evaluations == 360
+    assert not dishonest, dishonest[:5]
+
+
 def test_polya_validation():
     u_out = MeromorphicDatum([(2 + 0j, 1, 1.0)])
     with pytest.raises(ValueError, match="2"):
