@@ -11,10 +11,10 @@ ones), as in de Berg et al., *Computational Geometry*, ch. 4.  Callers
 build a set's Polygon once and read everything off it: convexgeom keeps
 one core Polygon per body and per region, behind the support function,
 signed distance, boundary walk, asymptotic cone, affine dimension and
-boundedness alike, and legendre builds each conjugate from one Polygon
-per cell.  The LP, maximize_min_affine (the maximum of a minimum of
-affine pieces over such cells), is left only behind interior_slack: the
-region constructor's emptiness check and region_has_interior.
+boundedness and interior alike, and legendre builds each conjugate from
+one Polygon per cell.  The LP, maximize_min_affine (the maximum of a
+minimum of affine pieces over such cells), is left only behind
+interior_slack, in the region constructor's emptiness check.
 """
 
 from __future__ import annotations
@@ -154,9 +154,12 @@ def _open_polygon(lines, slack: float):
     ray's half-plane to the exit ray's, spanning at most pi."""
     stack: list = []
     for h in lines:
-        while (len(stack) >= 2
-               and _outside(h, _line_through(stack[-2], stack[-1]),
-                            slack)):
+        while len(stack) >= 2:
+            corner = _line_through(stack[-2], stack[-1])
+            if corner is None:  # antiparallel, as at the end below
+                return None
+            if not _outside(h, corner, slack):
+                break
             stack.pop()
         stack.append(h)
     corners = [_line_through(a, b) for a, b in zip(stack, stack[1:])]

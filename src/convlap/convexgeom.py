@@ -16,11 +16,11 @@ fattened the same way; it may be unbounded.  Each set has one core
 polygon (``core``, an ``_lp.Polygon``): a body builds it from its
 vertices, a region intersects its half-planes once.  The support
 function, signed distance, boundary walk, asymptotic cone, affine
-dimension and boundedness all read that polygon alone, so bodies and
-regions share every formula; only a region's interior test still asks
-the LP.  Cones keep their own small type because the degenerate cases
-({0}, a ray, a line, a half-plane, the whole plane) all matter
-downstream.
+dimension, boundedness and interior all read that polygon alone, so
+bodies and regions share every formula; the LP is left only in the
+region constructor, which rejects an empty intersection.  Cones keep
+their own small type because the degenerate cases ({0}, a ray, a line,
+a half-plane, the whole plane) all matter downstream.
 """
 
 from __future__ import annotations
@@ -406,11 +406,11 @@ def region_is_bounded(s) -> bool:
 def region_has_interior(s) -> bool:
     if s.rounding > 0.0:
         return True
-    # A body's core is flat only when it is a point; a region's may be
-    # flat however many vertices it has, and the LP decides.
-    if isinstance(s, ConvexBody):
-        return len(s.core.vertices) > 1
-    return _lp.interior_slack(s.halfplanes) > 1e-12
+    poly = _core(s)
+    if not poly.vertices and len(poly.edges) == 2:
+        # A slab; one no wider than 2e-12 is a line.
+        return poly.edges[0][2] + poly.edges[1][2] > 2e-12
+    return not _flat(poly)
 
 
 def affine_dimension(s) -> int:

@@ -80,7 +80,6 @@ class ExpClassVerdict:
     verdicts: tuple[str, ...]
     member: bool
     monotone: bool
-    growth_rates: tuple[float, ...]
 
 
 def _lin(value: float) -> float:
@@ -206,11 +205,9 @@ def exp_class_verdict(reports: Sequence[GrowthReport]) -> ExpClassVerdict:
             monotone = False
         if verdict != "bounded":
             seen_unbounded = True
-    member = all(v == "bounded" for v in verdicts) and monotone
     return ExpClassVerdict(
-        epsilons=epsilons, verdicts=verdicts, member=member,
-        monotone=monotone,
-        growth_rates=tuple(r.growth_rate for r in reports))
+        epsilons=epsilons, verdicts=verdicts,
+        member=all(v == "bounded" for v in verdicts), monotone=monotone)
 
 
 def classify_growth(v, h: Callable[[complex], float],

@@ -7,17 +7,19 @@ conjugate of the indicator of a set is exactly its support function.
 
 Three routines compute conjugates, all exact up to rounding:
 
-* conjugate_at: one value.  Indicators and single pieces reduce to
-  support-function evaluations (valid for rounded domains too).  For
-  several pieces the first call builds conjugate(f), which depends on f
-  alone; every call then tests w against its domain half-planes and
-  takes the maximum of its pieces.
 * symbolic_conjugate: the closed form h_domain(w - b) - c, available
-  precisely for indicator or single-piece data.
+  precisely for indicator or single-piece data (rounded domains too).
 * conjugate: the whole piecewise-linear conjugate as a new
   PLConvexFunction on a polyhedral domain.  The cells where each piece
   of f is the maximum give its pieces (one per cell vertex) and its
-  domain (one half-plane per cell ray).
+  domain (one half-plane per cell ray); an indicator's pieces are the
+  vertices of its bounded domain.
+* conjugate_at: one value, read off one representation built once per
+  f: symbolic_conjugate(f) for at most one distinct piece, else
+  conjugate(f), whose domain half-planes and pieces each call tests.
+
+legendre_dimensions reads the dimension of dom(f*), the gradient hull
+plus the polar of the domain's recession cone, off one span test.
 
 The cells, like every polyhedral query here, come from the half-plane
 intersection in _lp.
@@ -108,26 +110,24 @@ def _domain_halfplanes(domain):
 
 @lru_cache(maxsize=256)
 def _tabulated(f: PLConvexFunction):
-    """f's distinct pieces and, when there are several, conjugate(f) as
-    (pieces as (x, y, c), domain half-planes): built once per f."""
+    """f* as conjugate_at reads it, built once per f: symbolic_conjugate(f)
+    for at most one distinct piece, else (f's distinct pieces, the pieces
+    of conjugate(f) as (x, y, c), its domain half-planes)."""
     pieces = _collapsed_pieces(f)
     if len(pieces) <= 1:
-        return pieces, None
+        return symbolic_conjugate(f)
     g = conjugate(f)
-    return pieces, ([(p.real, p.imag, c) for p, c in g.pieces],
-                    g.domain.halfplanes)
+    return (pieces, [(p.real, p.imag, c) for p, c in g.pieces],
+            g.domain.halfplanes)
 
 
 def conjugate_at(f: PLConvexFunction, w: complex) -> float:
     """f*(w) = sup_z (Re(z*w) - f(z)), exactly.  May be +inf."""
     w = complex(w)
-    pieces, table = _tabulated(f)
-    if not pieces:
-        return support_function(f.domain, w)
-    if table is None:
-        b, c = pieces[0]
-        return support_function(f.domain, w - b) - c
-    dual, domain = table
+    table = _tabulated(f)
+    if isinstance(table, ConjugateForm):
+        return table(w)
+    pieces, dual, domain = table
     u, v = w.real, w.imag
     # A cell ray d of f gives +inf once Re(d*(w - b)) passes this slack.
     grow = 1e-11 * max(abs(w - b) for b, _ in pieces)
@@ -207,9 +207,10 @@ def conjugate(f: PLConvexFunction) -> PLConvexFunction:
         # Indicator: conjugate is the support function.  It is PL exactly
         # when the domain is polyhedral.
         _domain_halfplanes(f.domain)  # rejects rounded domains
-        if isinstance(f.domain, ConvexBody):
+        core = f.domain.core
+        if not core.rays:
             return PLConvexFunction(
-                [(v, 0.0) for v in f.domain.vertices],
+                [(complex(x, y), 0.0) for x, y in core.vertices],
                 ConvexRegion([]))
         raise UnsupportedConjugate(
             "support functions of unbounded regions are handled by "
@@ -267,31 +268,19 @@ def _sum_with_cone_dim(f: PLConvexFunction, pieces) -> int:
     gradient hull with the domain's support cone.
     """
     cone = polar_cone(asymptotic_cone(f.domain))
-    cdim = affine_dimension(cone)
-    if cdim == 2:
+    if affine_dimension(cone) == 2:
         return 2
+    # Otherwise the sum spans the gradient differences and the axis of
+    # the cone, a ray or a line unless it is {0}.
     bs = [b for b, _ in pieces]
-    dirs: list[complex] = []
-    for b in bs[1:]:
-        d = b - bs[0]
-        if abs(d) > 1e-12 * (1.0 + abs(bs[0])):
-            dirs.append(d / abs(d))
-    hull_dim = 0
-    if dirs:
-        hull_dim = 1
-        if any(abs((d1 * d2.conjugate()).imag) > 1e-9
-               for d1 in dirs for d2 in dirs):
-            hull_dim = 2
-    if hull_dim == 2:
+    dirs = [d / abs(d) for d in (b - bs[0] for b in bs[1:])
+            if abs(d) > 1e-12 * (1.0 + abs(bs[0]))]
+    if cone.kind != "zero":
+        dirs.append(complex(math.cos(cone.axis), math.sin(cone.axis)))
+    if any(abs((d1 * d2.conjugate()).imag) > 1e-9
+           for d1 in dirs for d2 in dirs):
         return 2
-    if cdim == 0:
-        return hull_dim
-    if hull_dim == 0:
-        return cdim
-    # A 1-D hull plus a ray or line: flat only when parallel.
-    axis = complex(math.cos(cone.axis), math.sin(cone.axis))
-    parallel = abs((dirs[0] * axis.conjugate()).imag) <= 1e-9
-    return 1 if parallel else 2
+    return 1 if dirs else 0
 
 
 def legendre_dimensions(f: PLConvexFunction) -> LegendreDimensions:

@@ -1,27 +1,43 @@
 """Cached polygons and cached conjugates against the LP they replace.
 
-support_function on a region reads one polygon per region, and
-conjugate_at reads one conjugate(f) per function.  The reference here is
-_lp.maximize_min_affine, which still rebuilds a polygon per cell on every
-call.  The corpus covers bounded and unbounded domains: 3-6-gons (as
-bodies and as regions), sectors, the plane, half-planes and slabs cut at
-one end.
+support_function on a region reads one polygon per region, the interior
+test reads the same polygon, and conjugate_at reads one conjugate(f) per
+function.  The reference here is _lp.maximize_min_affine, which still
+rebuilds a polygon per cell on every call and is otherwise left only in
+the region constructor.  The corpus covers bounded and unbounded
+domains: 3-6-gons (as bodies and as regions), sectors, the plane,
+half-planes and slabs cut at one end, and regions thin enough to be
+flat: boxes, slabs, half-strips, triangles and wedges.
 """
 
 import cmath
 import math
+import sys
 
 import numpy as np
+import pytest
 
 from convlap import _lp, legendre
+from convlap.contour import region_boundary_contour
 from convlap.convexgeom import (
     ConvexBody,
     ConvexRegion,
+    affine_dimension,
+    asymptotic_cone,
+    boundary_walk,
+    region_has_interior,
     sector,
+    signed_distance,
     support_function,
     thicken,
 )
-from convlap.legendre import PLConvexFunction, conjugate, conjugate_at
+from convlap.legendre import (
+    PLConvexFunction,
+    UnsupportedConjugate,
+    conjugate,
+    conjugate_at,
+    legendre_dimensions,
+)
 
 KINDS = ("gon-body", "gon-region", "sector", "plane", "halfplane",
          "cut-slab")
@@ -165,3 +181,182 @@ def test_conjugate_at_builds_its_polygons_once(monkeypatch):
     for _ in range(200):
         conjugate_at(f, complex(*rng.uniform(-3, 3, 2)))
     assert 0 < len(calls) <= len(f.pieces) + 1
+
+
+THIN_KINDS = ("box", "slab", "half-strip", "triangle", "wedge")
+
+
+def thin_region(rng, kind):
+    """An un-rounded region whose thickness (a box's or a triangle's
+    height, a slab's width, a wedge's half-angle) is log-uniform, mostly
+    far below 1.  Boxes thin both ways now and then (points), and slabs
+    have zero width a quarter of the time (lines)."""
+    c = complex(*rng.uniform(-1, 1, 2))
+    a = rng.uniform(-math.pi, math.pi)
+    n = cmath.exp(1j * a)
+
+    def hp(normal, point):
+        return (normal.real, normal.imag, (normal.conjugate() * point).real)
+
+    def thin():
+        return 10.0 ** rng.uniform(-16, 0)
+
+    if kind == "wedge":
+        # Below about 1e-11 the LP's growth tolerance reads a wedge as
+        # bounded; test_thin_wedges_keep_their_interior covers those.
+        half = 10.0 ** rng.uniform(-10, 0)
+        return ConvexRegion([hp(n * cmath.exp(1j * s * (half + math.pi / 2)),
+                                c) for s in (-1, 1)])
+    width = thin()
+    if kind == "triangle":
+        # A base of length 2 with outward normal n and an apex at
+        # height width below it, counterclockwise; the normals of its
+        # two short sides turn away from -n by about width.
+        p = (c - 1j * n, c + 1j * n,
+             c - width * n + rng.uniform(-0.9, 0.9) * 1j * n)
+        return ConvexRegion([hp(-1j * (q - p0) / abs(q - p0), p0)
+                             for p0, q in zip(p, p[1:] + p[:1])])
+    sides = [hp(n, c + width * n), hp(-n, c - width * n)]
+    if kind == "slab":
+        return ConvexRegion(sides if rng.random() < 0.75 else
+                            [hp(n, c), hp(-n, c)])
+    if kind == "half-strip":
+        cut = cmath.exp(1j * (a + math.pi / 2 + rng.uniform(-1.2, 1.2)))
+        return ConvexRegion(sides + [hp(cut, c)])
+    length = rng.uniform(0.1, 2.0) * (thin() if rng.random() < 0.3 else 1.0)
+    return ConvexRegion(sides + [hp(1j * n, c + length * 1j * n),
+                                 hp(-1j * n, c - length * 1j * n)])
+
+
+def test_thin_unrounded_regions_follow_their_core_polygon():
+    # |x| <= 1, |y| <= 1e-10: its polygon drops the two short edges and
+    # is the segment [-1, 1], all boundary, like the segment itself.
+    box = ConvexRegion([(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0),
+                        (0.0, 1.0, 1e-10), (0.0, -1.0, 1e-10)])
+    segment = ConvexRegion([(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0),
+                            (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)])
+    assert len(box.core.vertices) == 2
+    assert signed_distance(box, 0j) >= 0.0
+    for s in (box, segment):
+        assert not region_has_interior(s)
+        assert affine_dimension(s) == 1
+        with pytest.raises(ValueError, match="nonempty interior"):
+            boundary_walk(s)
+    # Rounded, both are stadiums of perimeter 4 + 2*pi*0.1.
+    for s in (box, segment):
+        contour = region_boundary_contour(thicken(s, 0.1))
+        assert contour.closed
+        assert contour.length == pytest.approx(4.0 + 0.2 * math.pi,
+                                               rel=1e-9)
+
+
+def test_region_has_interior_matches_the_lp_outside_its_tolerance_band():
+    # The LP says a region has interior when its slack exceeds 1e-12;
+    # the polygon, when it is not flat, and it drops edges up to about
+    # 1e-9 long.  Between 1e-13 and 1e-8 the two may differ.
+    compared = differ = no_polygon = 0
+    rng = np.random.default_rng(23)
+    for i in range(1500):
+        region = thin_region(rng, THIN_KINDS[i % len(THIN_KINDS)])
+        slack = _lp.interior_slack(region.halfplanes)
+        if _lp.halfplane_polygon(region.halfplanes) is None:
+            # The polygon reads many triangles under about 1e-7 high as
+            # empty (LP slacks up to about 3e-8), and every query on
+            # them raises ValueError; they are counted, not compared.
+            no_polygon += 1
+            continue
+        got = region_has_interior(region)
+        if 1e-13 <= slack <= 1e-8:
+            differ += got != (slack > 1e-12)
+            continue
+        compared += 1
+        assert got == (slack > 1e-12), (region, slack)
+        assert (affine_dimension(region) == 2) == got
+    assert compared > 1000 and differ > 0 and no_polygon < 150
+
+
+def test_thin_wedges_keep_their_interior():
+    # A wedge of half-angle 3e-12 holds a disk of radius 3e-6 at
+    # distance 1e6 from its apex.  The LP counts growth below 1e-11 per
+    # unit as none, and so reads wedges thinner than that as having no
+    # interior.
+    rng = np.random.default_rng(29)
+    for half in 10.0 ** rng.uniform(-12, -10, 40):
+        apex = complex(*rng.uniform(-1, 1, 2))
+        region = sector(apex, rng.uniform(-math.pi, math.pi), half)
+        axis = cmath.exp(1j * asymptotic_cone(region).axis)
+        assert region_has_interior(region)
+        assert affine_dimension(region) == 2
+        assert signed_distance(region, apex + 1e6 * axis) < -0.5e6 * half
+
+
+def test_the_region_constructor_is_the_only_caller_of_the_lp(monkeypatch):
+    rng = np.random.default_rng(31)
+    sets = [random_domain(rng, kind) for kind in KINDS for _ in range(4)]
+    thin = [thin_region(rng, kind) for kind in THIN_KINDS for _ in range(8)]
+    sets += [s for s in thin
+             if _lp.halfplane_polygon(s.halfplanes) is not None]
+    sets += [thicken(s, rng.uniform(0.1, 1.0)) for s in sets]
+    functions = [PLConvexFunction(
+        [(complex(*rng.normal(0.0, 1.5, 2)), float(rng.normal()))
+         for _ in range(k)], s) for s in sets for k in (0, 1, 3)]
+    solve = _lp.maximize_min_affine
+
+    def guarded(*args, **kwargs):
+        caller = sys._getframe(1)
+        if not (caller.f_code is _lp.interior_slack.__code__
+                and caller.f_back.f_code is ConvexRegion.__init__.__code__):
+            raise AssertionError("the LP ran outside the region constructor")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(_lp, "maximize_min_affine", guarded)
+    legendre._tabulated.cache_clear()
+    queries = (
+        lambda s: support_function(s, 1 - 2j),
+        lambda s: signed_distance(s, 0.3 + 0.1j),
+        boundary_walk,
+        asymptotic_cone,
+        affine_dimension,
+        region_has_interior,
+        lambda s: region_boundary_contour(s, 1e3),
+    )
+    for s in sets:
+        for query in queries:
+            try:
+                query(s)
+            except ValueError:
+                pass  # a line, a flat core or an unrounded contour
+    for f in functions:
+        legendre_dimensions(f)
+        for query in (conjugate, lambda f: conjugate_at(f, 0.5 + 0.25j)):
+            try:
+                query(f)
+            except UnsupportedConjugate:
+                pass  # a rounded domain, or an unbounded indicator
+    # The guard does catch the LP elsewhere.
+    with pytest.raises(AssertionError):
+        _lp.interior_slack([(1.0, 0.0, 0.0)])
+
+
+def test_bounded_regions_conjugate_their_indicators_like_bodies():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        body = random_domain(rng, "gon-body")
+        region = ConvexRegion(body.core.edges)
+        g_body = conjugate(PLConvexFunction([], body))
+        g_region = conjugate(PLConvexFunction([], region))
+        assert g_region.domain.halfplanes == g_body.domain.halfplanes == ()
+        assert [c for _, c in g_region.pieces] == [0.0] * len(body.vertices)
+        # One piece per vertex, each within 1e-12 of the body's.
+        for p, _ in g_body.pieces:
+            assert min(abs(p - q) for q, _ in g_region.pieces) <= 1e-12 * (
+                1.0 + abs(p))
+        for w in sample_points(rng, []):
+            ref = support_function(body, w)
+            assert abs(support_function(region, w) - ref) <= 1e-12 * (
+                1.0 + abs(ref))
+            assert abs(g_region.value(w) - ref) <= 1e-12 * (1.0 + abs(ref))
+    for unbounded in (sector(0j, 0.3, 0.7), ConvexRegion([(1.0, 0.0, 0.5)]),
+                      ConvexRegion([])):
+        with pytest.raises(UnsupportedConjugate):
+            conjugate(PLConvexFunction([], unbounded))
