@@ -5,16 +5,16 @@ conventions are the caller's business.  A half-plane is a triple
 (nx, ny, d) meaning nx*x + ny*y <= d with (nx, ny) of unit length.  An
 affine piece is a triple (gx, gy, k) meaning gx*x + gy*y + k.
 
-halfplane_polygon intersects half-planes by sorting their normals by
-angle and sweeping them with a stack (unbounded sets) or a deque (bounded
-ones), as in de Berg et al., *Computational Geometry*, ch. 4.  Callers
-build a set's Polygon once and read everything off it: convexgeom keeps
-one core Polygon per body and per region, behind the support function,
-signed distance, boundary walk, asymptotic cone, affine dimension and
-boundedness and interior alike, and legendre builds each conjugate from
-one Polygon per cell.  The LP, maximize_min_affine (the maximum of a
-minimum of affine pieces over such cells), is left only behind
-interior_slack, in the region constructor's emptiness check.
+halfplane_polygon intersects half-planes in one sweep over their normals,
+sorted by angle, as in de Berg et al., *Computational Geometry*, ch. 4;
+that sweep builds every polygon, bounded or not, and alone decides whether
+the set is empty.  Callers build a set's Polygon once and read everything
+off it: convexgeom keeps one core Polygon per body and per region, behind
+the support function, signed distance, boundary walk, asymptotic cone,
+affine dimension and boundedness and interior alike, and legendre builds
+each conjugate from one Polygon per cell.  The LP, maximize_min_affine (the
+maximum of a minimum of affine pieces over such cells), is left only
+behind interior_slack, in the region constructor's emptiness check.
 """
 
 from __future__ import annotations
@@ -95,15 +95,20 @@ def _outside(h, pt, slack: float) -> bool:
     return h[0] * pt[0] + h[1] * pt[1] > h[2] + slack
 
 
-def _feasible(pt, halfplanes, slack: float) -> bool:
-    return not any(_outside(h, pt, slack) for h in halfplanes)
+def _same_direction(h1, h2) -> bool:
+    return (abs(_cross(h1, h2)) <= _PARALLEL
+            and h1[0] * h2[0] + h1[1] * h2[1] > 0.0)
 
 
 def halfplane_polygon(halfplanes, tol: float = 1e-9):
     """Intersect half-planes into a Polygon; None when the set is empty.
 
     tol, scaled by 1 + max |d|, is how far a point may violate a
-    half-plane and still count as inside it.
+    half-plane and still count as inside it.  The sweep pops each line
+    whose corner the next line cuts off from the back of a deque (and,
+    when the set is bounded, from its front) and alone decides emptiness,
+    with no corner re-checked: the set is empty when two consecutive
+    lines turn by pi or more, or a bounded set keeps fewer than three.
     """
     slack = tol * (1.0 + max((abs(d) for _, _, d in halfplanes),
                              default=0.0))
@@ -130,66 +135,41 @@ def halfplane_polygon(halfplanes, tol: float = 1e-9):
     angles = [math.atan2(ny, nx) for nx, ny, _ in lines]
     gap, i = max(((angles[(i + 1) % m] - angles[i]) % TWO_PI, i)
                  for i in range(m))
-    if gap < math.pi - _PARALLEL:
-        return _closed_polygon(lines, slack)
-    lines = lines[i + 1:] + lines[:i + 1]
-    first, last = lines[0], lines[-1]
-    if abs(_cross(first, last)) <= _PARALLEL:
-        # Antiparallel ends bound a slab, which the others only cut.
-        if first[2] + last[2] < -slack:
-            return None
-        if m == 2:
-            nx, ny, _ = first
-            return Polygon((), ((ny, -nx), (-ny, nx)), (first, last))
-    return _open_polygon(lines, slack)
-
-
-def _same_direction(h1, h2) -> bool:
-    return (abs(_cross(h1, h2)) <= _PARALLEL
-            and h1[0] * h2[0] + h1[1] * h2[1] > 0.0)
-
-
-def _open_polygon(lines, slack: float):
-    """Boundary chain of an unbounded set; lines sorted from the entry
-    ray's half-plane to the exit ray's, spanning at most pi."""
-    stack: list = []
-    for h in lines:
-        while len(stack) >= 2:
-            corner = _line_through(stack[-2], stack[-1])
-            if corner is None:  # antiparallel, as at the end below
+    closed = gap < math.pi - _PARALLEL
+    if not closed:
+        lines = lines[i + 1:] + lines[:i + 1]
+        first, last = lines[0], lines[-1]
+        if abs(_cross(first, last)) <= _PARALLEL:
+            # Antiparallel ends bound a slab, which the others only cut.
+            if first[2] + last[2] < -slack:
                 return None
-            if not _outside(h, corner, slack):
-                break
-            stack.pop()
-        stack.append(h)
-    corners = [_line_through(a, b) for a, b in zip(stack, stack[1:])]
-    if None in corners:  # antiparallel ends left alone, by rounding
-        return None
-    # A middle edge of zero length carries nothing: drop it and one of
-    # its equal end points.
-    keep = [0] + [k for k in range(1, len(stack) - 1)
-                  if math.dist(corners[k - 1], corners[k]) > slack]
-    (nx0, ny0, _), (nx1, ny1, _) = stack[0], stack[-1]
-    return Polygon(tuple(corners[k] for k in keep),
-                   ((ny0, -nx0), (-ny1, nx1)),
-                   tuple(stack[k] for k in keep) + (stack[-1],))
-
-
-def _closed_polygon(lines, slack: float):
-    """Boundary cycle of a set whose normals positively span the plane;
-    lines sorted by angle.  None when the set is empty."""
+            if m == 2:
+                nx, ny, _ = first
+                return Polygon((), ((ny, -nx), (-ny, nx)), (first, last))
     dq: deque = deque()
     for h in lines:
         while (len(dq) >= 2
                and _outside(h, _line_through(dq[-2], dq[-1]), slack)):
             dq.pop()
-        while (len(dq) >= 2
+        while (closed and len(dq) >= 2
                and _outside(h, _line_through(dq[0], dq[1]), slack)):
             dq.popleft()
-        # Consecutive edges of a nonempty bounded set turn by less than pi.
+        # Consecutive edges of a nonempty set turn by less than pi.
         if dq and _cross(dq[-1], h) <= _PARALLEL:
             return None
         dq.append(h)
+    if not closed:
+        # corners[k] ends the edge on dq[k].  A middle edge of zero
+        # length carries nothing: drop it and one of its equal end points.
+        n = len(dq)
+        corners = [_line_through(dq[k], dq[k + 1]) for k in range(n - 1)]
+        keep = [0] + [k for k in range(1, n - 1)
+                      if math.dist(corners[k - 1], corners[k]) > slack]
+        (nx0, ny0, _), (nx1, ny1, _) = dq[0], dq[-1]
+        return Polygon(tuple(corners[k] for k in keep),
+                       ((ny0, -nx0), (-ny1, nx1)),
+                       tuple(dq[k] for k in keep) + (dq[-1],))
+    # The last and first lines cut each other's corners off in turn.
     while (len(dq) >= 3
            and _outside(dq[0], _line_through(dq[-2], dq[-1]), slack)):
         dq.pop()
@@ -198,10 +178,8 @@ def _closed_polygon(lines, slack: float):
         dq.popleft()
     if len(dq) < 3 or _cross(dq[-1], dq[0]) <= _PARALLEL:
         return None
-    corners = [_line_through(dq[k - 1], dq[k]) for k in range(len(dq))]
-    if not all(_feasible(c, lines, slack) for c in corners):
-        return None
     n = len(dq)
+    corners = [_line_through(dq[k - 1], dq[k]) for k in range(n)]
     keep = [k for k in range(n)
             if math.dist(corners[k], corners[(k + 1) % n]) > slack] or [0]
     return Polygon(tuple(corners[k] for k in keep), (),

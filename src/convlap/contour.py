@@ -11,14 +11,14 @@ vectorised in numpy, each given a share of the tolerance: _circle on a
 full circle, and elsewhere _segment, which bisects and is also the
 one-piece entry.  A level's rule holds nodes, weights and the weights of
 a coarser rule embedded in the same nodes.  It is cached with g at its
-nodes per (piece, level, g) and read for every w; a full circle's rule
-is also cached on its own per (piece, level), since every datum on that
-circle shares it.  A full circle takes the periodic trapezoid rule
-(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Rev. 2014) on 64 nodes doubling up to 4096, its even-indexed half
-as the coarse rule; other pieces take Gauss-Kronrod 15 on 1 to 2048
-equal panels with the embedded Gauss-7 (Piessens et al., QUADPACK,
-1983), and multiply the cached g by e^{z*w} once per level on the whole
+nodes per (piece, level, g) and read for every w; a full circle's nodes
+and weights are also cached on their own per (piece, level), since every
+datum on that circle shares them.  A full circle takes the periodic
+trapezoid rule (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Rev. 2014) on 64 nodes doubling up to 4096,
+its even-indexed half as the coarse rule; other pieces take
+Gauss-Kronrod 15 on 1 to 2048 equal panels with the embedded Gauss-7
+(Piessens et al., QUADPACK, 1983), and multiply the cached g by e^{z*w} once per level on the whole
 node array.  Their error estimate is the fine-coarse gap plus a roundoff
 floor of 16 eps sum |f_k| max|w_k|.  A contour's own such piece starts
 no lower than where it settles at w = 0, learned once by _settled_level.
@@ -339,17 +339,15 @@ def _gauss_kronrod_panels(level: int):
 
 
 @lru_cache(maxsize=256)
-def _rule(piece: Arc, level: int) -> _Rule:
-    """A full circle's read-only trapezoid rule at a level, for every g."""
+def _rule(piece: Arc, level: int) -> tuple:
+    """A full circle's read-only trapezoid nodes and weights at a level,
+    for every g."""
     n = _TRAPEZOID_MIN_NODES << level
     nodes, dz = piece.point_and_derivative(np.arange(n) / n)
     weights = dz * (1.0 / n)
-    # Coarse: every other node.  All weights share one modulus.
-    rule = _Rule(nodes, weights, slice(None, None, 2), 2.0 * weights[::2],
-                 16.0 * _EPS * abs(weights[0]))
-    for a in (nodes, weights, rule.coarse_weights):
+    for a in (nodes, weights):
         a.setflags(write=False)
-    return rule
+    return nodes, weights
 
 
 @lru_cache(maxsize=256)
@@ -359,8 +357,8 @@ def _level(piece, level: int, g) -> tuple:
     docstring), F for n and n/2 nodes and sum |g(z_k) w_k|; else its
     Gauss-Kronrod rule, built here, and g at the nodes."""
     if piece.full_circle:
-        rule = _rule(piece, level)
-        h = g(rule.nodes) * rule.weights
+        rule = nodes, weights = _rule(piece, level)
+        h = g(nodes) * weights
         ccw = piece.angle1 > piece.angle0
         fine = np.fft.ifft(h, norm="forward") if ccw else np.fft.fft(h)
         half = len(h) // 2

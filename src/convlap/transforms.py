@@ -36,9 +36,8 @@ radii, through ``contour._rungs``, each segment to MERIL_ABS_TOL.
 Rungs share blocks of segments at one level, cached with u at their
 nodes by value, so a w costs one exp and one matrix product per block,
 about one block per evaluation, not a kernel call per rung segment.
-A kernel peak (max Re(c*w) over the boundary walk's corners c, plus
-eps*|w|) beyond log(float max) raises the named OverflowError before any
-quadrature.
+A kernel peak (the thickened region's support function at w) beyond
+log(float max) raises the named OverflowError before any quadrature.
 """
 
 from __future__ import annotations
@@ -68,11 +67,11 @@ from .convexgeom import (
     ConvexRegion,
     asymptotic_cone,
     bisector,
-    boundary_walk,
     polar_cone,
     region_contains_line,
     region_is_bounded,
     signed_distance,
+    support_function,
     thicken,
 )
 
@@ -359,7 +358,6 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
              1.5 * (open_boundary_extent(S_eps) + 1.0))
     radii = tuple(r0 * 1.5 ** k for k in range(40))
     rays = open_boundary_rays(S_eps)
-    corners = boundary_walk(S_eps).corners
 
     @functools.cache
     def ladder():
@@ -381,7 +379,7 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         if not dual.strictly_contains(w - shift, margin=1e-9):
             raise ValueError(
                 "w is outside the shifted open dual cone of the region")
-        peak = max((c * w).real for c in corners) + S_eps.rounding * abs(w)
+        peak = support_function(S_eps, w)
         if peak > _LOG_FLOAT_MAX:
             raise _overflow(w, peak)
         base_contour, tails, starts, ends, lengths = ladder()

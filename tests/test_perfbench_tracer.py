@@ -139,7 +139,8 @@ def test_first_batch_enters_every_layer_the_workload_calls(workload,
             if names.get(n, {}).get("count", 0) == 0] == []
 
 
-@pytest.mark.parametrize("workload", ["polya-grid", "meril-cone"])
+@pytest.mark.parametrize("workload",
+                         ["polya-grid", "meril-cone", "scenario-mix"])
 def test_traced_pass_on_warm_caches_enters_every_layer(workload, tmp_path):
     # ``run.py --trace 1`` runs pass 0 untraced and then again under the
     # tracer in the same process, with every cache the first run filled.
