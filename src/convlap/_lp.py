@@ -5,16 +5,16 @@ conventions are the caller's business.  A half-plane is a triple
 (nx, ny, d) meaning nx*x + ny*y <= d with (nx, ny) of unit length.  An
 affine piece is a triple (gx, gy, k) meaning gx*x + gy*y + k.
 
-halfplane_polygon intersects half-planes in one sweep over their normals,
-sorted by angle, as in de Berg et al., *Computational Geometry*, ch. 4;
-that sweep builds every polygon, bounded or not, and alone decides whether
-the set is empty.  Callers build a set's Polygon once and read everything
-off it: convexgeom keeps one core Polygon per body and per region, behind
-the support function, signed distance, boundary walk, asymptotic cone,
-affine dimension and boundedness and interior alike, and legendre builds
-each conjugate from one Polygon per cell.  The LP, maximize_min_affine (the
-maximum of a minimum of affine pieces over such cells), is left only
-behind interior_slack, in the region constructor's emptiness check.
+halfplane_polygon intersects half-planes in one sweep over their normals
+sorted by angle (de Berg et al., *Computational Geometry*, ch. 4), which,
+with a last check of a bounded set's corners, builds every polygon and decides
+whether the set is empty.  Callers build a set's Polygon once and read
+everything off it: convexgeom keeps one core Polygon per body and per region
+behind the support function, signed distance, boundary walk, asymptotic cone,
+affine dimension, boundedness and interior, and legendre builds each conjugate
+from one Polygon per cell.  The LP, maximize_min_affine (the maximum of a
+minimum of affine pieces over such cells), is left only behind interior_slack,
+in the region constructor's emptiness check.
 """
 
 from __future__ import annotations
@@ -104,11 +104,9 @@ def halfplane_polygon(halfplanes, tol: float = 1e-9):
     """Intersect half-planes into a Polygon; None when the set is empty.
 
     tol, scaled by 1 + max |d|, is how far a point may violate a
-    half-plane and still count as inside it.  The sweep pops each line
-    whose corner the next line cuts off from the back of a deque (and,
-    when the set is bounded, from its front) and alone decides emptiness,
-    with no corner re-checked: the set is empty when two consecutive
-    lines turn by pi or more, or a bounded set keeps fewer than three.
+    half-plane and still count as inside it.  The set is empty when two
+    lines left consecutive by the sweep turn by pi or more, or when a
+    corner of a bounded set lies outside a line other than its own two.
     """
     slack = tol * (1.0 + max((abs(d) for _, _, d in halfplanes),
                              default=0.0))
@@ -158,32 +156,36 @@ def halfplane_polygon(halfplanes, tol: float = 1e-9):
         if dq and _cross(dq[-1], h) <= _PARALLEL:
             return None
         dq.append(h)
-    if not closed:
-        # corners[k] ends the edge on dq[k].  A middle edge of zero
-        # length carries nothing: drop it and one of its equal end points.
-        n = len(dq)
-        corners = [_line_through(dq[k], dq[k + 1]) for k in range(n - 1)]
-        keep = [0] + [k for k in range(1, n - 1)
-                      if math.dist(corners[k - 1], corners[k]) > slack]
-        (nx0, ny0, _), (nx1, ny1, _) = dq[0], dq[-1]
-        return Polygon(tuple(corners[k] for k in keep),
-                       ((ny0, -nx0), (-ny1, nx1)),
-                       tuple(dq[k] for k in keep) + (dq[-1],))
-    # The last and first lines cut each other's corners off in turn.
-    while (len(dq) >= 3
-           and _outside(dq[0], _line_through(dq[-2], dq[-1]), slack)):
-        dq.pop()
-    while (len(dq) >= 3
-           and _outside(dq[-1], _line_through(dq[0], dq[1]), slack)):
-        dq.popleft()
-    if len(dq) < 3 or _cross(dq[-1], dq[0]) <= _PARALLEL:
-        return None
+    if closed:
+        # The last and first lines cut each other's corners off in turn.
+        while (len(dq) >= 3
+               and _outside(dq[0], _line_through(dq[-2], dq[-1]), slack)):
+            dq.pop()
+        while (len(dq) >= 3
+               and _outside(dq[-1], _line_through(dq[0], dq[1]), slack)):
+            dq.popleft()
+        if len(dq) < 3 or _cross(dq[-1], dq[0]) <= _PARALLEL:
+            return None
     n = len(dq)
-    corners = [_line_through(dq[k - 1], dq[k]) for k in range(n)]
-    keep = [k for k in range(n)
-            if math.dist(corners[k], corners[(k + 1) % n]) > slack] or [0]
-    return Polygon(tuple(corners[k] for k in keep), (),
-                   tuple(dq[k] for k in keep))
+    # corners[k] ends the edge on dq[k] and starts the next one.
+    corners = [_line_through(dq[k], dq[(k + 1) % n])
+               for k in range(n if closed else n - 1)]
+    # Rounding moves the corner of two nearly parallel lines off them,
+    # but not across a third line that the set really meets.
+    if closed and any(_outside(h, c, slack) for k, c in enumerate(corners)
+                      for h in lines if h not in (dq[k], dq[(k + 1) % n])):
+        return None
+    # Drop an edge of zero length with its start (bounded) or end point.
+    keep = [k for k in (range(n) if closed else range(1, n - 1))
+            if math.dist(corners[k - 1], corners[k]) > slack]
+    if closed:
+        keep = keep or [0]
+        return Polygon(tuple(corners[k - 1] for k in keep), (),
+                       tuple(dq[k] for k in keep))
+    (nx0, ny0, _), (nx1, ny1, _) = dq[0], dq[-1]
+    return Polygon(tuple(corners[k] for k in [0] + keep),
+                   ((ny0, -nx0), (-ny1, nx1)),
+                   tuple(dq[k] for k in [0] + keep) + (dq[-1],))
 
 
 def maximize_min_affine(pieces, halfplanes, tol: float = 1e-11):

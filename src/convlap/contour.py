@@ -9,16 +9,18 @@ thickened convex sets leave the set on the left.
 over a contour's pieces from per-piece kernels, loops over nested rules
 vectorised in numpy, each given a share of the tolerance: _circle on a
 full circle, and elsewhere _segment, which bisects and is also the
-one-piece entry.  A level's rule holds nodes, weights and the weights of
-a coarser rule embedded in the same nodes.  It is cached with g at its
-nodes per (piece, level, g) and read for every w; a full circle's nodes
-and weights are also cached on their own per (piece, level), since every
-datum on that circle shares them.  A full circle takes the periodic
-trapezoid rule (Trefethen & Weideman, "The exponentially convergent
-trapezoidal rule", SIAM Rev. 2014) on 64 nodes doubling up to 4096,
-its even-indexed half as the coarse rule; other pieces take
-Gauss-Kronrod 15 on 1 to 2048 equal panels with the embedded Gauss-7
-(Piessens et al., QUADPACK, 1983), and multiply the cached g by e^{z*w} once per level on the whole
+one-piece entry.  A Gauss-Kronrod level's rule holds nodes, weights and
+the weights of the coarser rule embedded in the same nodes; a full
+circle's holds only nodes and weights, and its coarse rule, on every
+other node, is read off the moments (below).  A level's rule is cached
+with g at its nodes per (piece, level, g) and read for every w; a full
+circle's nodes and weights are also cached on their own per (piece,
+level), since every datum on that circle shares them.  A full circle
+takes the periodic trapezoid rule (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes
+doubling up to 4096; other pieces take Gauss-Kronrod 15 on 1 to 2048
+equal panels with the embedded Gauss-7 (Piessens et al., QUADPACK,
+1983), and multiply the cached g by e^{z*w} once per level on the whole
 node array.  Their error estimate is the fine-coarse gap plus a roundoff
 floor of 16 eps sum |f_k| max|w_k|.  A contour's own such piece starts
 no lower than where it settles at w = 0, learned once by _settled_level.
@@ -357,14 +359,14 @@ def _level(piece, level: int, g) -> tuple:
     docstring), F for n and n/2 nodes and sum |g(z_k) w_k|; else its
     Gauss-Kronrod rule, built here, and g at the nodes."""
     if piece.full_circle:
-        rule = nodes, weights = _rule(piece, level)
+        nodes, weights = _rule(piece, level)
         h = g(nodes) * weights
         ccw = piece.angle1 > piece.angle0
         fine = np.fft.ifft(h, norm="forward") if ccw else np.fft.fft(h)
         half = len(h) // 2
         coarse = fine[:half] + fine[half:]
         fine.flags.writeable = coarse.flags.writeable = False
-        return rule, (fine, coarse, float(np.abs(h).sum()))
+        return (nodes, weights), (fine, coarse, float(np.abs(h).sum()))
     t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
     nodes, dz = piece.point_and_derivative(t)
     weights = dz * t_weights

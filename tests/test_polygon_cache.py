@@ -8,8 +8,9 @@ the region constructor.  The corpus covers bounded and unbounded
 domains: 3-6-gons (as bodies and as regions), sectors, the plane,
 half-planes and slabs cut at one end, and regions thin enough to be
 flat: boxes, slabs, half-strips, triangles and wedges.  The polygon's
-own emptiness verdict, which its one sweep alone gives, is checked
-against the LP's away from their tolerance bands, and on thin triangles.
+own emptiness verdict, from its one sweep and a last check of a bounded
+set's corners, is checked against the LP's away from their tolerance
+bands, on thin triangles and on sets that are nearly empty.
 """
 
 import cmath
@@ -263,9 +264,9 @@ def test_region_has_interior_matches_the_lp_outside_its_tolerance_band():
         slack = _lp.interior_slack(region.halfplanes)
         if _lp.halfplane_polygon(region.halfplanes) is None:
             # The polygon reads triangles under about 1e-8 high as empty
-            # when rounding moves their apex, the corner of two nearly
-            # parallel edges, past the base; every query on them raises
-            # ValueError, so they are counted, not compared.
+            # when rounding moves a corner of two nearly parallel edges
+            # outside the third; every query on them raises ValueError,
+            # so they are counted, not compared.
             no_polygon += 1
             continue
         got = region_has_interior(region)
@@ -275,7 +276,7 @@ def test_region_has_interior_matches_the_lp_outside_its_tolerance_band():
         compared += 1
         assert got == (slack > 1e-12), (region, slack)
         assert (affine_dimension(region) == 2) == got
-    assert compared > 1000 and differ > 0 and no_polygon <= 51
+    assert compared > 1000 and differ > 0 and no_polygon <= 59
 
 
 def random_halfplanes(rng, kind):
@@ -300,7 +301,7 @@ def random_halfplanes(rng, kind):
                            ** rng.uniform(-10, 2))) for nx, ny in normals]
 
 
-def test_the_sweep_alone_decides_emptiness_like_the_lp():
+def test_the_polygon_decides_emptiness_like_the_lp():
     # Away from the tolerance band (LP slack within +-1e-7), the polygon
     # is None exactly when the LP finds the set empty.
     rng = np.random.default_rng(41)
@@ -322,8 +323,8 @@ def test_thin_triangles_keep_their_polygon():
     # A base from -1 to 1 and an apex 1e-8 to 1e-6 above it, placed and
     # turned at random.  Where a short side meets the base, two nearly
     # antiparallel lines, the computed corner misses both lines by a few
-    # 1e-9; the sweep tests a corner only against the lines that may cut
-    # it off, so these triangles keep their polygon.
+    # 1e-9; a corner is checked only against the lines other than its own
+    # two, so these triangles keep their polygon.
     rng = np.random.default_rng(49)
     ws = [complex(*rng.uniform(-2.1, 2.1, 2)) for _ in range(10)]
     for _ in range(400):
@@ -340,6 +341,53 @@ def test_thin_triangles_keep_their_polygon():
         for w in ws:
             ref = max((z * w).real for z in p)
             assert abs(support_function(region, w) - ref) <= 1e-6, (p, w)
+
+
+def nearly_empty_halfplanes(rng):
+    """Two nearly antiparallel lines a hair apart, overlapping or not,
+    and 1-4 lines more with |d| log-uniform in [1e-10, 100]."""
+    c = complex(*rng.uniform(-1, 1, 2))
+    n = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    m = -n * cmath.exp(1j * 10.0 ** rng.uniform(-12, -5))
+    d = (n.conjugate() * c).real
+    gap = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -6))
+    halfplanes = [(n.real, n.imag, d), (m.real, m.imag, gap - d)]
+    for a in rng.uniform(-math.pi, math.pi, int(rng.integers(1, 5))):
+        halfplanes.append((math.cos(a), math.sin(a), float(
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10, 2))))
+    return halfplanes
+
+
+def test_nearly_empty_sets_get_no_stray_vertex():
+    # Empty by 3.5e-8 (LP slack), within the polygon's slack of 8.4e-8:
+    # the corner of the nearly antiparallel first two lines is not cut
+    # off by the sweep, yet lies 0.016 outside the third line.
+    stray = [(0.503063479777005, -0.8642494635894493, -7.99784118458233e-10),
+             (-0.5030660405968904, 0.8642479729789175, 7.997803951009269e-10),
+             (0.9589076291585445, -0.2837184497729029, -0.016226474036884164),
+             (0.018813453034680547, -0.9998230113299613, 82.5809031498437),
+             (0.9533228857402217, -0.3019527703531399, 3.39519944305842e-07),
+             (-0.14141696420367406, 0.9899501210846013,
+              -0.0016835364873083662)]
+    assert _lp.interior_slack(stray) < -1e-9
+    assert _lp.halfplane_polygon(stray) is None
+    # Every corner of a bounded polygon lies within the slack of each
+    # line but its own two.
+    rng = np.random.default_rng(53)
+    bounded = 0
+    for _ in range(2000):
+        halfplanes = nearly_empty_halfplanes(rng)
+        poly = _lp.halfplane_polygon(halfplanes)
+        if poly is None or poly.rays:
+            continue
+        bounded += 1
+        slack = 1e-9 * (1.0 + max(abs(d) for _, _, d in halfplanes))
+        for i, (x, y) in enumerate(poly.vertices):
+            for h in halfplanes:
+                if h not in (poly.edges[i - 1], poly.edges[i]):
+                    assert h[0] * x + h[1] * y <= h[2] + slack, (
+                        halfplanes, poly)
+    assert bounded > 300
 
 
 def test_thin_wedges_keep_their_interior():
