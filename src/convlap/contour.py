@@ -7,27 +7,27 @@ thickened convex sets leave the set on the left.
 
 ``integrate`` sums e^{z*w} g(z) dz, for a caller's w (0 by default),
 over a contour's pieces from per-piece kernels, loops over nested rules
-vectorised in numpy, each given a share of the tolerance: _circle on a
-full circle, and elsewhere _segment, which bisects and is also the
-one-piece entry.  A Gauss-Kronrod level's rule holds nodes, weights and
-the weights of the coarser rule embedded in the same nodes; a full
-circle's holds only nodes and weights, and its coarse rule, on every
-other node, is read off the moments (below).  A level's rule is cached
-with g at its nodes per (piece, level, g) and read for every w; a full
-circle's nodes and weights are also cached on their own per (piece,
-level), since every datum on that circle shares them.  A full circle
-takes the periodic trapezoid rule (Trefethen & Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Rev. 2014) on 64 nodes
-doubling up to 4096; other pieces take Gauss-Kronrod 15 on 1 to 2048
-equal panels with the embedded Gauss-7 (Piessens et al., QUADPACK,
-1983), and multiply the cached g by e^{z*w} once per level on the whole
-node array.  Their error estimate is the fine-coarse gap plus a roundoff
-floor of 16 eps sum |f_k| max|w_k|.  A contour's own such piece starts
-no lower than where it settles at w = 0, learned once by _settled_level.
-The rungs of a truncation ladder (Meril's ray pieces) take _rungs
-instead: consecutive rungs share one cached rectangular _block of
-segments at one level, so a w costs one exp, one matrix product and one
-row sum per block, not a kernel call per segment.
+vectorised in numpy, each given a share of the tolerance (a lone full
+circle all of it): _circle on a full circle, and elsewhere _segment,
+which bisects and is also the one-piece entry.  A Gauss-Kronrod level's
+rule holds nodes, weights and the weights of the coarser rule embedded
+in the same nodes; a full circle's holds only nodes and weights, and its
+coarse rule, on every other node, is read off the moments (below).  A
+level's rule is cached with g at its nodes per (piece, level, g) and
+read for every w; a full circle's nodes and weights are also cached on
+their own per (piece, level), since every datum on that circle shares
+them.  A full circle takes the periodic trapezoid rule (Trefethen &
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev.
+2014) on 64 nodes doubling up to 4096; other pieces take Gauss-Kronrod
+15 on 1 to 2048 equal panels with the embedded Gauss-7 (Piessens et al.,
+QUADPACK, 1983), and multiply the cached g by e^{z*w} once per level on
+the whole node array.  Their error estimate is the fine-coarse gap plus
+a roundoff floor of 16 eps sum |f_k| max|w_k|.  A contour's own such
+piece starts no lower than where it settles at w = 0, learned once by
+_settled_level.  The rungs of a truncation ladder (Meril's ray pieces)
+take _rungs instead: consecutive rungs share one cached rectangular
+_block of segments at one level, so a w costs one exp, one matrix
+product and one row sum per block, not a kernel call per segment.
 
 On a full circle C(c, rho) the trapezoid sum is taken in moment form for
 every w, w = 0 included, where the Taylor terms are [1, 0, ...]
@@ -40,13 +40,13 @@ sweep's sign, and x = rho w e^{i theta_0},
     F_m = sum_k q^{m k} g(z_k) w_k,
 
 where F is periodic in m with period n and is one FFT of the weighted
-values of g, cached per (piece, level, g); the coarse rule's moments are
-F_m + F_{m+n/2}.  Each w then costs one Taylor sum of about
-rho|w| + 12 sqrt(rho|w|) + 40 terms scaled by e^{-rho|w|}, products of
-x/m over a fixed table of divisors m taken in place (folded mod n/2 for
-the coarse rule when longer), from the first level with at least twice
-as many nodes.  With M = Re(c w) + rho|w|, the kernel's peak on the
-circle, the estimate is the fine-coarse gap, a roundoff floor of
+values of g.  The cache keeps F_m and the coarse rule's moments
+F_m + F_{m+n/2}, m < n/2, per (piece, level, g) as one array's two rows.
+Each w then costs a Taylor sum of about rho|w| + 12 sqrt(rho|w|) + 40
+terms scaled by e^{-rho|w|} (a running product of x/m) and one product
+of the rows with it (terms past n/2 fold), from the first level with at
+least twice as many nodes.  With M = Re(c w) + rho|w|, the kernel's peak
+on the circle, the estimate is the fine-coarse gap, a roundoff floor of
 16 eps e^M sum |g(z_k) w_k| and a bound on the dropped Taylor terms.
 
 Node order, level order and accumulation are fixed, so results are
@@ -105,8 +105,10 @@ _MAX_SPLITS = 4  # bisections of an unsettled piece (see integrate)
 # Gauss-Kronrod node counts of the levels below the top (see _rungs).
 _GK_NODES = _LEVELS[False][0] << np.arange(_LEVELS[False][1])
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x with e^x finite
-# The m in the Taylor ratios x/m, up to the top circle level's node count.
-_DIVISORS = np.arange(1.0, (_TRAPEZOID_MIN_NODES << _LEVELS[True][1]) + 1)
+# A 1 for e^{-|x|}, then the m in the Taylor ratios x/m up to the top circle
+# level's node count; complex, as x/m then needs no cast (see _scaled_taylor).
+_DIVISORS = np.arange((_TRAPEZOID_MIN_NODES << _LEVELS[True][1]) + 1) + 0j
+_DIVISORS[0] = 1.0
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,12 @@ class Segment:
     start: complex
     end: complex
     full_circle = False  # see Arc
+
+    def __post_init__(self):  # hashed once: pieces key contour's caches
+        object.__setattr__(self, "_hash", hash((self.start, self.end)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def point(self, t):
         return self.start + t * (self.end - self.start)
@@ -143,6 +151,11 @@ class Arc:
         object.__setattr__(self, "full_circle",
                            abs(self.angle1 - self.angle0) == 2 * math.pi)
         object.__setattr__(self, "start_unit", _cis(self.angle0))
+        object.__setattr__(self, "_hash", hash(
+            (self.center, self.radius, self.angle0, self.angle1)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def point(self, t):
         return self.point_and_derivative(t)[0]
@@ -355,18 +368,18 @@ def _rule(piece: Arc, level: int) -> tuple:
 @lru_cache(maxsize=256)
 def _level(piece, level: int, g) -> tuple:
     """The piece's rule at a level and g there, with read-only arrays: on
-    a full circle its _rule and g's trapezoid moments (see the module
-    docstring), F for n and n/2 nodes and sum |g(z_k) w_k|; else its
-    Gauss-Kronrod rule, built here, and g at the nodes."""
+    a full circle its _rule, the rows F_m, F_m + F_{m+n/2} (m < n/2) of
+    g's trapezoid moments and sum |g(z_k) w_k|; else its Gauss-Kronrod
+    rule, built here, and g at the nodes."""
     if piece.full_circle:
         nodes, weights = _rule(piece, level)
         h = g(nodes) * weights
         ccw = piece.angle1 > piece.angle0
-        fine = np.fft.ifft(h, norm="forward") if ccw else np.fft.fft(h)
-        half = len(h) // 2
-        coarse = fine[:half] + fine[half:]
-        fine.flags.writeable = coarse.flags.writeable = False
-        return (nodes, weights), (fine, coarse, float(np.abs(h).sum()))
+        pair = (np.fft.ifft(h, norm="forward") if ccw
+                else np.fft.fft(h)).reshape(2, -1)
+        pair[1] += pair[0]
+        pair.flags.writeable = False
+        return (nodes, weights), (pair, float(np.abs(h).sum()))
     t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
     nodes, dz = piece.point_and_derivative(t)
     weights = dz * t_weights
@@ -381,24 +394,23 @@ def _level(piece, level: int, g) -> tuple:
 
 def _scaled_taylor(x: complex, count: int) -> np.ndarray:
     """e^{-|x|} x^m / m! for m < count (|x| < count, at most the top
-    circle level's node count): a product of the ratios x/m over
-    _DIVISORS from m = 0, in place, or, where e^{-|x|} leaves the normal
-    float range, outward from m0 = floor(|x|), whose term Stirling's
-    series gives without cancellation."""
+    circle level's node count): a running product of the ratios x/m over
+    _DIVISORS from m = 0, or, where e^{-|x|} leaves the normal float
+    range, outward from m0 = floor(|x|), whose term Stirling's series
+    gives without cancellation."""
     y = abs(x)
-    k = _DIVISORS[:count - 1]
     if y <= 700.0:
-        out = np.empty(count, complex)
+        out = x / _DIVISORS[:count]
         out[0] = math.exp(-y)
-        np.divide(x, k, out=out[1:])
-        return np.multiply.accumulate(out, out=out)
+        return np.multiply.accumulate(out)
     m0 = math.floor(y)
     f = y - m0
     log_peak = (m0 * math.log1p(f / m0) - f - 0.5 * math.log(2 * math.pi * m0)
                 - 1.0 / (12 * m0) + 1.0 / (360 * m0 ** 3))
     peak = math.exp(log_peak) * _cis(m0 * math.atan2(x.imag, x.real))
-    down = np.cumprod(k[m0 - 1::-1] / x)[::-1]
-    return peak * np.concatenate((down, [1.0], np.cumprod(x / k[m0:])))
+    down = np.cumprod(_DIVISORS[m0:0:-1] / x)[::-1]
+    return peak * np.concatenate((down, [1.0],
+                                  np.cumprod(x / _DIVISORS[m0 + 1:count])))
 
 
 def _node_sums(piece, level: int, g, w: complex, entry=_level):
@@ -416,17 +428,18 @@ def _moment_sums(piece: Arc, level: int, g, terms: np.ndarray,
     """Fine sum, coarse sum, roundoff floor, dropped-term bound and node
     count of e^{z*w} g(z) dz at a level in moment form, from the scaled
     Taylor terms of e^{(z - c)*w} (no more than the nodes), their factor
-    e^{c*w + rho|w|} and their tail's bound."""
-    moments, coarse_moments, mass = _level(piece, level, g)[1]
-    n = len(moments)
-    fine = factor * complex(terms @ moments[:len(terms)])
-    if len(terms) > n // 2:  # fold mod n/2
-        folded = np.zeros(n, complex)
-        folded[:len(terms)] = terms
-        terms = folded[:n // 2] + folded[n // 2:]
-    coarse = factor * complex(terms @ coarse_moments[:len(terms)])
+    e^{c*w + rho|w|} and their tail's bound: one product with two rows."""
+    pair, mass = _level(piece, level, g)[1]
+    half = pair.shape[1]
+    if len(terms) <= half:
+        fine, coarse = (pair[:, :len(terms)] @ terms).tolist()
+    else:  # the terms fold mod n/2, and F_{m+n/2} = (F_m + F_{m+n/2}) - F_m
+        lo, hi = np.pad(terms, (0, 2 * half - len(terms))).reshape(2, -1)
+        fine = complex(pair[0] @ (lo - hi) + pair[1] @ hi)
+        coarse = complex(pair[1] @ (lo + hi))
     peak = abs(factor) * mass
-    return fine, coarse, 16.0 * _EPS * peak, tail * peak, n
+    return (factor * fine, factor * coarse, 16.0 * _EPS * peak, tail * peak,
+            2 * half)
 
 
 def _halves(piece):
@@ -443,7 +456,7 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     """Integral of e^{z*w} g(z) dz along the contour with an error estimate.
 
     g maps a numpy array of nodes to an array of values, cached at each
-    level's nodes (on a full circle, as moments) per (piece, level, g) and
+    level's nodes (on a full circle, as moment rows) per (piece, level, g) and
     read for every w, so g must be hashable and pure.  Each piece's kernel,
     _circle or _segment (see the module docstring), takes a share of
     abs_tol proportional to its length.  It starts at the first level with
@@ -458,8 +471,10 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     Non-finite sums where e^{z*w} peaks beyond log(float max) raise a named
     OverflowError; a w that is not finite raises ValueError.
     """
-    return _integrate(c.pieces, c.lengths, g, abs_tol, _finite_w(w),
-                      _MAX_SPLITS)
+    w = _finite_w(w)
+    if len(c.pieces) == 1 and c.pieces[0].full_circle and c.lengths[0]:
+        return IntegralResult(*_circle(c.pieces[0], g, abs_tol, w))
+    return _integrate(c.pieces, c.lengths, g, abs_tol, w, _MAX_SPLITS)
 
 
 def _finite_w(w) -> complex:

@@ -18,14 +18,15 @@ Evaluators, the oracle, log_abs and ray_tail_bound reject a non-finite w.
 Polya integrates over the full circle C(c, r), c = 0 unless the caller
 centres it on the body, in the moment form of ``contour.integrate``: the
 FFT of u times the trapezoid weights at a level's nodes is cached per
-circle, level and datum (a datum is hashed once, when built), so an
-evaluation at w costs one call of integrate and one scaled Taylor sum of
-about r|w| + 12 sqrt(r|w|) + 40 terms, with no exp over the nodes.  Its
-tolerance is abs_tol * e^M, M = Re(c*w) + r|w|, and its estimate, a
-Python float like every estimate here, is the gap between the n/2- and
-n-node sums plus the roundoff floor 16 eps e^M sum |u(z_k) w_k| and the
-dropped Taylor terms' bound; at 4096 nodes a gap above both the target
-and that floor raises QuadratureError.
+circle, level and datum (each hashed once, when built), so an evaluation
+at w costs one call of integrate, one scaled Taylor sum of about
+r|w| + 12 sqrt(r|w|) + 40 terms and one product of it with the fine and
+coarse moments, with no exp over the nodes.  Its tolerance is
+abs_tol * e^M, M = Re(c*w) + r|w|, and its estimate, a Python float like
+every estimate here, is the gap between the n/2- and n-node sums plus
+the roundoff floor 16 eps e^M sum |u(z_k) w_k| and the dropped Taylor
+terms' bound; at 4096 nodes a gap above both the target and that floor
+raises QuadratureError.
 
 Meril integrates the unscaled e^{z*w} u(z) up to the first radius of a
 geometric ladder where the closed-form tail of both boundary rays
@@ -278,8 +279,7 @@ def polya_transform(u: MeromorphicDatum, K: ConvexBody, r: float,
         # A w that is not finite makes M inf or nan; _finite_w names it.
         if not M <= _LOG_FLOAT_MAX:
             raise _overflow(_finite_w(w), M)
-        value, error = integrate(circle, u, abs_tol * math.exp(M), w=w)
-        return value, error
+        return integrate(circle, u, abs_tol * math.exp(M), w=w)
 
     return TransformResult("contour", full, u.terms)
 

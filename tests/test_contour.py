@@ -29,6 +29,7 @@ from convlap.convexgeom import (
     sector,
     thicken,
 )
+from convlap.transforms import MeromorphicDatum, residue_oracle
 
 SQUARE = ConvexBody([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
 TWO_PI_I = 2j * math.pi
@@ -353,9 +354,11 @@ def test_level_entries_are_read_only(piece):
     rule, data = contour._level(piece, 2, _reciprocal)
     arrays = [a for a in rule + (data if isinstance(data, tuple) else
                                  (data,)) if isinstance(a, np.ndarray)]
-    # A full circle's rule is its nodes and weights; its moments carry
-    # the coarse rule.
-    assert len(arrays) == (4 if piece.full_circle else 5)
+    # A full circle's rule is its nodes and weights; one (2, n/2) array of
+    # its fine and coarse moments carries the coarse rule.
+    assert len(arrays) == (3 if piece.full_circle else 5)
+    if piece.full_circle:
+        assert data[0].shape == (2, len(rule[0]) // 2)
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -551,8 +554,102 @@ def test_moment_sums_equal_the_node_sums():
         assert abs(coarse - f[::2] @ (2.0 * weights[::2])) <= 1e-10
 
 
+def _exact_node_sums(arc, level, g, x):
+    """The trapezoid sums of e^{(z - c) w - |x|} g(z) dz over a level's n
+    nodes and over every other node, x = rho w e^{i theta_0}: g at the
+    rule's nodes, the kernel at the exact nodes c + rho e^{i theta_0} q^k
+    in long double (as the moment form takes them), so only rounding far
+    below eps separates them from the exact sums."""
+    nodes, weights = contour._rule(arc, level)[:2]
+    h = g(nodes) * weights
+    n, ld = len(h), np.longdouble
+    theta = (np.sign(arc.angle1 - arc.angle0) * 8 * np.arctan(ld(1))
+             * np.arange(n, dtype=ld) / n)
+    re, im = ld(x.real), ld(x.imag)
+    mod = np.exp(re * np.cos(theta) - im * np.sin(theta) - ld(abs(x)))
+    arg = re * np.sin(theta) + im * np.cos(theta)
+    kr, ki = mod * np.cos(arg), mod * np.sin(arg)
+    hr, hi = h.real.astype(ld), h.imag.astype(ld)
+    fr, fi = kr * hr - ki * hi, kr * hi + ki * hr
+    return (complex(float(fr.sum()), float(fi.sum())),
+            complex(float(2 * fr[::2].sum()), float(2 * fi[::2].sum())))
+
+
+def _random_datum(rng, arc):
+    # 1-4 terms of orders 1-4 with poles within 0.6 rho of the centre.
+    return MeromorphicDatum([
+        (arc.center + arc.radius * rng.uniform(0.0, 0.6)
+         * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
+         int(rng.integers(1, 5)), complex(*rng.uniform(-2.0, 2.0, 2)))
+        for _ in range(int(rng.integers(1, 5)))])
+
+
+def _random_circle(rng):
+    c = circle_contour(complex(*rng.uniform(-3.0, 3.0, 2)),
+                       rng.uniform(0.5, 3.0))
+    return c if rng.uniform() < 0.5 else c.reversed()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the node sums need an extended long double")
+def test_moment_form_matches_the_node_sums_within_its_estimate():
+    # At each level 0-5 with as many Taylor terms as the level takes (at
+    # level 0 more than n/2, so they fold), at the top level where more
+    # than n/2 terms fold onto the coarse rule, and on the Stirling
+    # branch (rho|w| > 700), the fine and coarse sums in moment form are
+    # the node sums up to the dropped terms and rounding: within the
+    # roundoff floor plus the dropped terms' bound, which the estimate
+    # that integrate gives adds to the fine-coarse gap.
+    def most_y(terms):  # the largest rho|w| that takes at most so many
+        return 0.999 * (math.sqrt(terms - 4.0) - 6.0) ** 2
+
+    rng = np.random.default_rng(20251020)
+    cases = [(level, 0.0, 64 if level == 0 else 32 << level)
+             for level in range(6) for _ in range(4)]
+    cases += [(6, 700.0, 2048)] * 4 + [(6, most_y(2048) + 1.0, 4096)] * 4
+    for level, y_min, most in cases:
+        arc = _random_circle(rng).pieces[0]
+        g = _random_datum(rng, arc)
+        w = (rng.uniform(y_min, most_y(most)) / arc.radius
+             * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+        y = arc.radius * abs(w)
+        count = math.ceil(y + 12.0 * math.sqrt(y) + 40.0)
+        assert count <= most
+        x = arc.radius * w * arc.start_unit
+        terms = contour._scaled_taylor(x, count)
+        tail = float(abs(terms[-1])) * y / count / (1.0 - y / (count + 1))
+        fine, coarse, floor, extra, n = contour._moment_sums(
+            arc, level, g, terms, 1.0, tail)
+        want_fine, want_coarse = _exact_node_sums(arc, level, g, x)
+        assert n == 64 << level
+        assert abs(fine - want_fine) <= floor + extra
+        assert abs(coarse - want_coarse) <= floor + extra
+
+
+def test_circle_estimates_bound_the_residue_gap_off_the_origin():
+    # Orders 1-4, circles off the origin in both orientations, w = 0 and
+    # rho|w| up to 20 (kernel peaks e^M from e^-57 to e^75): integrate's
+    # estimate is at least the gap to the residue sum on all 360
+    # evaluations (the largest gap is 0.09 of its estimate).
+    rng = np.random.default_rng(20251021)
+    evaluations = 0
+    for _ in range(30):
+        c = _random_circle(rng)
+        arc = c.pieces[0]
+        g = _random_datum(rng, arc)
+        sign = math.copysign(1.0, arc.angle1 - arc.angle0)
+        for k in range(12):
+            w = (0j if k == 0 else rng.uniform(0.0, 20.0) / arc.radius
+                 * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            M = (arc.center * w).real + arc.radius * abs(w)
+            got = integrate(c, g, abs_tol=1e-11 * math.exp(M), w=w)
+            assert abs(got.value - sign * residue_oracle(g, w)) <= got.error
+            evaluations += 1
+    assert evaluations >= 300
+
+
 def test_scaled_taylor_is_the_plain_cumprod_bitwise():
-    # The in-place product over the divisor table takes the same
+    # The running product over the divisor table takes the same
     # operations as cumprod(concatenate(([e^-|x|], x / k))).
     for count, xs in ((1, (0j, 0.3 - 0.5j)),
                       (2, (0j, 0.3 - 0.5j, -1.2j)),
