@@ -13,21 +13,21 @@ which bisects and is also the one-piece entry.  A Gauss-Kronrod level's
 rule holds nodes, weights and the weights of the coarser rule embedded
 in the same nodes; a full circle's holds only nodes and weights, and its
 coarse rule, on every other node, is read off the moments (below).  A
-level's rule is cached with g at its nodes per (piece, level, g) and
-read for every w; a full circle's nodes and weights are also cached on
-their own per (piece, level), since every datum on that circle shares
-them.  A full circle takes the periodic trapezoid rule (Trefethen &
-Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev.
-2014) on 64 nodes doubling up to 4096; other pieces take Gauss-Kronrod
-15 on 1 to 2048 equal panels with the embedded Gauss-7 (Piessens et al.,
-QUADPACK, 1983), and multiply the cached g by e^{z*w} once per level on
-the whole node array.  Their error estimate is the fine-coarse gap plus
-a roundoff floor of 16 eps sum |f_k| max|w_k|.  A contour's own such
-piece starts no lower than where it settles at w = 0, learned once by
-_settled_level.  The rungs of a truncation ladder (Meril's ray pieces)
-take _rungs instead: consecutive rungs share one cached rectangular
-_block of segments at one level, so a w costs one exp, one matrix
-product and one row sum per block, not a kernel call per segment.
+level's rule and g at its nodes are kept in the contour's own dict under
+(piece, level, g) for every w; a full circle's nodes and weights are
+also cached on their own per (piece, level), since every datum on that
+circle shares them.  A full circle takes the periodic trapezoid rule
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Rev. 2014) on 64 nodes doubling up to 4096; other pieces take
+Gauss-Kronrod 15 on 1 to 2048 equal panels with the embedded Gauss-7
+(Piessens et al., QUADPACK, 1983), and multiply the cached g by e^{z*w}
+once per level on the whole node array.  Their error estimate is the
+fine-coarse gap plus a roundoff floor of 16 eps sum |f_k| max|w_k|.  A
+contour's own such piece starts no lower than where it settles at w = 0,
+learned once by _settled_level.  The rungs of a truncation ladder
+(Meril's ray pieces) take _rungs instead: consecutive rungs share one
+_block of segments at one level, built per w, so a w costs one exp, one
+matrix product and one row sum per block, not a kernel call per segment.
 
 On a full circle C(c, rho) the trapezoid sum is taken in moment form for
 every w, w = 0 included, where the Taylor terms are [1, 0, ...]
@@ -40,7 +40,7 @@ sweep's sign, and x = rho w e^{i theta_0},
     F_m = sum_k q^{m k} g(z_k) w_k,
 
 where F is periodic in m with period n and is one FFT of the weighted
-values of g.  The cache keeps F_m and the coarse rule's moments
+values of g.  The contour's dict keeps F_m and the coarse rule's moments
 F_m + F_{m+n/2}, m < n/2, per (piece, level, g) as one array's two rows.
 Each w then costs a Taylor sum of about rho|w| + 12 sqrt(rho|w|) + 40
 terms scaled by e^{-rho|w|} (a running product of x/m) and one product
@@ -190,6 +190,7 @@ class OrientedContour:
                 raise ValueError("consecutive pieces must share endpoints")
         object.__setattr__(self, "pieces", ps)
         object.__setattr__(self, "lengths", tuple(p.length for p in ps))
+        object.__setattr__(self, "_cache", {})  # integrate's (see _level)
 
     @property
     def start(self) -> complex:
@@ -365,12 +366,15 @@ def _rule(piece: Arc, level: int) -> tuple:
     return nodes, weights
 
 
-@lru_cache(maxsize=256)
-def _level(piece, level: int, g) -> tuple:
-    """The piece's rule at a level and g there, with read-only arrays: on
-    a full circle its _rule, the rows F_m, F_m + F_{m+n/2} (m < n/2) of
-    g's trapezoid moments and sum |g(z_k) w_k|; else its Gauss-Kronrod
-    rule, built here, and g at the nodes."""
+def _level(cache: dict, piece, level: int, g) -> tuple:
+    """The piece's rule at a level and g there, read-only, from the cache
+    or built into it: on a full circle its _rule, the rows F_m,
+    F_m + F_{m+n/2} (m < n/2) of g's trapezoid moments and sum
+    |g(z_k) w_k|; else its Gauss-Kronrod rule, built here, and g there."""
+    key = (piece, level, g)
+    entry = cache.get(key)  # one hash of the key on a hit
+    if entry is not None:
+        return entry
     if piece.full_circle:
         nodes, weights = _rule(piece, level)
         h = g(nodes) * weights
@@ -379,17 +383,18 @@ def _level(piece, level: int, g) -> tuple:
                 else np.fft.fft(h)).reshape(2, -1)
         pair[1] += pair[0]
         pair.flags.writeable = False
-        return (nodes, weights), (pair, float(np.abs(h).sum()))
+        cache[key] = (nodes, weights), (pair, float(np.abs(h).sum()))
+        return cache[key]
     t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
     nodes, dz = piece.point_and_derivative(t)
     weights = dz * t_weights
     rule = _Rule(nodes, weights, gauss, weights[gauss] * g_over_k,
                  16.0 * _EPS * float(np.abs(weights).max()))
-    for a in (nodes, weights, rule.coarse_weights):
-        a.setflags(write=False)
     values = g(nodes)
-    values.setflags(write=False)
-    return rule, values
+    for a in (nodes, weights, rule.coarse_weights, values):
+        a.setflags(write=False)
+    cache[key] = rule, values
+    return cache[key]
 
 
 def _scaled_taylor(x: complex, count: int) -> np.ndarray:
@@ -413,23 +418,23 @@ def _scaled_taylor(x: complex, count: int) -> np.ndarray:
                                   np.cumprod(x / _DIVISORS[m0 + 1:count])))
 
 
-def _node_sums(piece, level: int, g, w: complex, entry=_level):
+def _node_sums(cache: dict, piece, level: int, g, w: complex):
     """Fine sum, coarse sum, roundoff floor and node count of
-    e^{z*w} g(z) dz at a level, from g at the nodes (entry's)."""
-    (nodes, weights, idx, coarse_weights, scale), values = entry(
-        piece, level, g)
+    e^{z*w} g(z) dz at a level, from g at the nodes (_level's)."""
+    (nodes, weights, idx, coarse_weights, scale), values = _level(
+        cache, piece, level, g)
     f = np.exp(nodes * w) * values
     return (complex(f @ weights), complex(f[idx] @ coarse_weights),
             float(np.abs(f).sum()) * scale, len(f))
 
 
-def _moment_sums(piece: Arc, level: int, g, terms: np.ndarray,
-                 factor: complex, tail: float):
+def _moment_sums(cache: dict, piece: Arc, level: int, g,
+                 terms: np.ndarray, factor: complex, tail: float):
     """Fine sum, coarse sum, roundoff floor, dropped-term bound and node
     count of e^{z*w} g(z) dz at a level in moment form, from the scaled
     Taylor terms of e^{(z - c)*w} (no more than the nodes), their factor
     e^{c*w + rho|w|} and their tail's bound: one product with two rows."""
-    pair, mass = _level(piece, level, g)[1]
+    pair, mass = _level(cache, piece, level, g)[1]
     half = pair.shape[1]
     if len(terms) <= half:
         fine, coarse = (pair[:, :len(terms)] @ terms).tolist()
@@ -455,14 +460,14 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
               w: complex = 0j) -> IntegralResult:
     """Integral of e^{z*w} g(z) dz along the contour with an error estimate.
 
-    g maps a numpy array of nodes to an array of values, cached at each
-    level's nodes (on a full circle, as moment rows) per (piece, level, g) and
+    g maps a numpy array of nodes to an array of values, kept at each
+    level's nodes (on a full circle, as moment rows) in c's own dict and
     read for every w, so g must be hashable and pure.  Each piece's kernel,
     _circle or _segment (see the module docstring), takes a share of
     abs_tol proportional to its length.  It starts at the first level with
     at least 2|w| nodes per unit of length (Gauss-Kronrod and Gauss-7 can
     agree by chance on coarser panels, which do not resolve the kernel),
-    or at the first where the piece settles at w = 0 if higher (cached),
+    or at the first where the piece settles at w = 0 if higher (kept),
     or, on a full circle, as many coarse nodes as Taylor terms, and doubles
     until the fine-coarse gap is within the roundoff floor or the share.
     Past the top level _segment bisects, each half taking half the share,
@@ -473,8 +478,9 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     """
     w = _finite_w(w)
     if len(c.pieces) == 1 and c.pieces[0].full_circle and c.lengths[0]:
-        return IntegralResult(*_circle(c.pieces[0], g, abs_tol, w))
-    return _integrate(c.pieces, c.lengths, g, abs_tol, w, _MAX_SPLITS)
+        return IntegralResult(*_circle(c._cache, c.pieces[0], g, abs_tol, w))
+    return _integrate(c._cache, c.pieces, c.lengths, g, abs_tol, w,
+                      _MAX_SPLITS)
 
 
 def _finite_w(w) -> complex:
@@ -485,7 +491,7 @@ def _finite_w(w) -> complex:
     return w
 
 
-def _integrate(pieces, lengths, g, abs_tol: float, w: complex,
+def _integrate(cache: dict, pieces, lengths, g, abs_tol: float, w: complex,
                splits: int) -> IntegralResult:
     """integrate over pieces of these lengths, splits bisections left."""
     total_len = sum(lengths)
@@ -496,9 +502,9 @@ def _integrate(pieces, lengths, g, abs_tol: float, w: complex,
         tol = abs_tol * (length / total_len)
         try:
             part, est = (
-                _circle(piece, g, tol, w) if piece.full_circle
-                else _segment(piece, g, tol, w, splits, _settled_level(
-                    piece, g, tol) if splits == _MAX_SPLITS else 0))
+                _circle(cache, piece, g, tol, w) if piece.full_circle
+                else _segment(cache, piece, g, tol, w, splits, _settled_level(
+                    cache, piece, g, tol) if splits == _MAX_SPLITS else 0))
         except QuadratureError as exc:
             exc.partial += value
             raise
@@ -513,7 +519,7 @@ def _kernel_overflow(piece, peak: float) -> OverflowError:
         f"(e^{_LOG_FLOAT_MAX:.2f})")
 
 
-def _circle(piece: Arc, g, tol: float, w: complex):
+def _circle(cache: dict, piece: Arc, g, tol: float, w: complex):
     """(value, estimate) on a full circle, in moment form, to tol."""
     size, top = _LEVELS[True]
     y = piece.radius * abs(w)
@@ -533,8 +539,8 @@ def _circle(piece: Arc, g, tol: float, w: complex):
     while size << level < 2 * count and level < top:
         level += 1
     for level in range(level, top + 1):
-        fine, coarse, floor, extra, n = _moment_sums(piece, level, g, terms,
-                                                     factor, tail)
+        fine, coarse, floor, extra, n = _moment_sums(cache, piece, level, g,
+                                                     terms, factor, tail)
         gap = abs(fine - coarse)
         if gap <= max(tol, floor):
             return fine, gap + floor + extra
@@ -542,8 +548,8 @@ def _circle(piece: Arc, g, tol: float, w: complex):
                           f"{gap:.3e}, roundoff floor {floor:.3e}", fine)
 
 
-def _segment(piece, g, tol: float, w: complex, splits: int = _MAX_SPLITS,
-             level: int = 0):
+def _segment(cache: dict, piece, g, tol: float, w: complex,
+             splits: int = _MAX_SPLITS, level: int = 0):
     """(value, estimate) on a segment or an arc to tol, splits bisections
     left, from this level or the one 2|w| nodes per unit length need; with
     the defaults, integrate on [piece] for a w already checked."""
@@ -552,7 +558,7 @@ def _segment(piece, g, tol: float, w: complex, splits: int = _MAX_SPLITS,
     while size << level < need and level < top:
         level += 1
     for level in range(level, top + 1):
-        fine, coarse, floor, n = _node_sums(piece, level, g, w)
+        fine, coarse, floor, n = _node_sums(cache, piece, level, g, w)
         gap = abs(fine - coarse)
         if gap <= max(tol, floor):
             return fine, gap + floor
@@ -567,28 +573,29 @@ def _segment(piece, g, tol: float, w: complex, splits: int = _MAX_SPLITS,
                               f"gap {gap:.3e}, roundoff floor {floor:.3e}",
                               fine)
     halves = _halves(piece)  # past the top level
-    return _integrate(halves, [h.length for h in halves], g, tol, w,
+    return _integrate(cache, halves, [h.length for h in halves], g, tol, w,
                       splits - 1)
 
 
-@lru_cache(maxsize=64)
-def _settled_level(piece, g, tol: float) -> int:
+def _settled_level(cache: dict, piece, g, tol: float) -> int:
     """First level at which the piece settles at w = 0 to tol, else 0: g's
-    own need.  Read past _level, so the climb evicts no entry a w reads."""
-    for level in range(_LEVELS[False][1] + 1):
-        fine, coarse, floor, _ = _node_sums(piece, level, g, 0j,
-                                            _level.__wrapped__)
-        if abs(fine - coarse) <= max(tol, floor):
-            return level
-    return 0
+    own need, kept in the cache with the levels the climb reads."""
+    level = cache.get((piece, g, tol))
+    if level is None:
+        for level in range(_LEVELS[False][1] + 1):
+            fine, coarse, floor, _ = _node_sums(cache, piece, level, g, 0j)
+            if abs(fine - coarse) <= max(tol, floor):
+                break
+        else:
+            level = 0
+        cache[piece, g, tol] = level
+    return level
 
 
-@lru_cache(maxsize=16)
 def _block(starts: tuple, ends: tuple, level: int, g) -> tuple:
     """Segments starts[i] -> ends[i] as rows of one Gauss-Kronrod level,
     read-only: nodes and g there, dz, the n x 2 fine and coarse weights on
-    [0, 1] and 16 eps max|weight| per row.  Keyed by value like _level;
-    16 entries bound its memory (a Meril batch uses about 12)."""
+    [0, 1] and 16 eps max|weight| per row.  Built per w, not kept."""
     t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
     start = np.array(starts)
     dz = np.array(ends) - start
@@ -609,7 +616,7 @@ def _rungs(starts: tuple, ends: tuple, lengths, g, tol: float, w: complex):
     share a _block at the highest of their start levels (_segment's) while
     those stay within two levels of the block's first rung.  A rung that
     starts at the top level, and a row whose gap exceeds both tol and its
-    floor, go through _segment."""
+    floor, go through _segment, with a cache of their own for this w."""
     top = _LEVELS[False][1]
     rung = np.searchsorted(_GK_NODES,
                            _NODES_PER_RATE * abs(w) * lengths).tolist()
@@ -633,5 +640,5 @@ def _rungs(starts: tuple, ends: tuple, lengths, g, tol: float, w: complex):
             settled[rows] = gap <= np.maximum(tol, floor)
         first = k + (k < len(rung) and rung[k] == top)  # past a top rung
     for i in np.flatnonzero(~settled):
-        fine[i], est[i] = _segment(Segment(starts[i], ends[i]), g, tol, w)
+        fine[i], est[i] = _segment({}, Segment(starts[i], ends[i]), g, tol, w)
     return (fine[0::2] + fine[1::2]).tolist(), (est[0::2] + est[1::2]).tolist()

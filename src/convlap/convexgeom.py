@@ -14,10 +14,10 @@ hull of finitely many vertices fattened by a closed disk of radius
 ``rounding``.  A ConvexRegion is a closed intersection of half-planes,
 fattened the same way; it may be unbounded.  Each set has one core
 polygon (``core``, an ``_lp.Polygon``): a body builds it from its
-vertices, a region intersects its half-planes once.  The support
-function, signed distance, boundary walk, asymptotic cone, affine
-dimension, boundedness and interior all read that polygon alone, so
-bodies and regions share every formula; the LP is left only in the
+vertices, a region sweeps its half-planes at its first query.  The
+support function, signed distance, boundary walk, asymptotic cone,
+affine dimension, boundedness and interior all read that polygon alone,
+so bodies and regions share every formula; the LP is left only in the
 region constructor, which rejects an empty intersection.  Cones keep
 their own small type because the degenerate cases ({0}, a ray, a line,
 a half-plane, the whole plane) all matter downstream.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property
 
 from . import _lp
 from ._lp import TWO_PI, _norm_angle, ang_dist
@@ -147,18 +147,13 @@ class ConvexRegion:
         if _lp.interior_slack(self.halfplanes) < -1e-9:
             raise ValueError("the half-planes have empty intersection")
 
-    @property
+    @cached_property
     def core(self) -> _lp.Polygon:
-        """The un-rounded polygon, built once per half-plane list."""
-        return _core_polygon(self.halfplanes)
-
-
-@lru_cache(maxsize=256)
-def _core_polygon(halfplanes) -> _lp.Polygon:
-    poly = _lp.halfplane_polygon(halfplanes)
-    if poly is None:
-        raise ValueError("the half-planes have empty intersection")
-    return poly
+        """The un-rounded polygon, swept at the region's first query."""
+        poly = _lp.halfplane_polygon(self.halfplanes)
+        if poly is None:
+            raise ValueError("the half-planes have empty intersection")
+        return poly
 
 
 def _core(s) -> _lp.Polygon:

@@ -14,8 +14,8 @@ Three routines compute conjugates, all exact up to rounding:
   of f is the maximum give its pieces (one per cell vertex) and its
   domain (one half-plane per cell ray); an indicator's pieces are the
   vertices of its bounded domain.
-* conjugate_at: one value, read off one representation built once per
-  f: symbolic_conjugate(f) for at most one distinct piece, else
+* conjugate_at: one value, read off one representation that f keeps:
+  symbolic_conjugate(f) for at most one distinct piece, else
   conjugate(f), whose domain half-planes and pieces each call tests.
 
 legendre_dimensions reads the dimension of dom(f*), the gradient hull
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from . import _lp
 from .convexgeom import (
@@ -84,6 +84,18 @@ class PLConvexFunction:
             return 0.0
         return max((z * b).real + c for b, c in self.pieces)
 
+    @cached_property
+    def _table(self):
+        """f* as conjugate_at reads it: symbolic_conjugate(f) for at most
+        one distinct piece, else (f's distinct pieces, the pieces of
+        conjugate(f) as (x, y, c), its domain half-planes)."""
+        pieces = _collapsed_pieces(self)
+        if len(pieces) <= 1:
+            return symbolic_conjugate(self)
+        g = conjugate(self)
+        return (pieces, [(p.real, p.imag, c) for p, c in g.pieces],
+                g.domain.halfplanes)
+
 
 def _collapsed_pieces(f: PLConvexFunction):
     """Merge pieces with equal gradients (max of constants wins)."""
@@ -108,23 +120,10 @@ def _domain_halfplanes(domain):
     return list(domain.core.edges)
 
 
-@lru_cache(maxsize=256)
-def _tabulated(f: PLConvexFunction):
-    """f* as conjugate_at reads it, built once per f: symbolic_conjugate(f)
-    for at most one distinct piece, else (f's distinct pieces, the pieces
-    of conjugate(f) as (x, y, c), its domain half-planes)."""
-    pieces = _collapsed_pieces(f)
-    if len(pieces) <= 1:
-        return symbolic_conjugate(f)
-    g = conjugate(f)
-    return (pieces, [(p.real, p.imag, c) for p, c in g.pieces],
-            g.domain.halfplanes)
-
-
 def conjugate_at(f: PLConvexFunction, w: complex) -> float:
     """f*(w) = sup_z (Re(z*w) - f(z)), exactly.  May be +inf."""
     w = complex(w)
-    table = _tabulated(f)
+    table = f._table
     if isinstance(table, ConjugateForm):
         return table(w)
     pieces, dual, domain = table

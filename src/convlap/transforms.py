@@ -16,12 +16,11 @@ evaluators raise an OverflowError that names |w| and points to log_abs.
 Evaluators, the oracle, log_abs and ray_tail_bound reject a non-finite w.
 
 Polya integrates over the full circle C(c, r), c = 0 unless the caller
-centres it on the body, in the moment form of ``contour.integrate``: the
-FFT of u times the trapezoid weights at a level's nodes is cached per
-circle, level and datum (each hashed once, when built), so an evaluation
-at w costs one call of integrate, one scaled Taylor sum of about
-r|w| + 12 sqrt(r|w|) + 40 terms and one product of it with the fine and
-coarse moments, with no exp over the nodes.  Its tolerance is
+centres it on the body, in the moment form of ``contour.integrate``
+(the FFT of u times a level's trapezoid weights, kept by the transform's
+own circle), so a w costs one call of integrate, one scaled Taylor sum
+of about r|w| + 12 sqrt(r|w|) + 40 terms and one product of it with the
+fine and coarse moments, with no exp over the nodes.  Its tolerance is
 abs_tol * e^M, M = Re(c*w) + r|w|, and its estimate, a Python float like
 every estimate here, is the gap between the n/2- and n-node sums plus
 the roundoff floor 16 eps e^M sum |u(z_k) w_k| and the dropped Taylor
@@ -32,13 +31,13 @@ Meril integrates the unscaled e^{z*w} u(z) up to the first radius of a
 geometric ladder where the closed-form tail of both boundary rays
 (``ray_tail_bound``) is at most MERIL_TAIL_TOL: the contour to the first
 radius through ``integrate``, whose pieces start where u alone settles
-(learned at the first w), and the rungs, each ray's piece between two
-radii, through ``contour._rungs``, each segment to MERIL_ABS_TOL.
-Rungs share blocks of segments at one level, cached with u at their
-nodes by value, so a w costs one exp and one matrix product per block,
-about one block per evaluation, not a kernel call per rung segment.
-A kernel peak (the thickened region's support function at w) beyond
-log(float max) raises the named OverflowError before any quadrature.
+(learned at the first w; the transform keeps both), and the rungs, each
+ray's piece between two radii, through ``contour._rungs``, each segment
+to MERIL_ABS_TOL.  Rungs share blocks of segments at one level, built
+per w, so a w costs one exp and one matrix product per block (about one
+per evaluation), not a kernel call per rung segment.  A kernel peak (the
+thickened region's support function at w) beyond log(float max) raises
+the named OverflowError before any quadrature.
 """
 
 from __future__ import annotations

@@ -316,7 +316,7 @@ def test_quadrature_error_partial_sums_the_pieces_reached(monkeypatch):
                   1e-11, w=w)
     share = 1e-11 * (short.length / (short.length + LONG_SEGMENT.length))
     head = integrate(OrientedContour([short]), _reciprocal, share, w=w)
-    rule = contour._level(LONG_SEGMENT, contour._LEVELS[False][1],
+    rule = contour._level({}, LONG_SEGMENT, contour._LEVELS[False][1],
                           _reciprocal)[0]
     finest = complex(np.exp(rule.nodes * w) * _reciprocal(rule.nodes)
                      @ rule.weights)
@@ -334,7 +334,7 @@ def test_segment_entries_hold_the_gauss_kronrod_rule_bitwise(level):
                         np.complex128(-4.0 + 60.125j))):
         nodes, dz = seg.point_and_derivative(t)
         weights = dz * t_weights
-        rule, values = contour._level(seg, level, _reciprocal)
+        rule, values = contour._level({}, seg, level, _reciprocal)
         assert rule.nodes.tobytes() == nodes.tobytes()
         assert rule.weights.tobytes() == weights.tobytes()
         assert rule.coarse.tobytes() == gauss.tobytes()
@@ -351,7 +351,7 @@ def test_segment_entries_hold_the_gauss_kronrod_rule_bitwise(level):
     circle_contour(0.2 + 0.1j, 1.5).pieces[0]],
     ids=["segment", "arc", "circle"])
 def test_level_entries_are_read_only(piece):
-    rule, data = contour._level(piece, 2, _reciprocal)
+    rule, data = contour._level({}, piece, 2, _reciprocal)
     arrays = [a for a in rule + (data if isinstance(data, tuple) else
                                  (data,)) if isinstance(a, np.ndarray)]
     # A full circle's rule is its nodes and weights; one (2, n/2) array of
@@ -545,8 +545,8 @@ def test_moment_sums_equal_the_node_sums():
 
         count = math.ceil(2000.0 + 12.0 * math.sqrt(2000.0) + 40.0)
         terms = contour._scaled_taylor(w * contour._cis(arc.angle0), count)
-        fine, coarse, _, _, n = contour._moment_sums(arc, 6, g, terms, 1.0,
-                                                     0.0)
+        fine, coarse, _, _, n = contour._moment_sums({}, arc, 6, g, terms,
+                                                     1.0, 0.0)
         nodes, weights = contour._rule(arc, 6)[:2]
         f = np.exp((nodes - arc.center) * w - 2000.0) * g(nodes)
         assert (n, count) == (4096, 2577)
@@ -619,7 +619,7 @@ def test_moment_form_matches_the_node_sums_within_its_estimate():
         terms = contour._scaled_taylor(x, count)
         tail = float(abs(terms[-1])) * y / count / (1.0 - y / (count + 1))
         fine, coarse, floor, extra, n = contour._moment_sums(
-            arc, level, g, terms, 1.0, tail)
+            {}, arc, level, g, terms, 1.0, tail)
         want_fine, want_coarse = _exact_node_sums(arc, level, g, x)
         assert n == 64 << level
         assert abs(fine - want_fine) <= floor + extra
@@ -752,25 +752,27 @@ def test_rungs_send_unsettled_rows_and_top_level_rungs_to_segment(
     ends = (-2 + 0j, 3j, 4.5 + 0j, 4.5j, 5005 + 0j, 5005j)
     lengths = np.array([1.0, 1.5, 5000.0])
     w = 2j
-    segment = contour._segment
-    seen, halves = [], []
+    segment, block = contour._segment, contour._block
+    seen, halves, blocks = [], [], []
 
-    def recording(piece, g, tol, w, splits=contour._MAX_SPLITS, level=0):
+    def recording(cache, piece, g, tol, w, splits=contour._MAX_SPLITS,
+                  level=0):
         (seen if splits == contour._MAX_SPLITS else halves).append(piece)
-        return segment(piece, g, tol, w, splits, level)
+        return segment(cache, piece, g, tol, w, splits, level)
 
     # Neither the unsettled rows nor their bisected halves start from the
     # level learned at w = 0: only integrate's own pieces do.
     monkeypatch.setattr(contour, "_segment", recording)
     monkeypatch.setattr(contour, "_settled_level", None)
-    contour._block.cache_clear()
+    monkeypatch.setattr(contour, "_block",
+                        lambda *a: blocks.append(a[2]) or block(*a))
     steps, errs = contour._rungs(starts, ends, lengths, _off_segment_pole,
                                  1e-11, w)
     monkeypatch.undo()
     assert seen == [Segment(3 + 0j, 4.5 + 0j), Segment(5 + 0j, 5005 + 0j),
                     Segment(5j, 5005j)]
     assert halves
-    assert contour._block.cache_info().currsize == 1
+    assert blocks == [0]  # rungs 0 and 1, in one block at level 0
     for k, (step, err) in enumerate(zip(steps, errs)):
         ref = integrate(OrientedContour(
             [Segment(starts[2 * k], ends[2 * k])]), _off_segment_pole,
@@ -790,7 +792,7 @@ def test_rung_blocks_are_read_only_and_bounded():
     assert weights.shape == (30, 2) and dz.shape == (2, 1)
     for a in entry:
         assert not a.flags.writeable
-    # Keyed by value: equal rows give the same entry.
-    assert contour._block((2 + 0j, 2j), (3.0 + 0j, 3j), 1,
-                          _off_segment_pole) is entry
-    assert contour._block.cache_info().maxsize == 16
+    # Built for one w and kept nowhere: equal rows give a new entry.
+    again = contour._block((2 + 0j, 2j), (3.0 + 0j, 3j), 1, _off_segment_pole)
+    assert again is not entry
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, entry))

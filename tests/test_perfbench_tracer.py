@@ -56,9 +56,10 @@ def test_polya_evaluation_enters_integrate_once():
     assert names.count("contour.integrate") == 1
 
 
-def test_repeated_meril_evaluation_reads_the_cached_datum():
+def test_repeated_meril_evaluation_reads_the_cached_datum(monkeypatch):
     import math
 
+    from convlap import contour
     from convlap.convexgeom import sector
     from convlap.transforms import MeromorphicDatum, meril_transform
 
@@ -68,19 +69,21 @@ def test_repeated_meril_evaluation_reads_the_cached_datum():
     w = -2.0 + 0.5j
     v = meril_transform(MeromorphicDatum(terms), region, 0.1, 0.1)
     v(w)
-    # The same transform again, then one built from an equal datum: u is
-    # cached at the rule nodes by value, so neither calls it.
-    for v in (v, meril_transform(MeromorphicDatum(terms), region, 0.1, 0.1)):
-        tracer = tracing.Tracer()
-        tracer.install()
-        try:
-            v(w)
-        finally:
-            tracer.remove()
-        names = tracer.summary()["names"]
-        assert names["transforms.meril.eval"]["count"] == 1
-        assert names["contour.integrate"]["count"] >= 1
-        assert names[tracing.COUNTED_NAME]["count"] == 0
+    # The same transform again: its base contour keeps u at the rule
+    # nodes, so u is called only by the rung blocks, built once per w.
+    block, blocks = contour._block, []
+    monkeypatch.setattr(contour, "_block",
+                        lambda *a: blocks.append(1) or block(*a))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        v(w)
+    finally:
+        tracer.remove()
+    names = tracer.summary()["names"]
+    assert names["transforms.meril.eval"]["count"] == 1
+    assert names["contour.integrate"]["count"] >= 1
+    assert names[tracing.COUNTED_NAME]["count"] == len(blocks) >= 1
 
 
 def test_polya_scenario_with_growth_enters_the_traced_layers(tmp_path):
@@ -118,14 +121,12 @@ def test_first_batch_enters_every_layer_the_workload_calls(workload,
     # A traced benchmark run reports correct: false when a layer listed in
     # CALLED is never entered, as rerouting Meril's rungs, its base
     # contour or Polya past contour.integrate can make happen.  Batch 0 of
-    # pass 0, seed 1, already enters every one of them.
-    from convlap import contour
-
+    # pass 0, seed 1, already enters every one of them: its transform owns
+    # its caches, so nothing is cleared first.
     tracing = _load_tracing()
     workloads = _load(ROOT / "perfbench" / "workloads.py",
                       "perfbench_workloads")
     batch = workloads.make_pass(workload, 1, 0, ROOT, tmp_path)[0]
-    contour._level.cache_clear()  # u is called on a cache miss only
     tracer = tracing.Tracer()
     tracer.install()
     try:

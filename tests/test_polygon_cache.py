@@ -179,11 +179,14 @@ def test_conjugate_at_builds_its_polygons_once(monkeypatch):
     build = _lp.halfplane_polygon
     monkeypatch.setattr(_lp, "halfplane_polygon",
                         lambda *a, **k: calls.append(1) or build(*a, **k))
-    legendre._tabulated.cache_clear()
     rng = np.random.default_rng(3)
     for _ in range(200):
         conjugate_at(f, complex(*rng.uniform(-3, 3, 2)))
     assert 0 < len(calls) <= len(f.pieces) + 1
+    # An equal function keeps a table of its own.
+    calls.clear()
+    conjugate_at(PLConvexFunction(f.pieces, body), 0.5 + 0.25j)
+    assert calls
 
 
 THIN_KINDS = ("box", "slab", "half-strip", "triangle", "wedge")
@@ -405,6 +408,18 @@ def test_thin_wedges_keep_their_interior():
         assert signed_distance(region, apex + 1e6 * axis) < -0.5e6 * half
 
 
+# The seven queries that read a set's core polygon.
+SET_QUERIES = (
+    lambda s: support_function(s, 1 - 2j),
+    lambda s: signed_distance(s, 0.3 + 0.1j),
+    boundary_walk,
+    asymptotic_cone,
+    affine_dimension,
+    region_has_interior,
+    lambda s: region_boundary_contour(s, 1e3),
+)
+
+
 def test_the_region_constructor_is_the_only_caller_of_the_lp(monkeypatch):
     rng = np.random.default_rng(31)
     sets = [random_domain(rng, kind) for kind in KINDS for _ in range(4)]
@@ -425,18 +440,8 @@ def test_the_region_constructor_is_the_only_caller_of_the_lp(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(_lp, "maximize_min_affine", guarded)
-    legendre._tabulated.cache_clear()
-    queries = (
-        lambda s: support_function(s, 1 - 2j),
-        lambda s: signed_distance(s, 0.3 + 0.1j),
-        boundary_walk,
-        asymptotic_cone,
-        affine_dimension,
-        region_has_interior,
-        lambda s: region_boundary_contour(s, 1e3),
-    )
     for s in sets:
-        for query in queries:
+        for query in SET_QUERIES:
             try:
                 query(s)
             except ValueError:
@@ -451,6 +456,30 @@ def test_the_region_constructor_is_the_only_caller_of_the_lp(monkeypatch):
     # The guard does catch the LP elsewhere.
     with pytest.raises(AssertionError):
         _lp.interior_slack([(1.0, 0.0, 0.0)])
+
+
+def test_each_region_sweeps_its_own_half_planes_once(monkeypatch):
+    # The core polygon belongs to the region: an equal one built a second
+    # time, or a thickened copy, sweeps its half-planes itself, once, at
+    # its first query, and all seven queries read that one polygon.
+    def regions():
+        rng = np.random.default_rng(43)
+        return [random_domain(rng, kind)
+                for kind in ("gon-region", "sector", "cut-slab")]
+
+    build = _lp.halfplane_polygon
+    calls = []
+    monkeypatch.setattr(_lp, "halfplane_polygon",
+                        lambda *a, **k: calls.append(a[0]) or build(*a, **k))
+    for first, equal in zip(regions(), regions()):
+        assert equal == first and equal is not first
+        for query in SET_QUERIES:
+            query(first)
+        for again in (equal, thicken(first, 0.5)):
+            calls.clear()
+            for query in SET_QUERIES:
+                query(again)
+            assert calls == [again.halfplanes]
 
 
 def test_bounded_regions_conjugate_their_indicators_like_bodies():

@@ -6,7 +6,9 @@ contour realizations.
 """
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -599,6 +601,17 @@ def test_meril_evaluates_u_once_per_node_array(monkeypatch):
     assert len(arrays) < 24 * 3
 
 
+def _built_contours(monkeypatch):
+    """The list that meril_transform's base contours join as it builds
+    them: each transform's own, whose cache the tests read."""
+    built = []
+    boundary = transforms.region_boundary_contour
+    monkeypatch.setattr(transforms, "region_boundary_contour",
+                        lambda *a, **k: built.append(boundary(*a, **k))
+                        or built[-1])
+    return built
+
+
 def test_meril_base_segments_start_where_u_alone_settles(monkeypatch):
     # Each piece of the base contour starts at the level where u alone
     # settles (w = 0, the piece's share of MERIL_ABS_TOL), learned once
@@ -606,8 +619,10 @@ def test_meril_base_segments_start_where_u_alone_settles(monkeypatch):
     # it.  The boundary segments run past the poles: from 2|w|*length
     # nodes they climbed about four level rounds per w here; now one.
     # The corner arc settles at level 0 at w = 0, so e^{z*w} alone sets
-    # its rounds, as before.
+    # its rounds, as before.  The levels are kept in the base contour's
+    # own cache, under (piece, u, tolerance share).
     u = MeromorphicDatum([(1 + 0.2j, 2, 1.0), (1.5 - 0.1j, 1, 0.5j)])
+    built = _built_contours(monkeypatch)
     v = meril_transform(u, SECTOR, 0.1, 0.1)
     dual = polar_cone(asymptotic_cone(SECTOR))
     rng = np.random.default_rng(20)
@@ -615,21 +630,27 @@ def test_meril_base_segments_start_where_u_alone_settles(monkeypatch):
         1j * (dual.axis + f * dual.half_width)) for mag, f in zip(
         np.exp(rng.uniform(math.log(0.5), math.log(12.0), 24)),
         rng.uniform(-0.95, 0.95, 24))]
-    contour._settled_level.cache_clear()
-    base = contour.region_boundary_contour(
+    v.diagnostics(ws[0])
+    (base,) = built
+    assert base == contour.region_boundary_contour(
         thicken(SECTOR, 0.1), truncation=v.diagnostics(ws[0]).radii[0])
-    assert contour._settled_level.cache_info().misses == 3
-    levels = [contour._settled_level(
-        p, u, MERIL_ABS_TOL * (n / base.length))
-        for p, n in zip(base.pieces, base.lengths)]
-    assert levels[0] == levels[2] > 0 and levels[1] == 0
+
+    def settled():
+        return {k: level for k, level in base._cache.items()
+                if k[1] is u and isinstance(k[2], float)}
+
+    levels = settled()
+    assert list(levels) == [(p, u, MERIL_ABS_TOL * (n / base.length))
+                            for p, n in zip(base.pieces, base.lengths)]
+    head, arc, tail = levels.values()
+    assert head == tail > 0 and arc == 0
     rounds = {p: 0 for p in base.pieces}
     node_sums = contour._node_sums
 
-    def counting(piece, *args):
+    def counting(cache, piece, *args):
         if piece in rounds:
             rounds[piece] += 1
-        return node_sums(piece, *args)
+        return node_sums(cache, piece, *args)
 
     monkeypatch.setattr(contour, "_node_sums", counting)
     for w in ws:
@@ -637,7 +658,7 @@ def test_meril_base_segments_start_where_u_alone_settles(monkeypatch):
         assert abs(value - residue_oracle(u, w)) <= error <= 1e-9
     first, _, last = base.pieces
     assert rounds[first] == rounds[last] == len(ws)
-    assert contour._settled_level.cache_info().misses == 3
+    assert settled() == levels
 
 
 def _seeded_meril_regions(rng, n: int):
@@ -689,8 +710,8 @@ def test_meril_rung_blocks_match_segment_on_each_rung(monkeypatch):
             (starts, ends, _, _, tol, _), (steps, errs) = calls[0]
             for k, (step, err) in enumerate(zip(steps, errs)):
                 (a, a_err), (b, b_err) = (
-                    contour._segment(contour.Segment(starts[i], ends[i]), u,
-                                     tol, w) for i in (2 * k, 2 * k + 1))
+                    contour._segment({}, contour.Segment(starts[i], ends[i]),
+                                     u, tol, w) for i in (2 * k, 2 * k + 1))
                 assert abs(step - (a + b)) <= err + a_err + b_err, (w, k)
                 checked += 1
     assert checked >= 150
@@ -947,9 +968,9 @@ def test_polya_evaluation_is_bitwise_reproducible():
     first = [v.with_error(w) for w in ws]
     assert [v.with_error(w) for w in ws] == first
     assert [v.with_error(w) for w in reversed(ws)] == first[::-1]
-    # Rebuilt from scratch, node arrays and moments included.
+    # Rebuilt from scratch, node arrays and moments included: the new
+    # transform's circle starts with no moments of its own.
     contour._rule.cache_clear()
-    contour._level.cache_clear()
     rebuilt = polya_transform(MeromorphicDatum(u.terms), DISK_HALF, 2.0)
     assert [rebuilt.with_error(w) for w in ws] == first
 
@@ -983,6 +1004,61 @@ def test_polya_values_are_pinned_bitwise():
         assert t.with_error(w) == (value, error), w
         u_t = MeromorphicDatum(t.residue_terms)
         assert abs(value - residue_oracle(u_t, w)) <= error, w
+
+
+def test_rebuilt_transforms_start_cold(monkeypatch):
+    # Each transform owns what it caches of u: one rebuilt from equal data
+    # calls u on its contour's nodes at its first evaluation, with nothing
+    # cleared, although an equal transform has been evaluated at that w.
+    # (Meril's rung blocks take u on 2-d node arrays at every w.)
+    sizes = []
+    call = MeromorphicDatum.__call__
+
+    def counting(self, z):
+        if isinstance(z, np.ndarray) and z.ndim == 1:
+            sizes.append(z.size)
+        return call(self, z)
+
+    monkeypatch.setattr(MeromorphicDatum, "__call__", counting)
+    u = MeromorphicDatum([(0.2 + 0.1j, 2, 1.0), (-0.1 + 0j, 1, 0.5j)])
+    p = MeromorphicDatum([(1 + 0.2j, 2, 1.0), (1.5 - 0.1j, 1, 0.5j)])
+    for d, build, w in (
+            (u, lambda d: polya_transform(d, DISK_HALF, 2.0), 3 - 1j),
+            (p, lambda d: meril_transform(d, SECTOR, 0.1, 0.1), -2 + 0.3j)):
+        first = build(d)(w)
+        sizes.clear()
+        assert build(MeromorphicDatum(d.terms))(w) == first
+        assert sizes
+
+
+def test_meril_repeats_keep_no_block_and_add_no_entry(monkeypatch):
+    # 64 seeded w, then the same 64 again: the second sweep adds nothing to
+    # the base contour's cache, and no rung block outlives its w.
+    u = MeromorphicDatum([(1 + 0.2j, 2, 1.0), (1.5 - 0.1j, 1, 0.5j)])
+    built, blocks, block = _built_contours(monkeypatch), [], contour._block
+
+    def keeping(*args):
+        entry = block(*args)
+        blocks.extend(weakref.ref(a) for a in entry)
+        return entry
+
+    monkeypatch.setattr(contour, "_block", keeping)
+    v = meril_transform(u, SECTOR, 0.1, 0.1)
+    dual = polar_cone(asymptotic_cone(SECTOR))
+    rng = np.random.default_rng(64)
+    ws = [0.1 * bisector(dual) + mag * cmath.exp(
+        1j * (dual.axis + f * dual.half_width)) for mag, f in zip(
+        np.exp(rng.uniform(math.log(0.5), math.log(30.0), 64)),
+        rng.uniform(-0.95, 0.95, 64))]
+    first = [v.with_error(w) for w in ws]
+    (base,) = built
+    entries = dict(base._cache)
+    assert [v.with_error(w) for w in ws] == first
+    assert base._cache.keys() == entries.keys()
+    assert all(base._cache[k] is entry for k, entry in entries.items())
+    gc.collect()
+    assert len(blocks) >= 5 * len(ws)  # five arrays a block
+    assert all(ref() is None for ref in blocks)
 
 
 def test_polya_evaluates_u_once_per_node_level(monkeypatch):
