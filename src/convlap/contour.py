@@ -24,10 +24,7 @@ Gauss-Kronrod 15 on 1 to 2048 equal panels with the embedded Gauss-7
 once per level on the whole node array.  Their error estimate is the
 fine-coarse gap plus a roundoff floor of 16 eps sum |f_k| max|w_k|.  A
 contour's own such piece starts no lower than where it settles at w = 0,
-learned once by _settled_level.  The rungs of a truncation ladder
-(Meril's ray pieces) take _rungs instead: consecutive rungs share one
-_block of segments at one level, built per w, so a w costs one exp, one
-matrix product and one row sum per block, not a kernel call per segment.
+learned once by _settled_level.
 
 On a full circle C(c, rho) the trapezoid sum is taken in moment form for
 every w, w = 0 included, where the Taylor terms are [1, 0, ...]
@@ -102,8 +99,6 @@ _EPS = float(np.finfo(float).eps)
 # Nodes per unit of |w| * length for e^{z*w} (see integrate).
 _NODES_PER_RATE = 2.0
 _MAX_SPLITS = 4  # bisections of an unsettled piece (see integrate)
-# Gauss-Kronrod node counts of the levels below the top (see _rungs).
-_GK_NODES = _LEVELS[False][0] << np.arange(_LEVELS[False][1])
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x with e^x finite
 # A 1 for e^{-|x|}, then the m in the Taylor ratios x/m up to the top circle
 # level's node count; complex, as x/m then needs no cast (see _scaled_taylor).
@@ -591,54 +586,3 @@ def _settled_level(cache: dict, piece, g, tol: float) -> int:
         cache[piece, g, tol] = level
     return level
 
-
-def _block(starts: tuple, ends: tuple, level: int, g) -> tuple:
-    """Segments starts[i] -> ends[i] as rows of one Gauss-Kronrod level,
-    read-only: nodes and g there, dz, the n x 2 fine and coarse weights on
-    [0, 1] and 16 eps max|weight| per row.  Built per w, not kept."""
-    t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
-    start = np.array(starts)
-    dz = np.array(ends) - start
-    weights = np.zeros((t.size, 2), complex)
-    weights[:, 0], weights[gauss, 1] = t_weights, t_weights[gauss] * g_over_k
-    nodes = start[:, None] + t * dz[:, None]
-    entry = (nodes, g(nodes), dz[:, None], weights,
-             16.0 * _EPS * t_weights.max() * np.abs(dz))
-    for a in entry:
-        a.setflags(write=False)
-    return entry
-
-
-def _rungs(starts: tuple, ends: tuple, lengths, g, tol: float, w: complex):
-    """Per rung, lists of the value and the estimate of e^{z*w} g(z) dz on
-    its segments starts[i] -> ends[i], i = 2k, 2k + 1 (lengths: the
-    longer), each to tol, for a w already checked.  Consecutive rungs
-    share a _block at the highest of their start levels (_segment's) while
-    those stay within two levels of the block's first rung.  A rung that
-    starts at the top level, and a row whose gap exceeds both tol and its
-    floor, go through _segment, with a cache of their own for this w."""
-    top = _LEVELS[False][1]
-    rung = np.searchsorted(_GK_NODES,
-                           _NODES_PER_RATE * abs(w) * lengths).tolist()
-    fine, est = np.empty(len(starts), complex), np.empty(len(starts))
-    settled = np.zeros(len(starts), bool)
-    first = 0
-    for k in range(len(rung) + 1):
-        if k < len(rung) and rung[k] < top and abs(rung[k] - rung[first]) <= 2:
-            continue
-        if first < k:  # rungs first .. k - 1
-            rows = slice(2 * first, 2 * k)
-            nodes, values, dz, weights, scale = _block(
-                starts[rows], ends[rows], max(rung[first:k]), g)
-            f = nodes * w  # in place from here: a block can take megabytes
-            np.exp(f, out=f)
-            f *= values
-            sums = (f @ weights) * dz
-            floor = np.abs(f).sum(axis=1) * scale
-            gap = np.abs(sums[:, 0] - sums[:, 1])
-            fine[rows], est[rows] = sums[:, 0], gap + floor
-            settled[rows] = gap <= np.maximum(tol, floor)
-        first = k + (k < len(rung) and rung[k] == top)  # past a top rung
-    for i in np.flatnonzero(~settled):
-        fine[i], est[i] = _segment({}, Segment(starts[i], ends[i]), g, tol, w)
-    return (fine[0::2] + fine[1::2]).tolist(), (est[0::2] + est[1::2]).tolist()

@@ -28,16 +28,19 @@ terms' bound; at 4096 nodes a gap above both the target and that floor
 raises QuadratureError.
 
 Meril integrates the unscaled e^{z*w} u(z) up to the first radius of a
-geometric ladder where the closed-form tail of both boundary rays
+geometric ladder where the closed-form tail bound of both boundary rays
 (``ray_tail_bound``) is at most MERIL_TAIL_TOL: the contour to the first
 radius through ``integrate``, whose pieces start where u alone settles
 (learned at the first w; the transform keeps both), and the rungs, each
-ray's piece between two radii, through ``contour._rungs``, each segment
-to MERIL_ABS_TOL.  Rungs share blocks of segments at one level, built
-per w, so a w costs one exp and one matrix product per block (about one
-per evaluation), not a kernel call per rung segment.  A kernel peak (the
-thickened region's support function at w) beyond log(float max) raises
-the named OverflowError before any quadrature.
+ray's piece between two radii, in closed form.  From z0 to infinity
+along a ray, e^{z*w} c (z - a)^{-m} integrates to c e^{z0*w}
+(z0 - a)^{1-m} S_m(-(z0 - a) w), S_m(t) = e^t E_m(t) (DLMF 8.19,
+Abramowitz & Stegun 5.1), so a rung is the difference of both rays'
+tails at its two radii, and a w costs one exp and one S_m over the
+ladder's crossings (_ray_factor).  The first radius keeps every t off
+E_m's branch cut.  A kernel peak (the thickened region's support
+function at w) beyond log(float max) raises the named OverflowError
+before any quadrature.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ import numpy as np
 
 from .contour import (
     _LOG_FLOAT_MAX,
+    _EPS,
     _finite_w,
-    _rungs,
     circle_contour,
     circle_hit,
     integrate,
@@ -67,6 +70,7 @@ from .convexgeom import (
     ConvexRegion,
     asymptotic_cone,
     bisector,
+    boundary_walk,
     polar_cone,
     region_contains_line,
     region_is_bounded,
@@ -312,12 +316,70 @@ def ray_tail_bound(u: MeromorphicDatum, base: complex, direction: complex,
     return float(out) if out.ndim == 0 else out
 
 
+def _gauss_laguerre(n: int):
+    """n-point Gauss-Laguerre nodes and weights by Golub and Welsch: the
+    Jacobi matrix's eigenvalues and the squared first components of its
+    eigenvectors.  Their low moments are exact to a few ulps, where
+    numpy's laggauss misses them by up to 1e-13 from the first one on."""
+    k = np.arange(1.0, n)
+    x, vectors = np.linalg.eigh(np.diag(2.0 * np.arange(n) + 1.0)
+                                + np.diag(k, 1) + np.diag(k, -1))
+    return x, vectors[0] ** 2
+
+
+# The nodes of 48- and 64-point Gauss-Laguerre, and their weights as two
+# columns, each zero at the other rule's nodes: one product gives both sums.
+_LAGUERRE_NODES, _weights = map(np.concatenate,
+                                zip(_gauss_laguerre(48), _gauss_laguerre(64)))
+_LAGUERRE_WEIGHTS = np.zeros((_weights.size, 2))
+_LAGUERRE_WEIGHTS[:48, 0], _LAGUERRE_WEIGHTS[48:, 1] = np.split(_weights, [48])
+
+
+def _ray_factor(t: np.ndarray, m: np.ndarray):
+    """S_m(t) = e^t E_m(t) and an estimate of its error, for each t of the
+    array (|arg t| < pi, t != 0) and the pole order m broadcast against it.
+
+    For |t| < 5, E_m's power series (DLMF 8.19.8) to the term m + 39
+    (5^40/40! is 1.1e-20), with a roundoff floor of 16 eps e^Re(t)
+    sum|terms| and the dropped terms' bound.  Else the 64-point
+    Gauss-Laguerre sum of S_m(t) = t^{m-1} int_0^inf e^{-y} (t + y)^{-m} dy,
+    with its gap to 48 points and a floor of 16 eps sum|terms|.
+    """
+    q = t[..., None] / (t[..., None] + _LAGUERRE_NODES)  # t / (t + y)
+    f = q
+    for k in range(2, int(m.max()) + 1):
+        f = np.where((m >= k)[..., None], f * q, f)
+    sums = f @ _LAGUERRE_WEIGHTS
+    value = sums[..., 1] / t
+    estimate = (np.abs(sums[..., 1] - sums[..., 0]) + 16.0 * _EPS
+                * (np.abs(f) @ _LAGUERRE_WEIGHTS[:, 1])) / np.abs(t)
+    near = np.abs(t) < 5.0
+    if near.any():
+        s, m = t[near], np.broadcast_to(m, t.shape)[near]
+        n = 40 + int(m.max())
+        k = np.arange(n)
+        p = np.ones((s.size, n), complex)  # (-t)^k / k!, a running product
+        p[:, 1:] = s[:, None] / -k[1:]
+        np.multiply.accumulate(p, axis=1, out=p)
+        den = k + (1 - m[:, None])  # the sum's terms are p / den, den != 0
+        inv = np.divide(1.0, den, out=np.zeros(den.shape), where=den != 0)
+        psi = np.cumsum(np.concatenate(([-np.euler_gamma], 1.0 / k[1:])))
+        lead = p[den == 0] * (psi[m - 1] - np.log(s))
+        scale = np.exp(s)
+        value[near] = scale * (lead - (p * inv).sum(axis=1))
+        y = np.abs(s)
+        dropped = np.abs(p[:, -1]) * y / n / (n + 1 - m) / (1 - y / (n + 1))
+        estimate[near] = np.abs(scale) * (dropped + 16.0 * _EPS * (
+            np.abs(lead) + (np.abs(p) * np.abs(inv)).sum(axis=1)))
+    return value, estimate
+
+
 @dataclass(frozen=True)
 class MerilTrace:
     """Convergence record of one truncated-boundary evaluation: values[k]
     is truncated at radii[k], gaps[k] is |values[k+1] - values[k]| and
-    bounds[k] the closed-form tail beyond radii[k] plus that rung's
-    quadrature estimate."""
+    bounds[k] the closed-form tail bound beyond radii[k] plus that rung's
+    estimate."""
 
     radii: tuple[float, ...]
     values: tuple[complex, ...]
@@ -352,26 +414,33 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
     shift = eps_prime * bisector(dual)
     S_eps = thicken(S, eps)
     # Geometric, ratio 1.5, 40 steps from 2(max |pole| + eps + 1), bumped
-    # when the thickened boundary's corners need more room.
-    r0 = max(2.0 * (u.max_pole_modulus + eps + 1.0),
-             1.5 * (open_boundary_extent(S_eps) + 1.0))
+    # when the thickened boundary's corners need more room, and past
+    # max |corner of S| + eps + 2 max |pole|: on the boundary Re(z w) <=
+    # (max |corner| + eps) |w|, so no tail point beyond has (z - a) w > 0,
+    # which would put t = -(z - a) w on E_m's branch cut.
+    a_max = u.max_pole_modulus
+    r0 = max(2.0 * (a_max + eps + 1.0),
+             1.5 * (open_boundary_extent(S_eps) + 1.0),
+             max(map(abs, boundary_walk(S).corners)) + eps + 2 * a_max + 1.0)
     radii = tuple(r0 * 1.5 ** k for k in range(40))
     rays = open_boundary_rays(S_eps)
 
     @functools.cache
     def ladder():
         # The contour to radii[0]; per ray, its crossings with the circles
-        # and the bound on |u| beyond them (w enters only the decay); rung
-        # k's rows, the entry ray inward, then the exit ray outward.
+        # and the bound on |u| beyond them (w enters only the decay); rows
+        # (ray, term) of z - a and z at the crossings, of the tail's
+        # coefficient -+c (z - a)^{1-m}, - on the entry ray, which the
+        # contour runs inward, and of m (no terms: one term c = 0).
         ts = [np.array([circle_hit(b, d, R) for R in radii]) for b, d in rays]
-        tails = [(b + t * d, d, _ray_sup(u, b, d, t))
-                 for (b, d), t in zip(rays, ts)]
-        (z_in, _, _), (z_out, _, _) = tails
-        starts = np.column_stack((z_in[1:], z_out[:-1]))
-        ends = np.column_stack((z_in[:-1], z_out[1:]))
-        return (region_boundary_contour(S_eps, truncation=radii[0]), tails,
-                tuple(starts.ravel().tolist()), tuple(ends.ravel().tolist()),
-                np.abs(ends - starts).max(axis=1))
+        zs = [b + t * d for (b, d), t in zip(rays, ts)]
+        rows = [(z - a, z, sign * c * (z - a) ** (1 - m), [m])
+                for sign, z in zip((-1.0, 1.0), zs)
+                for a, m, c in u.terms or [(0j, 1, 0j)]]
+        return (region_boundary_contour(S_eps, truncation=radii[0]),
+                [(z, d, _ray_sup(u, b, d, t))
+                 for z, (b, d), t in zip(zs, rays, ts)],
+                tuple(map(np.array, zip(*rows))))
 
     def trace(w: complex) -> MerilTrace:
         w = _finite_w(w)
@@ -381,24 +450,31 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         peak = support_function(S_eps, w)
         if peak > _LOG_FLOAT_MAX:
             raise _overflow(w, peak)
-        base_contour, tails, starts, ends, lengths = ladder()
+        base_contour, tails, (rel, at, coef, m) = ladder()
         # ray_tail_bound of both rays beyond each radius.
         tail = sum(np.exp((z * w).real) * sup / -(d * w).real
                    for z, d, sup in tails)
         met = np.flatnonzero(tail <= MERIL_TAIL_TOL)
         stop = int(met[0]) if met.size else len(radii) - 1
         value, err = integrate(base_contour, u, MERIL_ABS_TOL, w=w)
-        steps, step_errs = _rungs(starts[:2 * stop], ends[:2 * stop],
-                                  lengths[:stop], u, MERIL_ABS_TOL, w)
-        values = tuple(np.cumsum([value] + steps).tolist())
+        # Both rays' tails beyond each radius in closed form (see the module
+        # docstring); rung k is the difference of those at radii k, k + 1.
+        factor, est = _ray_factor(-w * rel[:, :stop + 1], m)
+        scale = coef[:, :stop + 1] * np.exp(at[:, :stop + 1] * w)
+        beyond = (scale * factor).sum(axis=0)
+        beyond_err = (np.abs(scale) * est).sum(axis=0)
+        steps = beyond[:-1] - beyond[1:]
+        step_errs = (beyond_err[:-1] + beyond_err[1:]).tolist()
+        values = tuple(np.cumsum(np.concatenate(([value], steps))).tolist())
         last = float(tail[stop])
         if not met.size:
             raise ConvergenceError(
                 f"truncation schedule exhausted; last tail bound "
                 f"{last:.3e}", values[-1], last)
         bounds = tuple(t + e for t, e in zip(tail.tolist(), step_errs))
-        return MerilTrace(radii[:stop + 1], values, tuple(map(abs, steps)),
-                          bounds, values[-1], sum(step_errs, err) + last)
+        return MerilTrace(radii[:stop + 1], values,
+                          tuple(np.abs(steps).tolist()), bounds, values[-1],
+                          sum(step_errs, err) + last)
 
     def full(w: complex) -> tuple[complex, float]:
         t = trace(w)
