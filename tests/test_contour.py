@@ -240,9 +240,9 @@ def _reciprocal(z):
     return 1.0 / (z - 1.0)
 
 
-# A Meril rung near the edge of the shifted dual cone (eps' = 1e-5): about
-# 14000 radians of e^{z*w} over 7000 units, where 2048 Gauss-Kronrod
-# panels miss 1e-11 by a gap of 1.1e-11.
+# A piece of a Meril boundary ray, w near the edge of the shifted dual
+# cone (eps' = 1e-5): about 14000 radians of e^{z*w} over 7000 units,
+# where 2048 Gauss-Kronrod panels miss 1e-11 by a gap of 1.1e-11.
 LONG_SEGMENT = Segment(9875.437937775943 + 9875.579359132178j,
                        14813.192262213932 + 14813.333683570165j)
 LONG_SEGMENT_W = -1.4142346695368226 - 1.4142024551221317j
