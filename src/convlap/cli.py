@@ -516,18 +516,15 @@ def _check_tail_dominance(sc: Scenario, v, rng, tol: None) -> _CheckResult:
 
 
 def _check_eps_robustness(sc: Scenario, v, rng, tol: float) -> _CheckResult:
-    points = _meril_points(sc)
+    # eps' moves only the domain test, so the eps'/2 run is v on v's domain.
     half_eps = meril_transform(sc.datum, sc.domain, 0.5 * sc.eps,
                                sc.eps_prime)
-    half_shift = meril_transform(sc.datum, sc.domain, sc.eps,
-                                 0.5 * sc.eps_prime)
     worst = 0.0
-    for w in points:
-        base = v(w)
-        worst = max(worst, abs(base - half_eps(w)), abs(base - half_shift(w)))
-    ok = worst <= tol
-    return _CheckResult(ok, f"max gap {worst:.3e} against eps/2 and eps'/2 "
-                            f"runs (tolerance {tol:.1e})")
+    for w in _meril_points(sc):
+        worst = max(worst, abs(v(w) - half_eps(w)))
+    return _CheckResult(worst <= tol, f"max gap {worst:.3e} against the eps/2 "
+                        f"run, the eps'/2 run equal to v on v's domain by "
+                        f"construction (tolerance {tol:.1e})")
 
 
 def _interior_samples(body: ConvexBody, rng, count: int) -> list[complex]:

@@ -8,11 +8,12 @@ thickened convex sets leave the set on the left.
 ``integrate`` sums e^{z*w} g(z) dz, for a caller's w (0 by default),
 over a contour's pieces from per-piece kernels, loops over nested rules
 vectorised in numpy, each given a share of the tolerance (a lone full
-circle all of it): _circle on a full circle, and elsewhere _segment,
-which bisects and is also the one-piece entry.  A Gauss-Kronrod level's
-rule holds nodes, weights and the weights of the coarser rule embedded
-in the same nodes; a full circle's holds only nodes and weights, and its
-coarse rule, on every other node, is read off the moments (below).  A
+circle, flagged when the contour is built, all of it and no per-piece
+loop): _circle on a full circle, and elsewhere _segment, which bisects
+and is also the one-piece entry.  A Gauss-Kronrod level's rule holds
+nodes, weights and the weights of the coarser rule embedded in the same
+nodes; a full circle's holds only nodes and weights, and its coarse
+rule, on every other node, is read off the moments (below).  A
 level's rule and g at its nodes are kept in the contour's own dict under
 (piece, level, g) for every w; a full circle's nodes and weights are
 also cached on their own per (piece, level), since every datum on that
@@ -42,9 +43,11 @@ F_m + F_{m+n/2}, m < n/2, per (piece, level, g) as one array's two rows.
 Each w then costs a Taylor sum of about rho|w| + 12 sqrt(rho|w|) + 40
 terms scaled by e^{-rho|w|} (a running product of x/m) and one product
 of the rows with it (terms past n/2 fold), from the first level with at
-least twice as many nodes.  With M = Re(c w) + rho|w|, the kernel's peak
-on the circle, the estimate is the fine-coarse gap, a roundoff floor of
-16 eps e^M sum |g(z_k) w_k| and a bound on the dropped Taylor terms.
+least twice as many nodes; _circle reads the rows from the dict itself,
+calls _level only on a miss and forms both sums in place.  With
+M = Re(c w) + rho|w|, the kernel's peak on the circle, the estimate is
+the fine-coarse gap, a roundoff floor of 16 eps e^M sum |g(z_k) w_k| and
+a bound on the dropped Taylor terms.
 
 Node order, level order and accumulation are fixed, so results are
 bitwise reproducible for identical inputs.
@@ -185,6 +188,9 @@ class OrientedContour:
                 raise ValueError("consecutive pieces must share endpoints")
         object.__setattr__(self, "pieces", ps)
         object.__setattr__(self, "lengths", tuple(p.length for p in ps))
+        # One full circle of nonzero length: integrate's _circle alone.
+        object.__setattr__(self, "lone_circle", len(ps) == 1
+                           and ps[0].full_circle and self.lengths[0] != 0.0)
         object.__setattr__(self, "_cache", {})  # integrate's (see _level)
 
     @property
@@ -362,14 +368,11 @@ def _rule(piece: Arc, level: int) -> tuple:
 
 
 def _level(cache: dict, piece, level: int, g) -> tuple:
-    """The piece's rule at a level and g there, read-only, from the cache
-    or built into it: on a full circle its _rule, the rows F_m,
-    F_m + F_{m+n/2} (m < n/2) of g's trapezoid moments and sum
-    |g(z_k) w_k|; else its Gauss-Kronrod rule, built here, and g there."""
+    """The piece's rule at a level and g there, read-only, built into the
+    cache on a miss of its callers' lookup: on a full circle its _rule,
+    the rows F_m, F_m + F_{m+n/2} (m < n/2) of g's trapezoid moments and
+    sum |g(z_k) w_k|; else its Gauss-Kronrod rule, built here, and g."""
     key = (piece, level, g)
-    entry = cache.get(key)  # one hash of the key on a hit
-    if entry is not None:
-        return entry
     if piece.full_circle:
         nodes, weights = _rule(piece, level)
         h = g(nodes) * weights
@@ -416,30 +419,11 @@ def _scaled_taylor(x: complex, count: int) -> np.ndarray:
 def _node_sums(cache: dict, piece, level: int, g, w: complex):
     """Fine sum, coarse sum, roundoff floor and node count of
     e^{z*w} g(z) dz at a level, from g at the nodes (_level's)."""
-    (nodes, weights, idx, coarse_weights, scale), values = _level(
-        cache, piece, level, g)
+    (nodes, weights, idx, coarse_weights, scale), values = (
+        cache.get((piece, level, g)) or _level(cache, piece, level, g))
     f = np.exp(nodes * w) * values
     return (complex(f @ weights), complex(f[idx] @ coarse_weights),
             float(np.abs(f).sum()) * scale, len(f))
-
-
-def _moment_sums(cache: dict, piece: Arc, level: int, g,
-                 terms: np.ndarray, factor: complex, tail: float):
-    """Fine sum, coarse sum, roundoff floor, dropped-term bound and node
-    count of e^{z*w} g(z) dz at a level in moment form, from the scaled
-    Taylor terms of e^{(z - c)*w} (no more than the nodes), their factor
-    e^{c*w + rho|w|} and their tail's bound: one product with two rows."""
-    pair, mass = _level(cache, piece, level, g)[1]
-    half = pair.shape[1]
-    if len(terms) <= half:
-        fine, coarse = (pair[:, :len(terms)] @ terms).tolist()
-    else:  # the terms fold mod n/2, and F_{m+n/2} = (F_m + F_{m+n/2}) - F_m
-        lo, hi = np.pad(terms, (0, 2 * half - len(terms))).reshape(2, -1)
-        fine = complex(pair[0] @ (lo - hi) + pair[1] @ hi)
-        coarse = complex(pair[1] @ (lo + hi))
-    peak = abs(factor) * mass
-    return (factor * fine, factor * coarse, 16.0 * _EPS * peak, tail * peak,
-            2 * half)
 
 
 def _halves(piece):
@@ -472,8 +456,8 @@ def integrate(c: OrientedContour, g, abs_tol: float = 1e-11,
     OverflowError; a w that is not finite raises ValueError.
     """
     w = _finite_w(w)
-    if len(c.pieces) == 1 and c.pieces[0].full_circle and c.lengths[0]:
-        return IntegralResult(*_circle(c._cache, c.pieces[0], g, abs_tol, w))
+    if c.lone_circle:
+        return _circle(c._cache, c.pieces[0], g, abs_tol, w)
     return _integrate(c._cache, c.pieces, c.lengths, g, abs_tol, w,
                       _MAX_SPLITS)
 
@@ -515,7 +499,7 @@ def _kernel_overflow(piece, peak: float) -> OverflowError:
 
 
 def _circle(cache: dict, piece: Arc, g, tol: float, w: complex):
-    """(value, estimate) on a full circle, in moment form, to tol."""
+    """IntegralResult on a full circle, in moment form, to tol."""
     size, top = _LEVELS[True]
     y = piece.radius * abs(w)
     try:  # math.ceil overflows at y = inf, cmath.exp beyond log(float max)
@@ -534,13 +518,22 @@ def _circle(cache: dict, piece: Arc, g, tol: float, w: complex):
     while size << level < 2 * count and level < top:
         level += 1
     for level in range(level, top + 1):
-        fine, coarse, floor, extra, n = _moment_sums(cache, piece, level, g,
-                                                     terms, factor, tail)
-        gap = abs(fine - coarse)
+        pair, mass = (cache.get((piece, level, g))
+                      or _level(cache, piece, level, g))[1]
+        half = pair.shape[1]
+        if count <= half:  # one product with both rows
+            fine, coarse = (pair[:, :count] @ terms).tolist()
+        else:  # the terms fold mod n/2: F_{m+n/2} = row 1 - row 0
+            lo, hi = np.pad(terms, (0, 2 * half - count)).reshape(2, -1)
+            fine = complex(pair[0] @ (lo - hi) + pair[1] @ hi)
+            coarse = complex(pair[1] @ (lo + hi))
+        fine, peak = factor * fine, abs(factor) * mass
+        floor = 16.0 * _EPS * peak
+        gap = abs(fine - factor * coarse)
         if gap <= max(tol, floor):
-            return fine, gap + floor + extra
-    raise QuadratureError(f"rule not settled at {n} nodes on {piece}: gap "
-                          f"{gap:.3e}, roundoff floor {floor:.3e}", fine)
+            return IntegralResult(fine, gap + floor + tail * peak)
+    raise QuadratureError(f"rule not settled at {2 * half} nodes on {piece}: "
+                          f"gap {gap:.3e}, roundoff floor {floor:.3e}", fine)
 
 
 def _segment(cache: dict, piece, g, tol: float, w: complex,

@@ -139,8 +139,8 @@ def _band_nodes(p: CutoffProfile, grid: int):
 
     The fine pass puts 2 * ceil(grid * share / 16) panels of 8 nodes on a
     patch with that share of the outer boundary (about grid nodes along
-    the band) and 2 * max(3, grid // 256) nodes across it.  The coarse
-    pass halves both counts and still integrates psi' (quartic) exactly.
+    the band), the coarse pass half as many; both take 3 Gauss nodes
+    across it, which integrate psi' (quartic) exactly.
     """
     eps, rho = p.eps, p.body.rounding
     dpsi = _STEPS[p.order][1]
@@ -149,12 +149,12 @@ def _band_nodes(p: CutoffProfile, grid: int):
     lengths = np.where(sector, r_hi, 1.0) * (hi - lo)
     panels = np.ceil(grid * lengths / (16.0 * lengths.sum())).astype(int)
     x, wx = _gauss_legendre(_PANEL_NODES)
+    r, r_w = _gauss_legendre(3)
+    r = r_lo + 0.5 * (r + 1.0) * (r_hi - r_lo)
+    # The rule's half-width eps/4 times dbar(psi) / ray = psi'(s) / eps.
+    r_w = r_w * 0.25 * dpsi((r - r_lo) / (0.5 * eps))
     passes = []
     for times in (2, 1):
-        r, r_w = _gauss_legendre(times * max(3, grid // 256))
-        r = r_lo + 0.5 * (r + 1.0) * (r_hi - r_lo)
-        # The rule's half-width eps/4 times dbar(psi) / ray = psi'(s) / eps.
-        r_w = r_w * 0.25 * dpsi((r - r_lo) / (0.5 * eps))
         count = times * panels
         patch = np.arange(count.size).repeat(count)  # of each panel
         h = (hi - lo)[patch] / count[patch]
@@ -177,7 +177,7 @@ def area_laplace(u: MeromorphicDatum, p: CutoffProfile, w: complex,
                  grid: int = 512) -> AreaResult:
     """Integrate e^{zw} * u * dbar(psi) over the cutoff band.
 
-    The value is the fine pass of _band_nodes (3-4k nodes at grid 512),
+    The value is the fine pass of _band_nodes (1.5-2k nodes at grid 512),
     whose rule is built once per profile and grid (the last 16 kept).
     The error estimate is its gap to the coarse pass, a true half in both
     directions, plus 16 eps times the sum of the fine pass's |terms|;

@@ -162,17 +162,26 @@ def residue_oracle(u: MeromorphicDatum, w: complex) -> complex:
 
     Each term c*(z-a)^{-m} contributes 2 pi i * c * w^{m-1} e^{a*w}/(m-1)!.
     Terms are accumulated in declaration order, each in log form where
-    its direct form overflows.  Raises OverflowError, naming the largest
-    term's log-magnitude, when a term or the sum leaves the float range,
-    and ValueError when w is not finite.
+    its direct form overflows.  Orders 1-3 take c e^{a*w}, c w e^{a*w} and
+    c (w*w) e^{a*w}/2 (w*w finite), that form's own sums: w ** 1 is
+    (1+0j)*w, w ** 2 is (1+0j)*(w*w).  Raises OverflowError, naming the
+    largest term's log-magnitude, when a term or the sum leaves the float
+    range, and ValueError when w is not finite.
     """
     w = _finite_w(w)
     acc = 0j
     try:
         for a, m, c in u.terms:
             try:
-                acc += (c * w ** (m - 1) * cmath.exp(a * w)
-                        / math.factorial(m - 1))
+                e = cmath.exp(a * w)
+                if m == 1:
+                    acc += c * e
+                elif m == 2:
+                    acc += c * w * e
+                elif m == 3 and cmath.isfinite(ww := w * w):
+                    acc += c * ww * e / 2
+                else:
+                    acc += c * w ** (m - 1) * e / math.factorial(m - 1)
             except OverflowError:  # w^{m-1}, e^{a*w} or (m-1)! is no float
                 acc += w and c * cmath.exp(  # 0 for m > 1 at w = 0
                     (m - 1) * cmath.log(w) + a * w - math.lgamma(m))

@@ -529,14 +529,48 @@ def test_moment_form_matches_residues_on_any_circle():
                 assert res.error <= 1e-12 * math.exp(M)
 
 
+def _row_sums(arc, level, g, terms):
+    """Fine and coarse trapezoid sums of e^{(z - c) w - rho|w|} g(z) dz at
+    a level from the moment rows that _level keeps, term by term: F_m has
+    period n, with F_{m+n/2} row 1 less row 0, and the coarse moments,
+    row 1, period n/2 (a reference for _circle's fold); with sum
+    |g(z_k) w_k| and n."""
+    pair, mass = contour._level({}, arc, level, g)[1]
+    n, m = 2 * pair.shape[1], np.arange(len(terms))
+    moments = np.concatenate((pair[0], pair[1] - pair[0]))
+    return (complex(moments[m % n] @ terms),
+            complex(pair[1][m % (n // 2)] @ terms), mass, n)
+
+
+def _circle_parts(arc, g, w):
+    """integrate's result on the circle alone (tol inf: its first level),
+    that level, its roundoff floor and dropped-term bound, which the
+    estimate adds to the fine-coarse gap, and the factor e^{cw + rho|w|}."""
+    cache = {}
+    res = contour._circle(cache, arc, g, math.inf, w)
+    (((_, level, _), (_, (_, mass))),) = cache.items()
+    y = arc.radius * abs(w)
+    count = math.ceil(y + 12.0 * math.sqrt(y) + 40.0)
+    terms = contour._scaled_taylor(arc.radius * w * arc.start_unit, count)
+    tail = float(abs(terms[-1])) * y / count / (1.0 - y / (count + 1))
+    factor = cmath.exp(arc.center * w + y)
+    peak = abs(factor) * mass
+    return res, level, 16.0 * contour._EPS * peak, tail * peak, factor
+
+
 def test_moment_sums_equal_the_node_sums():
     # At 4096 nodes and rho|w| = 2000 the Taylor sum has 2577 terms, so
     # the coarse rule folds them; both sums equal the trapezoid sums of
     # e^{(z - c) w - rho|w|} g(z) on the nodes, up to the rounding of
-    # that exponent (about 2000 eps relative to the largest term).
+    # that exponent (about 2000 eps relative to the largest term).  On
+    # circles whose centre keeps e^{Re(cw) + rho|w|} in range, _circle
+    # returns the fine sum times e^{cw + rho|w|} and the sums' gap.
     w = 2000.0 * cmath.exp(0.3j)
+    back = -cmath.exp(-0.3j)  # centres c with Re(c w) = -2000 |c|
     for c in (circle_contour(0j, 1.0),
-              circle_contour(0.5 - 1j, 1.0).reversed()):
+              circle_contour(0.5 - 1j, 1.0).reversed(),
+              circle_contour(back, 1.0),
+              circle_contour((1.2 + 0.3j) * back, 1.0).reversed()):
         arc = c.pieces[0]
         a = arc.center + 0.4 * cmath.exp(1.1j)
 
@@ -545,13 +579,22 @@ def test_moment_sums_equal_the_node_sums():
 
         count = math.ceil(2000.0 + 12.0 * math.sqrt(2000.0) + 40.0)
         terms = contour._scaled_taylor(w * contour._cis(arc.angle0), count)
-        fine, coarse, _, _, n = contour._moment_sums({}, arc, 6, g, terms,
-                                                     1.0, 0.0)
+        fine, coarse, _, n = _row_sums(arc, 6, g, terms)
         nodes, weights = contour._rule(arc, 6)[:2]
         f = np.exp((nodes - arc.center) * w - 2000.0) * g(nodes)
+        want_fine, want_coarse = f @ weights, f[::2] @ (2.0 * weights[::2])
         assert (n, count) == (4096, 2577)
-        assert abs(fine - f @ weights) <= 1e-10
-        assert abs(coarse - f[::2] @ (2.0 * weights[::2])) <= 1e-10
+        assert abs(fine - want_fine) <= 1e-10
+        assert abs(coarse - want_coarse) <= 1e-10
+        if (arc.center * w).real > -1000.0:
+            continue  # e^{2000} is no float
+        res, level, floor, extra, factor = _circle_parts(arc, g, w)
+        scale = abs(factor)
+        assert level == 6
+        assert 0.0 < scale < math.inf
+        assert abs(res.value - factor * want_fine) <= 1e-10 * scale
+        gap = res.error - floor - extra
+        assert abs(gap - scale * abs(want_fine - want_coarse)) <= 2e-10 * scale
 
 
 def _exact_node_sums(arc, level, g, x):
@@ -599,7 +642,8 @@ def test_moment_form_matches_the_node_sums_within_its_estimate():
     # branch (rho|w| > 700), the fine and coarse sums in moment form are
     # the node sums up to the dropped terms and rounding: within the
     # roundoff floor plus the dropped terms' bound, which the estimate
-    # that integrate gives adds to the fine-coarse gap.
+    # that integrate gives adds to the fine-coarse gap.  The sums are
+    # formed from the moment rows term by term (_row_sums).
     def most_y(terms):  # the largest rho|w| that takes at most so many
         return 0.999 * (math.sqrt(terms - 4.0) - 6.0) ** 2
 
@@ -618,12 +662,53 @@ def test_moment_form_matches_the_node_sums_within_its_estimate():
         x = arc.radius * w * arc.start_unit
         terms = contour._scaled_taylor(x, count)
         tail = float(abs(terms[-1])) * y / count / (1.0 - y / (count + 1))
-        fine, coarse, floor, extra, n = contour._moment_sums(
-            {}, arc, level, g, terms, 1.0, tail)
+        fine, coarse, mass, n = _row_sums(arc, level, g, terms)
+        floor, extra = 16.0 * contour._EPS * mass, tail * mass
         want_fine, want_coarse = _exact_node_sums(arc, level, g, x)
         assert n == 64 << level
         assert abs(fine - want_fine) <= floor + extra
         assert abs(coarse - want_coarse) <= floor + extra
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the node sums need an extended long double")
+def test_circle_is_the_node_sums_at_its_first_level():
+    # _circle with tol inf returns at its first level, the first with n at
+    # least twice the Taylor terms: at each level 1-6, on the Stirling
+    # branch (rho|w| > 700) and with the terms folded at the top, its
+    # value is the fine node sum times e^{cw + rho|w|}, and its estimate
+    # less the roundoff floor and the dropped terms' bound is the gap of
+    # the fine and coarse node sums, within the bounds of the test above.
+    # A centre moves along w where e^M would leave the float range.
+    def most_y(terms):  # the largest rho|w| that takes at most so many
+        return 0.999 * (math.sqrt(terms - 4.0) - 6.0) ** 2
+
+    rng = np.random.default_rng(20251022)
+    cases = [(1, 0.0, 64)] * 4 + [
+        (level, most_y(16 << level) + 1.0, 32 << level)
+        for level in range(2, 7) for _ in range(4)]
+    cases += [(6, 700.0, 2048)] * 4 + [(6, most_y(2048) + 1.0, 4096)] * 4
+    for level, y_min, most in cases:
+        arc = _random_circle(rng).pieces[0]
+        y = rng.uniform(y_min, most_y(most))
+        w = y / arc.radius * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        M = (arc.center * w).real + y
+        if abs(M) > 300.0:
+            arc = Arc(arc.center - (M / abs(w)) * (w / abs(w)).conjugate(),
+                      arc.radius, arc.angle0, arc.angle1)
+        g = _random_datum(rng, arc)
+        count = math.ceil(y + 12.0 * math.sqrt(y) + 40.0)
+        assert count <= most and (level == 1 or 2 * count > 32 << level)
+        res, first, floor, extra, factor = _circle_parts(arc, g, w)
+        assert first == level
+        want_fine, want_coarse = _exact_node_sums(
+            arc, level, g, arc.radius * w * arc.start_unit)
+        scale = abs(factor)
+        assert 0.0 < scale < math.inf
+        assert abs(res.value - factor * want_fine) <= floor + extra
+        gap = res.error - floor - extra
+        assert (abs(gap - scale * abs(want_fine - want_coarse))
+                <= 2.0 * (floor + extra))
 
 
 def test_circle_estimates_bound_the_residue_gap_off_the_origin():

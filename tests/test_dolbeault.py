@@ -201,6 +201,30 @@ def test_deterministic_revaluation(monkeypatch):
     assert isinstance(a, AreaResult)
 
 
+def test_band_nodes_take_three_across_on_both_passes():
+    # Along the band the fine pass has 2 ceil(grid share / 16) panels of
+    # 8 nodes per patch and the coarse pass half as many; across it both
+    # take the same 3 Gauss nodes at every grid, exact for quartic psi'.
+    pentagon = ConvexBody([0.6 * cmath.exp(0.4j * math.pi * k)
+                           for k in range(5)], rounding=0.1)
+    want = {  # fine nodes at grids 64, 128, ..., 2048
+        UNIT_DISK: (192, 384, 768, 1536, 3072, 6144),
+        ROUND_SQUARE: (384, 576, 960, 1728, 3264, 6336),
+        pentagon: (480, 480, 960, 1680, 3360, 6240),
+    }
+    for body, counts in want.items():
+        p = CutoffProfile(body, 0.3)
+        for grid, count in zip((64, 128, 256, 512, 1024, 2048), counts):
+            (z, w), (z_c, w_c) = dolbeault._band_nodes(p, grid)
+            assert (z.size, z_c.size) == (count, count // 2)
+            across = [np.abs(a.reshape(-1, 3) - a.reshape(-1, 3)[:, :1])
+                      for a in (z, z_c)]
+            for gaps in across:  # 3 distances from each ray's first node
+                assert np.allclose(gaps, gaps[0], rtol=0.0, atol=1e-12)
+            u = MeromorphicDatum([(0.1j, 1, 1.0)])
+            assert area_laplace(u, p, 0.5j, grid=grid).nodes == count
+
+
 def test_band_nodes_orientation():
     # dbar of (1/z) dz over the band around the unit disk gives 2 pi i:
     # the band weights carry the orientation of the boundary.

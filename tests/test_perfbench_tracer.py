@@ -42,18 +42,21 @@ def test_polya_evaluation_enters_integrate_once():
     from convlap.transforms import MeromorphicDatum, polya_transform
 
     tracing = _load_tracing()
-    u = MeromorphicDatum([(0.2 - 0.1j, 2, 1.0)])
+    u = MeromorphicDatum([(0.2 - 0.1j, 2, 1.0), (0.1j, 3, 0.5)])
     v = polya_transform(u, ConvexBody([0j], rounding=0.5), 1.0)
     v(3.0 - 4.0j)
+    # w = 0, a grid point and r|w| = 704 > 700 (the Stirling branch).
+    ws = (0j, 2.0 + 1.0j, 704.0)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        v(2.0 + 1.0j)
+        for w in ws:
+            v.with_error(w)
     finally:
         tracer.remove()
     names = [span[0] for span in tracer.spans]
-    assert names.count("transforms.polya.eval") == 1
-    assert names.count("contour.integrate") == 1
+    assert names.count("transforms.polya.eval") == len(ws)
+    assert names.count("contour.integrate") == len(ws)
 
 
 def test_repeated_meril_evaluation_reads_the_cached_datum():

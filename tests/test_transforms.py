@@ -708,6 +708,33 @@ def _seeded_meril_regions(rng, n: int):
     return out
 
 
+def test_meril_half_eps_prime_is_v_bitwise_on_vs_domain():
+    # eps' moves only Meril's domain test: on seeded sectors and cut
+    # sectors, at the CLI's default points (the shift plus 1.5 and 3
+    # along the dual axis and half the dual half-width to either side)
+    # and at seeded w out to 0.95 of the half-width, the eps'/2 run's
+    # trace is v's to the last bit.
+    rng = np.random.default_rng(58)
+    checked = 0
+    for u, region in _seeded_meril_regions(rng, 12):
+        dual = polar_cone(asymptotic_cone(region))
+        shift = 0.1 * bisector(dual)
+        v = meril_transform(u, region, 0.1, 0.1)
+        half = meril_transform(u, region, 0.1, 0.05)
+        ws = [shift + radius * cmath.exp(1j * (dual.axis + dt))
+              for dt in (-0.5 * dual.half_width, 0.0, 0.5 * dual.half_width)
+              for radius in (1.5, 3.0)]
+        ws += [shift + mag * cmath.exp(1j * (
+            dual.axis + rng.uniform(-0.95, 0.95) * dual.half_width))
+            for mag in np.exp(rng.uniform(math.log(0.5), math.log(30.0), 4))]
+        for w in ws:
+            assert v.domain_contains(w) and half.domain_contains(w)
+            assert repr(half.diagnostics(w)) == repr(v.diagnostics(w))
+            assert repr(half.with_error(w)) == repr(v.with_error(w))
+            checked += 1
+    assert checked == 120
+
+
 def test_meril_closed_form_rungs_match_segment_on_each_rung():
     # Each rung in closed form, against _segment on its two ray segments
     # (the entry ray's run inward) from their own start levels: within
@@ -1052,6 +1079,74 @@ def test_residue_oracle_keeps_the_bits_of_terms_that_fit():
         for a, m, c in u.terms:
             want += c * w ** (m - 1) * cmath.exp(a * w) / math.factorial(m - 1)
         assert residue_oracle(u, w) == 2j * math.pi * want
+
+
+def _general_residue_sum(u, w):
+    """residue_oracle by its general per-term formula alone, the reference
+    for its order 1-3 paths, and the orders it took in log form; None for
+    a raise."""
+    acc, logs = 0j, set()
+    try:
+        for a, m, c in u.terms:
+            try:
+                acc += (c * w ** (m - 1) * cmath.exp(a * w)
+                        / math.factorial(m - 1))
+            except OverflowError:
+                logs.add(m)
+                acc += w and c * cmath.exp(
+                    (m - 1) * cmath.log(w) + a * w - math.lgamma(m))
+        value = 2j * math.pi * acc
+        if cmath.isfinite(value):
+            return value, logs
+    except OverflowError:
+        pass
+    return None, logs
+
+
+def test_residue_oracle_is_the_general_formula_repr_exactly():
+    # Seeded data, 1-5 terms of orders 1-6, signed zeros among poles,
+    # coefficients and w, |w| from 1e-3 to 3e2, w = 0, and |w| about
+    # 1e155, where w*w overflows but a term of order 3 may still fit
+    # (the log form) or not (the raise).
+    rng = np.random.default_rng(28)
+    zeros = (0.0, -0.0)
+    seen = {"value": 0, "order 3 in log form": 0, "log form": 0, "raise": 0,
+            "w = 0": 0}
+    for _ in range(4000):
+        terms = []
+        for _ in range(int(rng.integers(1, 6))):
+            a = complex(*rng.uniform(-2.0, 2.0, 2)) * 10.0 ** rng.uniform(-3, 0)
+            c = complex(*rng.uniform(-2.0, 2.0, 2))
+            if rng.uniform() < 0.1:
+                a = complex(*rng.choice(zeros, 2))
+            if rng.uniform() < 0.1:
+                c = complex(rng.choice((1.0, -1.0, 0.0, -0.0)),
+                            rng.choice(zeros))
+            terms.append((a, int(rng.integers(1, 7)), c))
+        u = MeromorphicDatum(terms)
+        kind = rng.uniform()
+        if kind < 0.05:
+            w = complex(*rng.choice(zeros, 2))
+        elif kind < 0.2:  # w*w overflows, a*w = -s (1 + i t) with the
+            # term in range for s > 23 at order 3 (|w|^2 up to 1e312)
+            w = 10.0 ** rng.uniform(154.2, 156.0) * cmath.exp(
+                1j * rng.choice((0.0, 0.5 * math.pi, rng.uniform(0, 7))))
+            u = MeromorphicDatum([
+                (-rng.uniform(5.0, 300.0) * complex(1.0, rng.uniform(-1, 1))
+                 / w, m, c) for _, m, c in terms])
+        else:
+            w = 10.0 ** rng.uniform(-3, 2.5) * cmath.exp(
+                1j * rng.uniform(0.0, 2.0 * math.pi))
+        want, logs = _general_residue_sum(u, w)
+        if want is None:
+            seen["raise"] += 1
+            with pytest.raises(OverflowError):
+                residue_oracle(u, w)
+            continue
+        assert repr(residue_oracle(u, w)) == repr(want), (u, w)
+        seen["w = 0" if w == 0 else "log form" if logs else "value"] += 1
+        seen["order 3 in log form"] += 3 in logs
+    assert min(seen.values()) >= 20, seen
 
 
 # ---- Polya on the cached-node trapezoid rule ----
