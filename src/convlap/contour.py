@@ -19,7 +19,7 @@ level's rule and g at its nodes are kept in the contour's own dict under
 also cached on their own per (piece, level), since every datum on that
 circle shares them.  A full circle takes the periodic trapezoid rule
 (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Rev. 2014) on 64 nodes doubling up to 4096; other pieces take
+SIAM Rev. 2014) on 128 nodes doubling up to 4096; other pieces take
 Gauss-Kronrod 15 on 1 to 2048 equal panels with the embedded Gauss-7
 (Piessens et al., QUADPACK, 1983), and multiply the cached g by e^{z*w}
 once per level on the whole node array.  Their error estimate is the
@@ -94,10 +94,12 @@ _GK_W = 0.5 * np.array(_WGK[:-1] + _WGK[::-1])
 # Gauss-7 weights over the Kronrod weights of the same nodes.
 _G_OVER_K = 0.5 * np.polynomial.legendre.leggauss(7)[1] / _GK_W[1::2]
 
-_TRAPEZOID_MIN_NODES = 64
+# A full circle's first level: 128 trapezoid nodes, the first node count
+# at least twice _circle's fewest Taylor terms (40).
+_TRAPEZOID_MIN_NODES = 128
 # Level-0 node count and top level of the rule on a full circle (4096
 # trapezoid nodes at the top) and on other pieces (2048 panels).
-_LEVELS = {True: (_TRAPEZOID_MIN_NODES, 6), False: (len(_GK_T), 11)}
+_LEVELS = {True: (_TRAPEZOID_MIN_NODES, 5), False: (len(_GK_T), 11)}
 _EPS = float(np.finfo(float).eps)
 # Nodes per unit of |w| * length for e^{z*w} (see integrate).
 _NODES_PER_RATE = 2.0
@@ -237,14 +239,40 @@ def _offset_pieces(normals, corners, rho, closed: bool):
     return pieces
 
 
-def _open_chain_data(s):
-    """Facet data of an unbounded thickened region's boundary chain.
+class _OpenChain(NamedTuple):
+    """An unbounded thickened region's boundary chain: the finite middle
+    pieces and the two offset boundary rays.  The chain traverses the
+    incoming ray from infinity to b_in, then the middle pieces, then
+    leaves b_out along d_out; directions point toward infinity."""
 
-    Returns (pieces, b_in, d_in, b_out, d_out): the finite middle part,
-    and the two offset boundary rays.  The chain traverses the incoming
-    ray from infinity to b_in, then the middle pieces, then leaves b_out
-    along d_out; directions point toward infinity.
-    """
+    pieces: list
+    b_in: complex
+    d_in: complex
+    b_out: complex
+    d_out: complex
+
+    @property
+    def rays(self):
+        return (self.b_in, self.d_in), (self.b_out, self.d_out)
+
+    @property
+    def extent(self) -> float:
+        """Largest modulus reached by the finite part."""
+        return max(abs(z) for z in [self.b_in, self.b_out] + [
+            p.point(t) for p in self.pieces for t in (0.0, 0.5, 1.0)])
+
+    def truncated(self, R: float) -> OrientedContour:
+        """The chain from and to C(0, R), which must enclose its finite
+        part (region_boundary_contour checks that)."""
+        entry = self.b_in + circle_hit(self.b_in, self.d_in, R) * self.d_in
+        exit_ = (self.b_out
+                 + circle_hit(self.b_out, self.d_out, R) * self.d_out)
+        return OrientedContour([Segment(entry, self.b_in)] + self.pieces
+                               + [Segment(self.b_out, exit_)])
+
+
+def _open_chain(s) -> _OpenChain:
+    """The boundary chain of an unbounded thickened region, walked once."""
     walk = boundary_walk(s)
     rho = s.rounding
     normals = walk.normals
@@ -254,42 +282,38 @@ def _open_chain_data(s):
     d_in = -_cis(normals[0] + 0.5 * math.pi)
     b_out = corners[-1] + rho * _cis(normals[-1])
     d_out = _cis(normals[-1] + 0.5 * math.pi)
-    return pieces, b_in, d_in, b_out, d_out
+    return _OpenChain(pieces, b_in, d_in, b_out, d_out)
 
 
 def open_boundary_rays(s):
     """The two infinite offset rays of an unbounded boundary chain, as
     (base, unit direction toward infinity) pairs, entry ray first."""
-    _, b_in, d_in, b_out, d_out = _open_chain_data(s)
-    return (b_in, d_in), (b_out, d_out)
+    return _open_chain(s).rays
 
 
 def open_boundary_extent(s) -> float:
     """Largest modulus reached by the finite part of an unbounded
     boundary chain; truncation radii must stay beyond it."""
-    mid, b_in, _, b_out, _ = _open_chain_data(s)
-    return _chain_extent(mid, b_in, b_out)
+    return _open_chain(s).extent
 
 
-def _chain_extent(mid, b_in: complex, b_out: complex) -> float:
-    return max(abs(z) for z in [b_in, b_out] + [
-        p.point(t) for p in mid for t in (0.0, 0.5, 1.0)])
+def circle_hit(base: complex, direction: complex, R):
+    """Largest t >= 0 with |base + t*direction| = R, for |direction| = 1;
+    R may be an increasing array, giving one t per entry.
 
-
-def circle_hit(base: complex, direction: complex, R: float) -> float:
-    """Largest t >= 0 with |base + t*direction| = R, for |direction| = 1.
-
-    Raises when the ray from base misses or merely grazes C(0,R).
+    Raises when the ray from base misses or merely grazes C(0,R), at the
+    first R for an array (where the scalar calls would raise first).
     """
+    R = np.asarray(R, dtype=float)
     beta = (base * direction.conjugate()).real
     disc = beta * beta + R * R - (base * base.conjugate()).real
-    if disc <= 1e-12 * R * R:
+    if (disc <= 1e-12 * R * R).any():
         raise ValueError("truncation circle does not cut the ray "
                          "transversally: increase R")
-    t = -beta + math.sqrt(disc)
-    if t <= 0.0:
+    t = -beta + np.sqrt(disc)
+    if (t <= 0.0).any():
         raise ValueError("ray leaves C(0,R) behind its base: increase R")
-    return t
+    return float(t) if t.ndim == 0 else t
 
 
 def region_boundary_contour(s, truncation: float | None = None):
@@ -309,14 +333,11 @@ def region_boundary_contour(s, truncation: float | None = None):
     if truncation is None:
         raise ValueError("an unbounded region needs a truncation radius")
     R = float(truncation)
-    mid, b_in, d_in, b_out, d_out = _open_chain_data(s)
-    if _chain_extent(mid, b_in, b_out) >= R * (1.0 - 1e-9):
+    chain = _open_chain(s)
+    if chain.extent >= R * (1.0 - 1e-9):
         raise ValueError("truncation circle must enclose every corner: "
                          "increase R")
-    entry = b_in + circle_hit(b_in, d_in, R) * d_in
-    exit_ = b_out + circle_hit(b_out, d_out, R) * d_out
-    return OrientedContour([Segment(entry, b_in)] + mid
-                           + [Segment(b_out, exit_)])
+    return chain.truncated(R)
 
 
 # ---- quadrature ----
@@ -418,10 +439,11 @@ def _scaled_taylor(x: complex, count: int) -> np.ndarray:
 
 def _node_sums(cache: dict, piece, level: int, g, w: complex):
     """Fine sum, coarse sum, roundoff floor and node count of
-    e^{z*w} g(z) dz at a level, from g at the nodes (_level's)."""
+    e^{z*w} g(z) dz at a level, from g at the nodes (_level's), which at
+    w = 0 (the climb of _settled_level) are the summands themselves."""
     (nodes, weights, idx, coarse_weights, scale), values = (
         cache.get((piece, level, g)) or _level(cache, piece, level, g))
-    f = np.exp(nodes * w) * values
+    f = np.exp(nodes * w) * values if w else values
     return (complex(f @ weights), complex(f[idx] @ coarse_weights),
             float(np.abs(f).sum()) * scale, len(f))
 

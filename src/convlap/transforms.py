@@ -36,17 +36,22 @@ ray's piece between two radii, in closed form.  From z0 to infinity
 along a ray, e^{z*w} c (z - a)^{-m} integrates to c e^{z0*w}
 (z0 - a)^{1-m} S_m(-(z0 - a) w), S_m(t) = e^t E_m(t) (DLMF 8.19,
 Abramowitz & Stegun 5.1), so a rung is the difference of both rays'
-tails at its two radii, and a w costs one exp and one S_m over the
-ladder's crossings (_ray_factor).  The first radius keeps every t off
-E_m's branch cut.  A kernel peak (the thickened region's support
-function at w) beyond log(float max) raises the named OverflowError
-before any quadrature.
+tails at its two radii.  A transform walks the thickened boundary chain
+once and, at its first w, takes each ray's crossings with all the radii
+in one array pass; a w then costs one array pass for both rays' tail
+bounds, one exp and one S_m over the crossings up to the stop
+(_ray_factor, whose weights and series tables are built at import) and
+Python sums of the rungs.  The first radius keeps every t off E_m's
+branch cut.  A kernel peak (the thickened region's support function at
+w) beyond log(float max) raises the named OverflowError before any
+quadrature.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,12 +63,10 @@ from .contour import (
     _LOG_FLOAT_MAX,
     _EPS,
     _finite_w,
+    _open_chain,
     circle_contour,
     circle_hit,
     integrate,
-    open_boundary_extent,
-    open_boundary_rays,
-    region_boundary_contour,
 )
 from .convexgeom import (
     ConvexBody,
@@ -337,11 +340,34 @@ def _gauss_laguerre(n: int):
 
 
 # The nodes of 48- and 64-point Gauss-Laguerre, and their weights as two
-# columns, each zero at the other rule's nodes: one product gives both sums.
-_LAGUERRE_NODES, _weights = map(np.concatenate,
-                                zip(_gauss_laguerre(48), _gauss_laguerre(64)))
-_LAGUERRE_WEIGHTS = np.zeros((_weights.size, 2))
-_LAGUERRE_WEIGHTS[:48, 0], _LAGUERRE_WEIGHTS[48:, 1] = np.split(_weights, [48])
+# columns, each zero at the other rule's nodes: one product gives both
+# sums.  Nodes and weights meet complex t and sums, so they are cast to
+# complex once, here.  The floor's |terms| take the float 64-point
+# column as a strided view: a contiguous copy takes another matmul path
+# for one-column t, which moves estimates in the last bit.
+_nodes, _weights = map(np.concatenate,
+                       zip(_gauss_laguerre(48), _gauss_laguerre(64)))
+_LAGUERRE_NODES = _nodes.astype(complex)
+_columns = np.zeros((_weights.size, 2))
+_columns[:48, 0], _columns[48:, 1] = np.split(_weights, [48])
+_LAGUERRE_WEIGHTS = _columns.astype(complex)
+_LAGUERRE_FLOOR_WEIGHTS = _columns[:, 1]
+
+
+def _series_tables(n: int):
+    """What E_m's power series to n terms (orders m <= n - 40) reads
+    besides t: the divisors -k, k = 1 .. n - 1, psi(k + 1) = -gamma +
+    sum_{j <= k} 1/j, and a row 1/(k + 1 - m), 0 at k = m - 1, per m."""
+    k = np.arange(n)
+    den = k + (1 - np.arange(1, n - 39)[:, None])
+    inv = np.divide(1.0, den, out=np.zeros(den.shape), where=den != 0)
+    psi = np.cumsum(np.concatenate(([-np.euler_gamma], 1.0 / k[1:])))
+    return -k[1:] + 0j, psi, inv
+
+
+# The series' tables for pole orders up to 24 (n = 64), built once; a
+# point of a higher order builds its own.
+_SERIES_TABLES = _series_tables(64)
 
 
 def _ray_factor(t: np.ndarray, m: np.ndarray):
@@ -354,26 +380,30 @@ def _ray_factor(t: np.ndarray, m: np.ndarray):
     Gauss-Laguerre sum of S_m(t) = t^{m-1} int_0^inf e^{-y} (t + y)^{-m} dy,
     with its gap to 48 points and a floor of 16 eps sum|terms|.
     """
-    q = t[..., None] / (t[..., None] + _LAGUERRE_NODES)  # t / (t + y)
+    t_col = t[..., None]
+    q = t_col + _LAGUERRE_NODES
+    np.divide(t_col, q, out=q)  # t / (t + y)
     f = q
-    for k in range(2, int(m.max()) + 1):
-        f = np.where((m >= k)[..., None], f * q, f)
+    top = int(m.max())
+    if top > 1:  # f = q^m, row by row
+        f = q.copy()
+        for k in range(2, top + 1):
+            np.multiply(f, q, out=f, where=(m >= k)[..., None])
     sums = f @ _LAGUERRE_WEIGHTS
     value = sums[..., 1] / t
     estimate = (np.abs(sums[..., 1] - sums[..., 0]) + 16.0 * _EPS
-                * (np.abs(f) @ _LAGUERRE_WEIGHTS[:, 1])) / np.abs(t)
+                * (np.abs(f) @ _LAGUERRE_FLOOR_WEIGHTS)) / np.abs(t)
     near = np.abs(t) < 5.0
     if near.any():
         s, m = t[near], np.broadcast_to(m, t.shape)[near]
         n = 40 + int(m.max())
-        k = np.arange(n)
+        neg_k, psi, inv = (_SERIES_TABLES if n <= len(_SERIES_TABLES[1])
+                           else _series_tables(n))
         p = np.ones((s.size, n), complex)  # (-t)^k / k!, a running product
-        p[:, 1:] = s[:, None] / -k[1:]
+        p[:, 1:] = s[:, None] / neg_k[:n - 1]
         np.multiply.accumulate(p, axis=1, out=p)
-        den = k + (1 - m[:, None])  # the sum's terms are p / den, den != 0
-        inv = np.divide(1.0, den, out=np.zeros(den.shape), where=den != 0)
-        psi = np.cumsum(np.concatenate(([-np.euler_gamma], 1.0 / k[1:])))
-        lead = p[den == 0] * (psi[m - 1] - np.log(s))
+        inv = inv[m - 1, :n]  # the sum's terms are p / (k + 1 - m)
+        lead = p[np.arange(s.size), m - 1] * (psi[m - 1] - np.log(s))
         scale = np.exp(s)
         value[near] = scale * (lead - (p * inv).sum(axis=1))
         y = np.abs(s)
@@ -428,27 +458,27 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
     # (max |corner| + eps) |w|, so no tail point beyond has (z - a) w > 0,
     # which would put t = -(z - a) w on E_m's branch cut.
     a_max = u.max_pole_modulus
-    r0 = max(2.0 * (a_max + eps + 1.0),
-             1.5 * (open_boundary_extent(S_eps) + 1.0),
+    chain = _open_chain(S_eps)
+    r0 = max(2.0 * (a_max + eps + 1.0), 1.5 * (chain.extent + 1.0),
              max(map(abs, boundary_walk(S).corners)) + eps + 2 * a_max + 1.0)
     radii = tuple(r0 * 1.5 ** k for k in range(40))
-    rays = open_boundary_rays(S_eps)
+    rays = chain.rays
 
     @functools.cache
     def ladder():
-        # The contour to radii[0]; per ray, its crossings with the circles
-        # and the bound on |u| beyond them (w enters only the decay); rows
-        # (ray, term) of z - a and z at the crossings, of the tail's
-        # coefficient -+c (z - a)^{1-m}, - on the entry ray, which the
-        # contour runs inward, and of m (no terms: one term c = 0).
-        ts = [np.array([circle_hit(b, d, R) for R in radii]) for b, d in rays]
-        zs = [b + t * d for (b, d), t in zip(rays, ts)]
+        # The contour to radii[0] (beyond the chain's extent); a row per
+        # ray of its crossings with the circles and of the bound on |u|
+        # beyond them (w enters only the decay); rows (ray, term) of z - a
+        # and z at the crossings, of the tail's coefficient
+        # -+c (z - a)^{1-m}, - on the entry ray, which the contour runs
+        # inward, and of m (no terms: one term c = 0).
+        ts = [circle_hit(b, d, np.array(radii)) for b, d in rays]
+        zs = np.array([b + t * d for (b, d), t in zip(rays, ts)])
+        sups = np.array([_ray_sup(u, b, d, t) for (b, d), t in zip(rays, ts)])
         rows = [(z - a, z, sign * c * (z - a) ** (1 - m), [m])
                 for sign, z in zip((-1.0, 1.0), zs)
                 for a, m, c in u.terms or [(0j, 1, 0j)]]
-        return (region_boundary_contour(S_eps, truncation=radii[0]),
-                [(z, d, _ray_sup(u, b, d, t))
-                 for z, (b, d), t in zip(zs, rays, ts)],
+        return (chain.truncated(radii[0]), zs, sups,
                 tuple(map(np.array, zip(*rows))))
 
     def trace(w: complex) -> MerilTrace:
@@ -459,10 +489,12 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         peak = support_function(S_eps, w)
         if peak > _LOG_FLOAT_MAX:
             raise _overflow(w, peak)
-        base_contour, tails, (rel, at, coef, m) = ladder()
-        # ray_tail_bound of both rays beyond each radius.
-        tail = sum(np.exp((z * w).real) * sup / -(d * w).real
-                   for z, d, sup in tails)
+        base_contour, zs, sups, (rel, at, coef, m) = ladder()
+        # ray_tail_bound of both rays beyond each radius, a row per ray;
+        # each decay rate is a Python product (numpy's moves its bits).
+        tails = (np.exp((zs * w).real) * sups
+                 / [[-(d * w).real] for _, d in rays])
+        tail = tails[0] + tails[1]
         met = np.flatnonzero(tail <= MERIL_TAIL_TOL)
         stop = int(met[0]) if met.size else len(radii) - 1
         value, err = integrate(base_contour, u, MERIL_ABS_TOL, w=w)
@@ -470,11 +502,13 @@ def meril_transform(u: MeromorphicDatum, S: ConvexRegion, eps: float,
         # docstring); rung k is the difference of those at radii k, k + 1.
         factor, est = _ray_factor(-w * rel[:, :stop + 1], m)
         scale = coef[:, :stop + 1] * np.exp(at[:, :stop + 1] * w)
-        beyond = (scale * factor).sum(axis=0)
-        beyond_err = (np.abs(scale) * est).sum(axis=0)
-        steps = beyond[:-1] - beyond[1:]
-        step_errs = (beyond_err[:-1] + beyond_err[1:]).tolist()
-        values = tuple(np.cumsum(np.concatenate(([value], steps))).tolist())
+        # The rungs as Python numbers: their sums are np.cumsum's sequential
+        # adds, but Python's abs is not numpy's, so the gaps keep numpy's.
+        beyond = (scale * factor).sum(axis=0).tolist()
+        beyond_err = (np.abs(scale) * est).sum(axis=0).tolist()
+        steps = [a - b for a, b in zip(beyond, beyond[1:])]
+        step_errs = [a + b for a, b in zip(beyond_err, beyond_err[1:])]
+        values = tuple(itertools.accumulate(steps, initial=value))
         last = float(tail[stop])
         if not met.size:
             raise ConvergenceError(

@@ -395,6 +395,81 @@ def test_meril_traces_are_pinned_bitwise():
         assert abs(t.value - residue_oracle(u, w)) <= t.error, w
 
 
+def test_meril_long_ladders_with_near_points_are_pinned_bitwise():
+    # Three poles (orders 1-3) in a sector with its apex cut off: at
+    # |w| about 0.6 the ladder runs 8 and 9 columns and its first ones
+    # hold points with |t| < 5, where S_m takes the power series; at
+    # |w| about 3, 4 columns and Gauss-Laguerre alone.  Every field of
+    # the trace to the last bit.
+    axis, gamma, tilt = 0.4, 0.9, 0.2
+    region = ConvexRegion([(math.cos(t), math.sin(t), 0.0) for t in (
+        axis - gamma - math.pi / 2, axis + gamma + math.pi / 2)] + [
+        (math.cos(axis + math.pi + tilt), math.sin(axis + math.pi + tilt),
+         -0.3 * math.cos(tilt))])
+    u = MeromorphicDatum([(1.2 * cmath.exp(1j * (axis + 0.3)), 1, 0.5 - 1j),
+                          (1.6 * cmath.exp(1j * (axis - 0.4)), 2, 0.75j),
+                          (0.9 * cmath.exp(1j * axis), 3, -0.4 + 0.2j)])
+    v = meril_transform(u, region, 0.1, 0.1)
+    pinned = {
+        -0.5822620777432961 + 0.13766932227046363j: (
+            (4.5446625682384925 + 0.4057482973162792j,
+             4.553538682010795 + 0.34531992418217083j,
+             4.5209235459870305 + 0.3440508272956933j,
+             4.524100754447321 + 0.3478950300616618j,
+             4.523736589713741 + 0.3474939570272163j,
+             4.523755973299904 + 0.3474746714188965j,
+             4.523755934455759 + 0.3474743195902489j,
+             4.523755935086111 + 0.347474319672999j),
+            (0.06107678507693321, 0.032639817780679224, 0.004987238565180481,
+             0.0005417338203790461, 2.7343337411219294e-05,
+             3.5396647424307813e-07, 6.35760006835686e-10),
+            (0.2728958652666949, 0.07020380820524169, 0.012670733338333453,
+             0.0013272977788602576, 6.034377942084179e-05,
+             7.591108143342125e-07, 1.3483306862907598e-09),
+            7.430669669667434e-13),
+        -0.5370443142081751 + 0.44147131762751146j: (
+            (3.8022467370891615 + 1.4336289215137974j,
+             3.7451242744071735 + 1.4166377917784683j,
+             3.758361618257575 + 1.3906404370109107j,
+             3.7571497062597716 + 1.3967249151947545j,
+             3.757728333542716 + 1.396257670677546j,
+             3.757750246425231 + 1.3962115777666408j,
+             3.7577503976755064 + 1.3962125374499859j,
+             3.7577503961407044 + 1.396212540244489j,
+             3.75775039613998 + 1.3962125402445498j),
+            (0.059595924630278845, 0.02917344215419243, 0.006203999150555418,
+             0.0007437250644080723, 5.103656391091165e-05,
+             9.715290878929437e-07, 3.1882385505556107e-09,
+             7.269374787737637e-13),
+            (0.2941592225186576, 0.08410963104313238, 0.018005897359652703,
+             0.0023712648845325176, 0.0001448638378232641,
+             2.7367529953370675e-06, 8.811653151761542e-09,
+             1.9873450826885533e-12),
+            4.974735335032584e-13),
+        -2.6741969980412805 + 1.5662946393009167j: (
+            (-0.6817596395642386 - 0.18113811541907618j,
+             -0.6817650880102075 - 0.18112549785318124j,
+             -0.6817652125864014 - 0.1811254604094386j,
+             -0.6817652125125674 - 0.1811254602906441j),
+            (1.3743672456423987e-05, 1.3008175106685023e-07,
+             1.3986993804707809e-10),
+            (4.0530491108508407e-05, 3.2280008366439363e-07,
+             3.1541663679912185e-10),
+            5.673911325343071e-14),
+    }
+    rays = contour.open_boundary_rays(thicken(region, 0.1))
+    for w, (values, gaps, bounds, error) in pinned.items():
+        want = transforms.MerilTrace(
+            tuple(5.4 * 1.5 ** k for k in range(len(values))), values, gaps,
+            bounds, values[-1], error)
+        t = v.diagnostics(w)
+        assert repr(t) == repr(want), w
+        near = [abs((b + contour.circle_hit(b, d, R) * d - a) * w) < 5.0
+                for R in t.radii for b, d in rays for a, _, _ in u.terms]
+        assert any(near) == (len(values) > 4), w
+        assert abs(t.value - residue_oracle(u, w)) <= t.error, w
+
+
 def test_meril_gaps_dominated_by_tail_bound():
     u = MeromorphicDatum([(1 + 0j, 1, 1.0)])
     v = meril_transform(u, SECTOR, 0.1, 0.1)
@@ -625,12 +700,12 @@ def test_meril_evaluates_u_once_per_node_array(monkeypatch):
 
 def _built_contours(monkeypatch):
     """The list that meril_transform's base contours join as it builds
-    them: each transform's own, whose cache the tests read."""
+    them (truncating its boundary chain): each transform's own, whose
+    cache the tests read."""
     built = []
-    boundary = transforms.region_boundary_contour
-    monkeypatch.setattr(transforms, "region_boundary_contour",
-                        lambda *a, **k: built.append(boundary(*a, **k))
-                        or built[-1])
+    truncated = contour._OpenChain.truncated
+    monkeypatch.setattr(contour._OpenChain, "truncated",
+                        lambda *a: built.append(truncated(*a)) or built[-1])
     return built
 
 
@@ -800,6 +875,65 @@ def test_ray_factor_matches_a_panel_reference_across_its_switch():
                 ref = _s_m_reference(complex(z), m)
                 assert abs(got - ref) <= est, (m, z)
                 assert est <= 1e-9 * abs(ref), (m, z)
+
+
+def _ray_factor_reference(t, m):
+    """S_m(t) and its estimate as first written: np.where powers of
+    t/(t + y), the float weight matrix cast per product, and the series'
+    divisors, psi and 1/(k + 1 - m) built for each call."""
+    rules = [transforms._gauss_laguerre(n) for n in (48, 64)]
+    nodes = np.concatenate([x for x, _ in rules])
+    weights = np.zeros((nodes.size, 2))
+    weights[:48, 0], weights[48:, 1] = rules[0][1], rules[1][1]
+    eps = float(np.finfo(float).eps)
+    q = t[..., None] / (t[..., None] + nodes)
+    f = q
+    for k in range(2, int(m.max()) + 1):
+        f = np.where((m >= k)[..., None], f * q, f)
+    sums = f @ weights
+    value = sums[..., 1] / t
+    estimate = (np.abs(sums[..., 1] - sums[..., 0]) + 16.0 * eps
+                * (np.abs(f) @ weights[:, 1])) / np.abs(t)
+    near = np.abs(t) < 5.0
+    if near.any():
+        s, m = t[near], np.broadcast_to(m, t.shape)[near]
+        n = 40 + int(m.max())
+        k = np.arange(n)
+        p = np.ones((s.size, n), complex)
+        p[:, 1:] = s[:, None] / -k[1:]
+        np.multiply.accumulate(p, axis=1, out=p)
+        den = k + (1 - m[:, None])
+        inv = np.divide(1.0, den, out=np.zeros(den.shape), where=den != 0)
+        psi = np.cumsum(np.concatenate(([-np.euler_gamma], 1.0 / k[1:])))
+        lead = p[den == 0] * (psi[m - 1] - np.log(s))
+        scale = np.exp(s)
+        value[near] = scale * (lead - (p * inv).sum(axis=1))
+        y = np.abs(s)
+        dropped = np.abs(p[:, -1]) * y / n / (n + 1 - m) / (1 - y / (n + 1))
+        estimate[near] = np.abs(scale) * (dropped + 16.0 * eps * (
+            np.abs(lead) + (np.abs(p) * np.abs(inv)).sum(axis=1)))
+    return value, estimate
+
+
+def test_ray_factor_is_the_reference_formula_repr_exactly():
+    # Seeded (rows, columns) arrays up to 6 x 12 with one pole order per
+    # row, orders 1-4 mixed (and up to 30 in every fifth case), |t| from
+    # 0.5 to 60 (both sides of the series' switch at 5) and |arg t| up to
+    # 2.0: values and estimates are the reference's to the last bit.
+    rng = np.random.default_rng(29)
+    near_cases = 0
+    for case in range(300):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 13)))
+        t = (np.exp(rng.uniform(math.log(0.5), math.log(60.0), shape))
+             * np.exp(1j * rng.uniform(-2.0, 2.0, shape)))
+        top = 31 if case % 5 == 4 else 5
+        m = rng.integers(1, top, (shape[0], 1))
+        got = transforms._ray_factor(t, m)
+        want = _ray_factor_reference(t, m)
+        for a, b in zip(got, want):
+            assert repr(a.tolist()) == repr(b.tolist()), (t, m)
+        near_cases += bool((np.abs(t) < 5.0).any())
+    assert near_cases >= 100
 
 
 def test_gauss_laguerre_rules_integrate_low_moments():
