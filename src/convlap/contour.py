@@ -17,15 +17,17 @@ rule, on every other node, is read off the moments (below).  A
 level's rule and g at its nodes are kept in the contour's own dict under
 (piece, level, g) for every w; a full circle's nodes and weights are
 also cached on their own per (piece, level), since every datum on that
-circle shares them.  A full circle takes the periodic trapezoid rule
-(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Rev. 2014) on 128 nodes doubling up to 4096; other pieces take
-Gauss-Kronrod 15 on 1 to 2048 equal panels with the embedded Gauss-7
-(Piessens et al., QUADPACK, 1983), and multiply the cached g by e^{z*w}
-once per level on the whole node array.  Their error estimate is the
-fine-coarse gap plus a roundoff floor of 16 eps sum |f_k| max|w_k|.  A
-contour's own such piece starts no lower than where it settles at w = 0,
-learned once by _settled_level.
+circle shares them, and read their points on the unit circle from a
+table per (angle0, angle1, level) that no centre or radius enters, so a
+new circle takes no cos or sin.  A full circle takes the periodic
+trapezoid rule (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Rev. 2014) on 128 nodes doubling up to 4096;
+other pieces take Gauss-Kronrod 15 on 1 to 2048 equal panels with the
+embedded Gauss-7 (Piessens et al., QUADPACK, 1983), and multiply the
+cached g by e^{z*w} once per level on the whole node array.  Their
+error estimate is the fine-coarse gap plus a roundoff floor of
+16 eps sum |f_k| max|w_k|.  A contour's own such piece starts no lower
+than where it settles at w = 0, learned once by _settled_level.
 
 On a full circle C(c, rho) the trapezoid sum is taken in moment form for
 every w, w = 0 included, where the Taylor terms are [1, 0, ...]
@@ -162,11 +164,11 @@ class Arc:
 
     def point_and_derivative(self, t):
         """z(t) and z'(t), from one evaluation of e^{i angle}."""
-        sweep = self.angle1 - self.angle0
-        a = self.angle0 + t * sweep
-        unit = np.cos(a) + 1j * np.sin(a)
+        return self._at(_unit_points(self.angle0, self.angle1, t))
+
+    def _at(self, unit):  # z and z' where e^{i angle} is unit
         return (self.center + self.radius * unit,
-                1j * sweep * self.radius * unit)
+                1j * (self.angle1 - self.angle0) * self.radius * unit)
 
     @property
     def length(self) -> float:
@@ -376,13 +378,28 @@ def _gauss_kronrod_panels(level: int):
             np.tile(_G_OVER_K, panels))
 
 
+def _unit_points(angle0: float, angle1: float, t):
+    """e^{i a} at a = angle0 + t (angle1 - angle0)."""
+    a = angle0 + t * (angle1 - angle0)
+    return np.cos(a) + 1j * np.sin(a)
+
+
+@lru_cache(maxsize=64)
+def _trapezoid_units(angle0: float, angle1: float, level: int):
+    """A level's trapezoid nodes on the unit circle, read-only."""
+    n = _TRAPEZOID_MIN_NODES << level
+    unit = _unit_points(angle0, angle1, np.arange(n) / n)
+    unit.setflags(write=False)
+    return unit
+
+
 @lru_cache(maxsize=256)
 def _rule(piece: Arc, level: int) -> tuple:
     """A full circle's read-only trapezoid nodes and weights at a level,
     for every g."""
-    n = _TRAPEZOID_MIN_NODES << level
-    nodes, dz = piece.point_and_derivative(np.arange(n) / n)
-    weights = dz * (1.0 / n)
+    nodes, dz = piece._at(_trapezoid_units(piece.angle0, piece.angle1,
+                                           level))
+    weights = dz * (1.0 / (_TRAPEZOID_MIN_NODES << level))
     for a in (nodes, weights):
         a.setflags(write=False)
     return nodes, weights

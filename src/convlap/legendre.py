@@ -14,9 +14,10 @@ Three routines compute conjugates, all exact up to rounding:
   of f is the maximum give its pieces (one per cell vertex) and its
   domain (one half-plane per cell ray); an indicator's pieces are the
   vertices of its bounded domain.
-* conjugate_at: one value, read off one representation that f keeps:
-  symbolic_conjugate(f) for at most one distinct piece, else
-  conjugate(f), whose domain half-planes and pieces each call tests.
+* conjugate_at: values, at one w or an array of w, read off one
+  representation that f keeps: symbolic_conjugate(f) for at most one
+  distinct piece, else conjugate(f), whose domain half-planes and pieces
+  each call tests.
 
 legendre_dimensions reads the dimension of dom(f*), the gradient hull
 plus the polar of the domain's recession cone, off one span test.
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from . import _lp
 from .convexgeom import (
@@ -120,19 +123,35 @@ def _domain_halfplanes(domain):
     return list(domain.core.edges)
 
 
-def conjugate_at(f: PLConvexFunction, w: complex) -> float:
-    """f*(w) = sup_z (Re(z*w) - f(z)), exactly.  May be +inf."""
-    w = complex(w)
+def conjugate_at(f: PLConvexFunction, w):
+    """f*(w) = sup_z (Re(z*w) - f(z)), exactly.  May be +inf.
+
+    w may also be an array: the values then come as a float array of
+    its shape, each the one a call at that w alone returns (a scalar w
+    returns a float).
+    """
+    w = np.asarray(w, dtype=complex)
     table = f._table
     if isinstance(table, ConjugateForm):
-        return table(w)
-    pieces, dual, domain = table
-    u, v = w.real, w.imag
-    # A cell ray d of f gives +inf once Re(d*(w - b)) passes this slack.
-    grow = 1e-11 * max(abs(w - b) for b, _ in pieces)
-    if any(nx * u + ny * v - k > grow for nx, ny, k in domain):
-        return math.inf
-    return max(x * u - y * v + c for x, y, c in dual)
+        out = np.array([table(x) for x in w.flat]).reshape(w.shape)
+    else:
+        pieces, dual, domain = table
+        u, v = w.real, w.imag
+        # A cell ray d of f gives +inf once Re(d*(w - b)) passes this slack.
+        grow = 1e-11 * _first_max(np.abs(w - b) for b, _ in pieces)
+        out = _first_max(x * u - y * v + c for x, y, c in dual)
+        for nx, ny, k in domain:
+            out = np.where(nx * u + ny * v - k > grow, math.inf, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def _first_max(arrays):
+    """The elementwise max of arrays, kept from the first one that
+    reaches it, as Python's max keeps it."""
+    first, *rest = arrays  # like max(), refuses an empty sequence
+    for a in rest:
+        first = np.where(a > first, a, first)
+    return first
 
 
 @dataclass(frozen=True)

@@ -468,3 +468,47 @@ def test_cli_still_resolves_from_the_package():
     assert convlap.cli.main is main
     with pytest.raises(AttributeError):
         convlap.no_such_module
+
+
+def test_only_documents_that_sample_build_a_generator(tmp_path, monkeypatch):
+    seeds = []
+    make = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    legendre = dict(json.loads(
+        (SCENARIO_DIR / "reference_legendre.json").read_text()),
+        samples_count=5)
+    for i, doc in enumerate([
+            dict(QUICK_POLYA, checks=["oracle"]),
+            dict(REFERENCE_MERIL, w_samples=[[-2.0, 0.5]], checks=["oracle"]),
+            dict(legendre, checks=["fenchel-young", "biconjugation"])]):
+        assert run_scenario(parse(doc), out_dir=tmp_path / str(i),
+                            seed=11) == 0
+    assert seeds == [11]
+
+
+# Domains with no point 1e-6 inside them, where the interior samples of
+# both Legendre checks used to be drawn forever.
+@pytest.mark.parametrize("vertices", [
+    [[0.3, 0.2]],
+    [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-7]],
+])
+def test_legendre_checks_without_interior_points_fail_promptly(
+        tmp_path, same_package_env, vertices):
+    doc = tmp_path / "thin.json"
+    doc.write_text(json.dumps({
+        "kind": "legendre", "set": {"type": "body", "vertices": vertices},
+        "pieces": [[1.0, 0.0, 0.0], [-1.0, 0.5, 0.2]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "convlap.cli", "run", str(doc), "--out-dir",
+         str(tmp_path / "out")], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    report = (tmp_path / "out" / "report.txt").read_text()
+    for name in ("biconjugation", "fenchel-young"):
+        assert (f"check {name}: FAIL - check raised ValueError('no point of "
+                f"the domain lies more than 1e-6 inside it") in report
+    assert (tmp_path / "out" / "samples.csv").read_text().count("\n") == 1

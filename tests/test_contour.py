@@ -897,3 +897,21 @@ def test_kronrod_error_bounds_the_true_error_near_a_pole(piece):
                                 abs_tol=1e-13)
                 assert abs(res.value - _pole_integral(piece, w, a, m)) \
                     <= res.error
+
+
+def test_circle_rules_are_the_arcs_own_points_bitwise():
+    # A full circle's rule at each level is point_and_derivative at
+    # k/n, weighted by 1/n, whichever way the circle runs and wherever
+    # it sits, also when another circle built the level before it.
+    contour._rule.cache_clear()
+    circles = [circle_contour(0.3 - 1.7j, 2.5).pieces[0],
+               circle_contour(-4 + 1e-3j, 0.125).pieces[0]]
+    circles += [c.reversed() for c in circles]
+    for piece in circles:
+        for level in range(contour._LEVELS[True][1] + 1):
+            n = contour._TRAPEZOID_MIN_NODES << level
+            nodes, weights = contour._rule(piece, level)
+            z, dz = piece.point_and_derivative(np.arange(n) / n)
+            assert repr(nodes.tolist()) == repr(z.tolist())
+            assert repr(weights.tolist()) == repr((dz * (1.0 / n)).tolist())
+            assert not (nodes.flags.writeable or weights.flags.writeable)

@@ -8,11 +8,13 @@ structure of the test functions.
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convlap import legendre
 from convlap.convexgeom import (
     Cone,
     ConvexBody,
@@ -27,6 +29,7 @@ from convlap.convexgeom import (
     thicken,
 )
 from convlap.legendre import (
+    ConjugateForm,
     PLConvexFunction,
     UnsupportedConjugate,
     conjugate,
@@ -475,3 +478,174 @@ def test_value_respects_domain():
     ind = PLConvexFunction([], SQUARE)
     assert ind.value(0j) == 0.0
     assert ind.value(2 + 2j) == math.inf
+
+
+# ---- conjugate_at on arrays, and the Fenchel-Young check ----
+
+def _frozen_conjugate_at(f, w):
+    """conjugate_at's scalar formula, frozen as the bitwise reference."""
+    w = complex(w)
+    table = f._table
+    if isinstance(table, ConjugateForm):
+        return table(w)
+    pieces, dual, domain = table
+    u, v = w.real, w.imag
+    grow = 1e-11 * max(abs(w - b) for b, _ in pieces)
+    if any(nx * u + ny * v - k > grow for nx, ny, k in domain):
+        return math.inf
+    return max(x * u - y * v + c for x, y, c in dual)
+
+
+# Multi-piece functions on bodies and on unbounded regions (whose
+# conjugates are +inf off their domain), single pieces (the symbolic
+# form) on bodies, rounded bodies and sectors, and indicators.
+PL_KINDS = ("body", "sector", "body", "halfplane", "plane", "gon-region",
+            "single", "rounded-single", "single-sector", "indicator")
+
+
+def _pl_corpus(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        kind = PL_KINDS[i % len(PL_KINDS)]
+        k = int(rng.integers(3, 7))
+        angles = (rng.uniform(0.0, 2 * math.pi) + 2 * math.pi
+                  * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k)
+        centre = complex(*rng.uniform(-1, 1, 2))
+        radius = rng.uniform(0.5, 2.0)
+        body = ConvexBody([centre + radius * cmath.exp(1j * a)
+                           for a in angles])
+        alpha = rng.uniform(-math.pi, math.pi)
+        domain = {
+            "sector": sector(centre, alpha, rng.uniform(0.2, 1.4)),
+            "single-sector": sector(centre, alpha, rng.uniform(0.2, 1.4)),
+            "halfplane": ConvexRegion([(math.cos(alpha), math.sin(alpha),
+                                        rng.uniform(-1, 1))]),
+            "plane": PLANE,
+            "gon-region": ConvexRegion(legendre._domain_halfplanes(body)),
+            "rounded-single": thicken(body, rng.uniform(0.1, 1.0)),
+        }.get(kind, body)
+        count = {"indicator": 0}.get(kind, 1 if "single" in kind
+                                     else int(rng.integers(2, 6)))
+        pieces = [(complex(*rng.normal(0.0, 1.5, 2)), float(rng.normal()))
+                  for _ in range(count)]
+        yield rng, PLConvexFunction(pieces, domain)
+
+
+def test_conjugate_at_takes_an_array_of_w():
+    infinite = 0
+    for rng, f in _pl_corpus(71, 60):
+        ws = rng.uniform(-4, 4, (4, 6, 2)).view(complex)[..., 0]
+        ws[0, :len(f.pieces)] = [b for b, _ in f.pieces]
+        got = conjugate_at(f, ws)
+        assert got.shape == ws.shape and got.dtype == np.float64
+        for w, value in zip(ws.flat, got.flat):
+            scalar = conjugate_at(f, complex(w))
+            assert type(scalar) is float
+            assert repr(value.item()) == repr(scalar) \
+                == repr(_frozen_conjugate_at(f, w))
+        infinite += int(np.isinf(got).sum())
+        assert type(conjugate_at(f, ws[0, 0])) is float
+        assert conjugate_at(f, ws[:0]).shape == (0, 6)
+    assert infinite > 100
+
+
+def _points_inside(domain, rng, count):
+    """cli._interior_samples for any domain: points of [-2, 2]^2 more
+    than 1e-6 inside it."""
+    out = []
+    while len(out) < count:
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if signed_distance(domain, z) < -1e-6:
+            out.append(z)
+    return out
+
+
+def _scalar_fenchel_young(f, rng, count, sampler):
+    """The check's worst violation and pair count, one pair at a time:
+    the reference that its array pass has to reproduce bit for bit."""
+    worst = 0.0
+    pairs = 0
+    for z in sampler(f.domain, rng, count):
+        fz = f.value(z)
+        for _ in range(20):
+            w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            violation = (z * w).real - fz - conjugate_at(f, w)
+            worst = max(worst, violation)
+            pairs += 1
+    return worst, pairs
+
+
+class _Draws:
+    """A generator that hands out fixed doubles in order, one per scalar
+    draw, or as many as an array draw's shape takes."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return next(self.values)
+        return np.array([next(self.values)
+                         for _ in range(int(np.prod(size)))]).reshape(size)
+
+
+def _near_gradients(f, rng, pairs):
+    """The doubles of w drawn at random, on f's gradients (where
+    Re(z*w) - f(z) reaches f*(w) up to rounding) and 1e-12 off them."""
+    grads = [b for b, _ in f.pieces] or [0j]
+    out = []
+    for _ in range(pairs):
+        kind = int(rng.integers(3))
+        w = (complex(*rng.uniform(-3, 3, 2)) if kind == 0
+             else grads[int(rng.integers(len(grads)))]
+             + (kind == 2) * 1e-12 * complex(*rng.normal(size=2)))
+        out += [w.real, w.imag]
+    return out
+
+
+def test_fenchel_young_check_is_the_scalar_loop_bitwise(monkeypatch):
+    from convlap import cli
+
+    def check(f, count, rng, tol):
+        sc = SimpleNamespace(pl_function=f, samples_count=count)
+        return cli._check_fenchel_young(sc, None, rng, tol)
+
+    positive = infinite = 0
+    interior_samples = cli._interior_samples
+    for i, (rng, f) in enumerate(_pl_corpus(73, 220)):
+        sampler = (interior_samples if isinstance(f.domain, ConvexBody)
+                   else _points_inside)
+        count = 1 + i % 12
+        # The seeded generator, as `convlap run` passes it; then fixed
+        # points and w on and next to f's gradients, where the sign of
+        # each violation is rounding's.
+        zs = sampler(f.domain, rng, count)
+        draws = _near_gradients(f, rng, 20 * count)
+        for make_rng, sample in (
+                (lambda: np.random.default_rng(i), sampler),
+                (lambda: _Draws(draws), lambda domain, rng, count: zs)):
+            monkeypatch.setattr(cli, "_interior_samples", sample)
+            ref_rng = make_rng()
+            worst, pairs = _scalar_fenchel_young(f, ref_rng, count, sample)
+            # Passing at tolerance `worst` and failing just below it pins
+            # the check's worst violation to `worst` exactly.
+            for tol, passed in ((worst, True),
+                                (math.nextafter(worst, -math.inf), False)):
+                rng_used = make_rng()
+                result = check(f, count, rng_used, tol)
+                assert result.passed is passed
+                assert result.detail == (
+                    f"max inequality violation {worst:.3e} on {pairs} pairs "
+                    f"(tolerance {tol:.1e})")
+                if isinstance(ref_rng, np.random.Generator):
+                    # A later check draws what it drew after the loop.
+                    assert (rng_used.bit_generator.state
+                            == ref_rng.bit_generator.state)
+            positive += worst > 0.0
+        ws = np.array(draws).view(complex)
+        infinite += bool(np.isinf([conjugate_at(f, w) for w in ws]).any())
+    assert positive >= 100 and infinite >= 50
+    # An array draw reads the doubles of the scalar draws, in order.
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    assert (a.uniform(-3, 3, (7, 20, 2)).ravel().tolist()
+            == [b.uniform(-3, 3) for _ in range(280)])

@@ -19,6 +19,9 @@ SHARED = {
         "Gauss-Kronrod panels on [0, 1] per level: no piece and no datum",
     "contour._rule":
         "a circle's trapezoid nodes per level, shared by every datum on it",
+    "contour._trapezoid_units":
+        "a full circle's trapezoid nodes on the unit circle per level: they "
+        "depend on no centre, radius or datum",
     "dolbeault._gauss_legendre": "Gauss-Legendre rules per order: no data",
     "dolbeault._band_nodes":
         "a cut-off profile's band rule per grid, shared by every datum",
