@@ -14,10 +14,10 @@ Three routines compute conjugates, all exact up to rounding:
   of f is the maximum give its pieces (one per cell vertex) and its
   domain (one half-plane per cell ray); an indicator's pieces are the
   vertices of its bounded domain.
-* conjugate_at: values, at one w or an array of w, read off one
-  representation that f keeps: symbolic_conjugate(f) for at most one
-  distinct piece, else conjugate(f), whose domain half-planes and pieces
-  each call tests.
+* conjugate_at: values at one w or an array of w, from one table of
+  plain numbers that f keeps: max(x*u - y*v + c) at (u, v) = w - s plus
+  rounding*|w - s| and an offset, +inf past a domain half-plane; built
+  by symbolic_conjugate(f) for at most one distinct piece, else conjugate(f).
 
 legendre_dimensions reads the dimension of dom(f*), the gradient hull
 plus the polar of the domain's recession cone, off one span test.
@@ -89,15 +89,19 @@ class PLConvexFunction:
 
     @cached_property
     def _table(self):
-        """f* as conjugate_at reads it: symbolic_conjugate(f) for at most
-        one distinct piece, else (f's distinct pieces, the pieces of
-        conjugate(f) as (x, y, c), its domain half-planes)."""
+        """conjugate_at's table: (s, centres b, rows (x, y, c), half-planes
+        (nx, ny, k), rounding, offset)."""
         pieces = _collapsed_pieces(self)
         if len(pieces) <= 1:
-            return symbolic_conjugate(self)
+            form = symbolic_conjugate(self)
+            core = form.base.core
+            return (form.shift, [0j], [(x, y, 0.0) for x, y in core.points],
+                    [(dx, -dy, 0.0) for dx, dy in core.rays],
+                    form.base.rounding, form.offset)
         g = conjugate(self)
-        return (pieces, [(p.real, p.imag, c) for p, c in g.pieces],
-                g.domain.halfplanes)
+        return (0j, [b for b, _ in pieces],
+                [(p.real, p.imag, c) for p, c in g.pieces],
+                g.domain.halfplanes, 0.0, 0.0)
 
 
 def _collapsed_pieces(f: PLConvexFunction):
@@ -124,25 +128,35 @@ def _domain_halfplanes(domain):
 
 
 def conjugate_at(f: PLConvexFunction, w):
-    """f*(w) = sup_z (Re(z*w) - f(z)), exactly.  May be +inf.
-
-    w may also be an array: the values then come as a float array of
-    its shape, each the one a call at that w alone returns (a scalar w
-    returns a float).
-    """
-    w = np.asarray(w, dtype=complex)
-    table = f._table
-    if isinstance(table, ConjugateForm):
-        out = np.array([table(x) for x in w.flat]).reshape(w.shape)
+    """f*(w) = sup_z (Re(z*w) - f(z)), exactly.  May be +inf.  An array
+    of w gives a float array of its shape, each entry the float that a
+    call at that w alone returns."""
+    s, centres, rows, halfplanes, rounding, offset = f._table
+    if np.isscalar(w):
+        w, hypot, top, where = complex(w) - s, _hypot, max, _where
     else:
-        pieces, dual, domain = table
-        u, v = w.real, w.imag
-        # A cell ray d of f gives +inf once Re(d*(w - b)) passes this slack.
-        grow = 1e-11 * _first_max(np.abs(w - b) for b, _ in pieces)
-        out = _first_max(x * u - y * v + c for x, y, c in dual)
-        for nx, ny, k in domain:
-            out = np.where(nx * u + ny * v - k > grow, math.inf, out)
-    return float(out) if out.ndim == 0 else out
+        w, hypot, top, where = (np.asarray(w, dtype=complex) - s, np.hypot,
+                                _first_max, np.where)
+    u, v = w.real, w.imag
+    out = top(x * u - y * v + c for x, y, c in rows)
+    # Adding 0.0 only turns -0.0 to 0.0; closed-form rows (c = 0.0) give none.
+    if rounding:
+        out = out + rounding * hypot(u, v)
+    if offset:
+        out = out + offset
+    grow = 1e-11 * top(abs(w - b) for b in centres)  # half-plane slack
+    for nx, ny, k in halfplanes:
+        out = where(nx * u + ny * v - k > grow, math.inf, out)
+    return out
+
+
+def _hypot(x, y):
+    """np.hypot for one w, rounded as it is (math.hypot's differs)."""
+    return abs(complex(x, y))
+
+
+def _where(condition, a, b):
+    return a if condition else b
 
 
 def _first_max(arrays):
@@ -156,12 +170,8 @@ def _first_max(arrays):
 
 @dataclass(frozen=True)
 class ConjugateForm:
-    """Closed form f*(w) = h_base(w - shift) + offset.
-
-    domain_cone is where the base set's support function is finite, so
-    the conjugate's effective domain is shift + domain_cone and its
-    interior is the shifted open cone.
-    """
+    """Closed form f*(w) = h_base(w - shift) + offset, finite on shift +
+    domain_cone (the cone where the base's support function is finite)."""
 
     base: object
     shift: complex
@@ -174,11 +184,6 @@ class ConjugateForm:
 
     def domain_contains(self, w: complex) -> bool:
         return self.domain_cone.contains(complex(w) - self.shift)
-
-    def domain_interior_contains(self, w: complex,
-                                 margin: float = 0.0) -> bool:
-        return self.domain_cone.strictly_contains(
-            complex(w) - self.shift, margin)
 
 
 def symbolic_conjugate(f: PLConvexFunction) -> ConjugateForm:
@@ -218,7 +223,7 @@ def conjugate(f: PLConvexFunction) -> PLConvexFunction:
     boundary line when the cell contains a line).  So the conjugate has a
     piece (p, -f(p)) per point and a domain cut by a half-plane per ray.
     Raises UnsupportedConjugate for a rounded domain and for the
-    indicator of an unbounded region.
+    indicator of an unbounded region, ValueError if every cell reads empty.
     """
     pieces = _collapsed_pieces(f)
     if not pieces:
@@ -251,13 +256,12 @@ def conjugate(f: PLConvexFunction) -> PLConvexFunction:
         for dx, dy in poly.rays:
             # Re(d*w) <= Re(d*b) as a half-plane in (u, v).
             constraints.append((dx, -dy, (complex(dx, dy) * b).real))
-    dual_pieces = []
-    for x, y in _distinct(points):
-        z = complex(x, y)
-        val = max((z * b).real + c for b, c in pieces)
-        dual_pieces.append((z, -val))
-    dual_domain = ConvexRegion(_distinct(constraints))
-    return PLConvexFunction(dual_pieces, dual_domain)
+    if not points:
+        raise ValueError("conjugate: every cell of f's pieces reads as empty")
+    dual = [complex(x, y) for x, y in _distinct(points)]
+    return PLConvexFunction(
+        [(z, -max((z * b).real + c for b, c in pieces)) for z in dual],
+        ConvexRegion(_distinct(constraints)))
 
 
 @dataclass(frozen=True)
@@ -272,10 +276,6 @@ class LegendreDimensions:
     @property
     def defect(self) -> int:
         return 2 - self.conjugate_hull
-
-    @property
-    def complement_trivial(self) -> bool:
-        return self.defect == 0
 
 
 def _sum_with_cone_dim(f: PLConvexFunction, pieces) -> int:

@@ -7,6 +7,7 @@ structure of the test functions.
 """
 
 import cmath
+import functools
 import math
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convlap import legendre
+from convlap import _lp, legendre
 from convlap.convexgeom import (
     Cone,
     ConvexBody,
@@ -195,7 +196,7 @@ def test_single_piece_on_thick_sector_value_and_domain():
         w = q + eps2 * xi0
         want = (p0 * q).real + eps * abs(q)
         assert form(w) == pytest.approx(want, abs=1e-10)
-        assert form.domain_interior_contains(w, margin=1e-9)
+        assert form.domain_cone.strictly_contains(w - form.shift, 1e-9)
     # Off the shifted cone the conjugate blows up.
     assert form(eps2 * xi0 + 1.0) == math.inf
     assert not form.domain_contains(eps2 * xi0 + 1.0)
@@ -354,14 +355,12 @@ def test_dimensions_indicator_of_fat_body():
     dims = legendre_dimensions(PLConvexFunction([], thicken(SQUARE, 0.25)))
     assert (dims.domain_hull, dims.conjugate_hull) == (2, 2)
     assert dims.defect == 0
-    assert dims.complement_trivial
 
 
 def test_dimensions_affine_function_on_plane():
     dims = legendre_dimensions(PLConvexFunction([(2 - 1j, 0.0)], PLANE))
     assert (dims.domain_hull, dims.conjugate_hull) == (2, 0)
     assert dims.defect == 2
-    assert not dims.complement_trivial
 
 
 def test_dimensions_indicator_of_origin():
@@ -391,7 +390,7 @@ def test_dimensions_single_piece_on_thick_sector():
     f = PLConvexFunction([(0.125 * xi0, 0.0)], thicken(region, 0.25))
     dims = legendre_dimensions(f)
     assert (dims.domain_hull, dims.conjugate_hull) == (2, 2)
-    assert dims.complement_trivial
+    assert dims.defect == 0
 
 
 def test_dimensions_on_a_halfplane_rounded_past_a_right_angle():
@@ -472,6 +471,44 @@ def test_function_validation():
         PLConvexFunction([], Cone("plane"))
 
 
+def _near_duplicate_edge_functions(rng, count):
+    """Two pieces on a 3-6-gon's edge half-planes plus 1-3 copies of an
+    edge line turned by N(0, 1e-8) rad and moved by N(0, 1e-9)."""
+    for _ in range(count):
+        k = int(rng.integers(3, 7))
+        angles = (rng.uniform(0.0, 2 * math.pi) + 2 * math.pi
+                  * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k)
+        hp = list(ConvexBody([cmath.exp(1j * a) for a in angles]).core.edges)
+        for _ in range(int(rng.integers(1, 4))):
+            nx, ny, d = hp[int(rng.integers(len(hp)))]
+            t = math.atan2(ny, nx) + rng.normal(0.0, 1e-8)
+            hp.append((math.cos(t), math.sin(t), d + rng.normal(0.0, 1e-9)))
+        pieces = [(complex(*rng.normal(0.0, 1.5, 2)), 0.0) for _ in range(2)]
+        yield PLConvexFunction(pieces, ConvexRegion(hp))
+
+
+def test_conjugate_names_cells_that_all_read_as_empty():
+    # The half-plane sweep can read every cell of such a domain as empty
+    # (ROADMAP item 4).  conjugate then raises a named ValueError, not
+    # the zero function nor a bare unpacking error from conjugate_at.
+    raised = 0
+    for f in _near_duplicate_edge_functions(np.random.default_rng(7), 150):
+        try:
+            g = conjugate(f)
+        except ValueError as err:
+            assert str(err) == "conjugate: every cell of f's pieces reads " \
+                "as empty"
+            assert _lp.interior_slack(f.domain.halfplanes) > 0.1
+            with pytest.raises(ValueError, match="every cell"):
+                conjugate_at(f, 0.5 + 0.25j)
+            raised += 1
+        else:
+            assert g.pieces
+    # Today's sweep misreads about one domain in ten; exact predicates
+    # (ROADMAP item 4) should take this to none.
+    assert raised >= 5
+
+
 def test_value_respects_domain():
     assert ABS_X.value(0.5 + 0.5j) == 0.5
     assert ABS_X.value(3 + 0j) == math.inf
@@ -482,10 +519,23 @@ def test_value_respects_domain():
 
 # ---- conjugate_at on arrays, and the Fenchel-Young check ----
 
+@functools.cache
+def _frozen_table(f):
+    """The closed form for at most one distinct piece, else f's distinct
+    pieces, conjugate(f)'s pieces as (x, y, c) and its domain half-planes:
+    built apart from the table that conjugate_at reads."""
+    pieces = legendre._collapsed_pieces(f)
+    if len(pieces) <= 1:
+        return symbolic_conjugate(f)
+    g = conjugate(f)
+    return (pieces, [(p.real, p.imag, c) for p, c in g.pieces],
+            g.domain.halfplanes)
+
+
 def _frozen_conjugate_at(f, w):
     """conjugate_at's scalar formula, frozen as the bitwise reference."""
     w = complex(w)
-    table = f._table
+    table = _frozen_table(f)
     if isinstance(table, ConjugateForm):
         return table(w)
     pieces, dual, domain = table
