@@ -3,10 +3,11 @@
 A scenario is a JSON document naming a transform kind, a convex set,
 function data, and a list of checks.  Running one executes the checks,
 writes report.txt / samples.csv (and optionally plot.svg), and exits 0
-when every check passes, 1 when one fails, 2 on configuration errors,
-the transform constructors' preconditions included (a pole outside the
-set, a circle too small for the body, a bounded region or one that
-contains a line).
+when every check passes, 1 when one fails, 2, writing nothing, on
+configuration errors: a file unreadable or not UTF-8, --seed < 0,
+--tolerance-scale not finite and > 0, or a bad document, the transform
+constructors' preconditions included (a pole outside the set, a circle
+too small for the body, a bounded region or one that contains a line).
 samples.csv has one row per growth sample: w, v(w) and its error
 estimate v_err (nan, nan and inf where the evaluation raises), h(w),
 the growth ratio, the ray index and the radius.
@@ -89,7 +90,7 @@ __all__ = ["Scenario", "ScenarioError", "main", "parse_scenario", "run_scenario"
 
 
 class ScenarioError(ValueError):
-    """Configuration problem, reported with the JSON path at fault."""
+    """Configuration problem, named by the JSON path or option at fault."""
 
 
 _CSV_COLUMNS = ("w_re", "w_im", "v_re", "v_im", "v_err", "h", "ratio",
@@ -730,15 +731,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
+        if not 0 < args.tolerance_scale < math.inf:
+            raise ScenarioError("--tolerance-scale must be finite and > 0")
+        if args.seed < 0:
+            raise ScenarioError("--seed must be non-negative")
+        sc = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
-    if args.tolerance_scale <= 0:
-        print("error: --tolerance-scale must be positive", file=sys.stderr)
-        return 2
-    try:
-        sc = parse_scenario(text)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,22 +12,20 @@ circle, flagged when the contour is built, all of it and no per-piece
 loop): _circle on a full circle, and elsewhere _segment, which bisects
 and is also the one-piece entry.  A Gauss-Kronrod level's rule holds
 nodes, weights and the weights of the coarser rule embedded in the same
-nodes; a full circle's holds only nodes and weights, and its coarse
-rule, on every other node, is read off the moments (below).  A
-level's rule and g at its nodes are kept in the contour's own dict under
-(piece, level, g) for every w; a full circle's nodes and weights are
-also cached on their own per (piece, level), since every datum on that
-circle shares them, and read their points on the unit circle from a
-table per (angle0, angle1, level) that no centre or radius enters, so a
-new circle takes no cos or sin.  A full circle takes the periodic
-trapezoid rule (Trefethen & Weideman, "The exponentially convergent
-trapezoidal rule", SIAM Rev. 2014) on 128 nodes doubling up to 4096;
-other pieces take Gauss-Kronrod 15 on 1 to 2048 equal panels with the
-embedded Gauss-7 (Piessens et al., QUADPACK, 1983), and multiply the
-cached g by e^{z*w} once per level on the whole node array.  Their
-error estimate is the fine-coarse gap plus a roundoff floor of
-16 eps sum |f_k| max|w_k|.  A contour's own such piece starts no lower
-than where it settles at w = 0, learned once by _settled_level.
+nodes, and is kept with g at its nodes in the contour's own dict under
+(piece, level, g) for every w.  A full circle's level keeps only g's
+moments there (below): its nodes and weights, built on a miss from a
+table of its points on the unit circle per (angle0, angle1, level) that
+no centre or radius enters, so a new circle takes no cos or sin, are not
+kept, and its coarse rule, on every other node, is read off the moments.
+A full circle takes the periodic trapezoid rule (Trefethen & Weideman,
+"The exponentially convergent trapezoidal rule", SIAM Rev. 2014) on 128
+nodes doubling up to 4096; other pieces take Gauss-Kronrod 15 on 1 to
+2048 equal panels with the embedded Gauss-7 (Piessens et al., QUADPACK,
+1983), and multiply the cached g by e^{z*w} once per level on the whole
+node array.  Their error estimate is the fine-coarse gap plus a roundoff
+floor of 16 eps sum |f_k| max|w_k|.  A contour's own such piece starts
+no lower than where it settles at w = 0, learned once by _settled_level.
 
 On a full circle C(c, rho) the trapezoid sum is taken in moment form for
 every w, w = 0 included, where the Taylor terms are [1, 0, ...]
@@ -393,33 +391,22 @@ def _trapezoid_units(angle0: float, angle1: float, level: int):
     return unit
 
 
-@lru_cache(maxsize=256)
-def _rule(piece: Arc, level: int) -> tuple:
-    """A full circle's read-only trapezoid nodes and weights at a level,
-    for every g."""
-    nodes, dz = piece._at(_trapezoid_units(piece.angle0, piece.angle1,
-                                           level))
-    weights = dz * (1.0 / (_TRAPEZOID_MIN_NODES << level))
-    for a in (nodes, weights):
-        a.setflags(write=False)
-    return nodes, weights
-
-
 def _level(cache: dict, piece, level: int, g) -> tuple:
-    """The piece's rule at a level and g there, read-only, built into the
-    cache on a miss of its callers' lookup: on a full circle its _rule,
-    the rows F_m, F_m + F_{m+n/2} (m < n/2) of g's trapezoid moments and
-    sum |g(z_k) w_k|; else its Gauss-Kronrod rule, built here, and g."""
+    """What the cache keeps of g at a level, built into it on a miss of
+    its callers' lookup: on a full circle the rows F_m, F_m + F_{m+n/2}
+    (m < n/2) of g's trapezoid moments, read-only, and sum |g(z_k) w_k|;
+    else the piece's Gauss-Kronrod rule and g at its nodes, read-only."""
     key = (piece, level, g)
     if piece.full_circle:
-        nodes, weights = _rule(piece, level)
-        h = g(nodes) * weights
+        nodes, dz = piece._at(_trapezoid_units(piece.angle0, piece.angle1,
+                                               level))
+        h = g(nodes) * (dz * (1.0 / (_TRAPEZOID_MIN_NODES << level)))
         ccw = piece.angle1 > piece.angle0
         pair = (np.fft.ifft(h, norm="forward") if ccw
                 else np.fft.fft(h)).reshape(2, -1)
         pair[1] += pair[0]
         pair.flags.writeable = False
-        cache[key] = (nodes, weights), (pair, float(np.abs(h).sum()))
+        cache[key] = pair, float(np.abs(h).sum())
         return cache[key]
     t, gauss, t_weights, g_over_k = _gauss_kronrod_panels(level)
     nodes, dz = piece.point_and_derivative(t)
@@ -558,7 +545,7 @@ def _circle(cache: dict, piece: Arc, g, tol: float, w: complex):
         level += 1
     for level in range(level, top + 1):
         pair, mass = (cache.get((piece, level, g))
-                      or _level(cache, piece, level, g))[1]
+                      or _level(cache, piece, level, g))
         half = pair.shape[1]
         if count <= half:  # one product with both rows
             fine, coarse = (pair[:, :count] @ terms).tolist()

@@ -441,6 +441,43 @@ def test_main_exit_codes(tmp_path):
                  "--tolerance-scale", "-1"]) == 2
 
 
+def _rejected(capsys, argv, out) -> str:
+    """main's stderr for argv, which must exit 2 with one line and leave
+    no artifacts (out does not exist)."""
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_main_rejects_a_tolerance_scale_that_is_not_finite(tmp_path, capsys,
+                                                           scale):
+    # nan would fail every tolerance check and inf pass each vacuously.
+    err = _rejected(capsys, ["run", str(SCENARIO_DIR / "reference_polya.json"),
+                             "--tolerance-scale", scale], tmp_path / "out")
+    assert "--tolerance-scale" in err
+
+
+@pytest.mark.parametrize("name", ["reference_polya.json",
+                                  "reference_meril.json",
+                                  "reference_legendre.json",
+                                  "planted_growth.json"])
+def test_main_rejects_a_negative_seed_for_every_kind(tmp_path, capsys, name):
+    err = _rejected(capsys, ["run", str(SCENARIO_DIR / name), "--seed", "-1"],
+                    tmp_path / "out")
+    assert "--seed" in err
+
+
+def test_main_rejects_a_scenario_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(json.dumps(dict(QUICK_POLYA, label="P\xf3lya"),
+                               ensure_ascii=False).encode("latin-1"))
+    err = _rejected(capsys, ["run", str(bad)], tmp_path / "out")
+    assert err.startswith("error: cannot read scenario: ")
+
+
 def test_seed_changes_only_sampling(tmp_path):
     text = (SCENARIO_DIR / "reference_legendre.json").read_text()
     sc = parse_scenario(text)

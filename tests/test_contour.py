@@ -429,14 +429,18 @@ def test_settled_level_is_the_climb_of_the_w0_node_sums():
     circle_contour(0.2 + 0.1j, 1.5).pieces[0]],
     ids=["segment", "arc", "circle"])
 def test_level_entries_are_read_only(piece):
-    rule, data = contour._level({}, piece, 2, _reciprocal)
-    arrays = [a for a in rule + (data if isinstance(data, tuple) else
-                                 (data,)) if isinstance(a, np.ndarray)]
-    # A full circle's rule is its nodes and weights; one (2, n/2) array of
-    # its fine and coarse moments carries the coarse rule.
-    assert len(arrays) == (3 if piece.full_circle else 5)
+    entry = contour._level({}, piece, 2, _reciprocal)
     if piece.full_circle:
-        assert data[0].shape == (2, len(rule[0]) // 2)
+        # A full circle keeps no nodes: one (2, n/2) array of its fine and
+        # coarse moments, which carries the coarse rule, and their mass.
+        pair, mass = entry
+        arrays = [pair]
+        assert pair.shape == (2, contour._TRAPEZOID_MIN_NODES << 1)
+        assert type(mass) is float
+    else:
+        rule, values = entry
+        arrays = [a for a in rule + (values,) if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -607,13 +611,21 @@ def test_moment_form_matches_residues_on_any_circle():
                 assert res.error <= 1e-12 * math.exp(M)
 
 
+def _circle_rule(arc, level):
+    """A full circle's trapezoid nodes and weights at a level: the arc's
+    own points at k/n, weighted by 1/n."""
+    n = contour._TRAPEZOID_MIN_NODES << level
+    z, dz = arc.point_and_derivative(np.arange(n) / n)
+    return z, dz * (1.0 / n)
+
+
 def _row_sums(arc, level, g, terms):
     """Fine and coarse trapezoid sums of e^{(z - c) w - rho|w|} g(z) dz at
     a level from the moment rows that _level keeps, term by term: F_m has
     period n, with F_{m+n/2} row 1 less row 0, and the coarse moments,
     row 1, period n/2 (a reference for _circle's fold); with sum
     |g(z_k) w_k| and n."""
-    pair, mass = contour._level({}, arc, level, g)[1]
+    pair, mass = contour._level({}, arc, level, g)
     n, m = 2 * pair.shape[1], np.arange(len(terms))
     moments = np.concatenate((pair[0], pair[1] - pair[0]))
     return (complex(moments[m % n] @ terms),
@@ -626,7 +638,7 @@ def _circle_parts(arc, g, w):
     estimate adds to the fine-coarse gap, and the factor e^{cw + rho|w|}."""
     cache = {}
     res = contour._circle(cache, arc, g, math.inf, w)
-    (((_, level, _), (_, (_, mass))),) = cache.items()
+    (((_, level, _), (_, mass)),) = cache.items()
     y = arc.radius * abs(w)
     count = math.ceil(y + 12.0 * math.sqrt(y) + 40.0)
     terms = contour._scaled_taylor(arc.radius * w * arc.start_unit, count)
@@ -658,7 +670,7 @@ def test_moment_sums_equal_the_node_sums():
         count = math.ceil(2000.0 + 12.0 * math.sqrt(2000.0) + 40.0)
         terms = contour._scaled_taylor(w * contour._cis(arc.angle0), count)
         fine, coarse, _, n = _row_sums(arc, 5, g, terms)
-        nodes, weights = contour._rule(arc, 5)[:2]
+        nodes, weights = _circle_rule(arc, 5)
         f = np.exp((nodes - arc.center) * w - 2000.0) * g(nodes)
         want_fine, want_coarse = f @ weights, f[::2] @ (2.0 * weights[::2])
         assert (n, count) == (4096, 2577)
@@ -681,7 +693,7 @@ def _exact_node_sums(arc, level, g, x):
     rule's nodes, the kernel at the exact nodes c + rho e^{i theta_0} q^k
     in long double (as the moment form takes them), so only rounding far
     below eps separates them from the exact sums."""
-    nodes, weights = contour._rule(arc, level)[:2]
+    nodes, weights = _circle_rule(arc, level)
     h = g(nodes) * weights
     n, ld = len(h), np.longdouble
     theta = (np.sign(arc.angle1 - arc.angle0) * 8 * np.arctan(ld(1))
@@ -900,18 +912,34 @@ def test_kronrod_error_bounds_the_true_error_near_a_pole(piece):
 
 
 def test_circle_rules_are_the_arcs_own_points_bitwise():
-    # A full circle's rule at each level is point_and_derivative at
-    # k/n, weighted by 1/n, whichever way the circle runs and wherever
-    # it sits, also when another circle built the level before it.
-    contour._rule.cache_clear()
+    # A full circle's entry at each level is the moment rows of g at
+    # point_and_derivative's points k/n, weighted by 1/n (one FFT; row 1
+    # adds F_{m+n/2}), and sum |g(z_k) w_k|: no node or weight array,
+    # whichever way the circle runs and wherever it sits, also when
+    # another circle built the level's unit points before it.
+    contour._trapezoid_units.cache_clear()
     circles = [circle_contour(0.3 - 1.7j, 2.5).pieces[0],
                circle_contour(-4 + 1e-3j, 0.125).pieces[0]]
     circles += [c.reversed() for c in circles]
     for piece in circles:
+        a = piece.center + 0.3 * piece.radius * cmath.exp(0.4j)
+
+        def g(z, a=a):
+            return 1.0 / (z - a) ** 2
+
         for level in range(contour._LEVELS[True][1] + 1):
-            n = contour._TRAPEZOID_MIN_NODES << level
-            nodes, weights = contour._rule(piece, level)
-            z, dz = piece.point_and_derivative(np.arange(n) / n)
-            assert repr(nodes.tolist()) == repr(z.tolist())
-            assert repr(weights.tolist()) == repr((dz * (1.0 / n)).tolist())
-            assert not (nodes.flags.writeable or weights.flags.writeable)
+            z, weights = _circle_rule(piece, level)
+            h = g(z) * weights
+            want = (np.fft.ifft(h, norm="forward")
+                    if piece.angle1 > piece.angle0 else np.fft.fft(h))
+            want = want.reshape(2, -1)
+            want[1] += want[0]
+            cache = {}
+            entry = contour._level(cache, piece, level, g)
+            assert cache.keys() == {(piece, level, g)}
+            pair, mass = entry
+            assert type(mass) is float
+            assert pair.shape == (2, len(z) // 2)
+            assert repr(pair.tolist()) == repr(want.tolist())
+            assert repr(mass) == repr(float(np.abs(h).sum()))
+            assert not pair.flags.writeable

@@ -17,8 +17,6 @@ SRC = Path(convlap.__file__).resolve().parent
 SHARED = {
     "contour._gauss_kronrod_panels":
         "Gauss-Kronrod panels on [0, 1] per level: no piece and no datum",
-    "contour._rule":
-        "a circle's trapezoid nodes per level, shared by every datum on it",
     "contour._trapezoid_units":
         "a full circle's trapezoid nodes on the unit circle per level: they "
         "depend on no centre, radius or datum",
@@ -26,8 +24,9 @@ SHARED = {
     "dolbeault._band_nodes":
         "a cut-off profile's band rule per grid, shared by every datum",
     "growth._sample":
-        "the last growth lattice, shared across an eps ladder (to move to "
-        "the scenario that samples it)",
+        "the last growth lattice, shared across an eps ladder (moving it "
+        "to the scenario that samples it waits on a benchmark change, "
+        "whose traced pass enters the growth check)",
 }
 
 _CACHING = {"lru_cache", "cache"}

@@ -1306,9 +1306,9 @@ def test_polya_evaluation_is_bitwise_reproducible():
     first = [v.with_error(w) for w in ws]
     assert [v.with_error(w) for w in ws] == first
     assert [v.with_error(w) for w in reversed(ws)] == first[::-1]
-    # Rebuilt from scratch, node arrays and moments included: the new
+    # Rebuilt from scratch, unit points and moments included: the new
     # transform's circle starts with no moments of its own.
-    contour._rule.cache_clear()
+    contour._trapezoid_units.cache_clear()
     rebuilt = polya_transform(MeromorphicDatum(u.terms), DISK_HALF, 2.0)
     assert [rebuilt.with_error(w) for w in ws] == first
 
