@@ -216,6 +216,20 @@ def _parse_terms(doc, path: str) -> MeromorphicDatum:
         _fail(path, str(exc))
 
 
+def _ladder(gdoc: dict, key: str, default: tuple, increasing: bool) -> tuple:
+    """$.growth.key: positive, strictly monotone; default if absent or null."""
+    path = f"$.growth.{key}"
+    if gdoc.get(key) is None:
+        return default
+    ladder = _as_reals(gdoc[key], path)
+    if not ladder or any(x <= 0 for x in ladder):
+        _fail(path, "needs positive entries")
+    pairs = zip(ladder, ladder[1:]) if increasing else zip(ladder[1:], ladder)
+    if any(b <= a for a, b in pairs):
+        _fail(path, f"must be strictly {'in' if increasing else 'de'}creasing")
+    return ladder
+
+
 def parse_scenario(text: str) -> Scenario:
     """Validate a JSON scenario document and fill in defaults."""
     try:
@@ -256,7 +270,7 @@ def parse_scenario(text: str) -> Scenario:
     eps = _as_real(doc.get("eps", 0.1), "$.eps")
     if eps <= 0:
         _fail("$.eps", "must be positive")
-    if "eps" not in doc:
+    if "eps" not in doc and kind == "meril":
         defaults.append(f"eps={eps:g}")
     eps_prime = _as_real(doc.get("eps_prime", eps), "$.eps_prime")
     if eps_prime <= 0:
@@ -352,24 +366,8 @@ def parse_scenario(text: str) -> Scenario:
     for key in gdoc:
         if key not in {"eps_ladder", "rays", "radii"}:
             _fail(f"$.growth.{key}", "unknown field")
-    ladder = gdoc.get("eps_ladder")
-    if ladder is None:
-        eps_ladder = DEFAULT_EPS_LADDER
-    else:
-        eps_ladder = _as_reals(ladder, "$.growth.eps_ladder")
-        if not eps_ladder or any(e <= 0 for e in eps_ladder):
-            _fail("$.growth.eps_ladder", "needs positive entries")
-        if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
-            _fail("$.growth.eps_ladder", "must be strictly decreasing")
-    radii_doc = gdoc.get("radii")
-    if radii_doc is None:
-        growth_radii = _GROWTH_RADII
-    else:
-        growth_radii = _as_reals(radii_doc, "$.growth.radii")
-        if not growth_radii or any(r <= 0 for r in growth_radii):
-            _fail("$.growth.radii", "needs positive entries")
-        if any(b <= a for a, b in zip(growth_radii, growth_radii[1:])):
-            _fail("$.growth.radii", "must be strictly increasing")
+    eps_ladder = _ladder(gdoc, "eps_ladder", DEFAULT_EPS_LADDER, False)
+    growth_radii = _ladder(gdoc, "radii", _GROWTH_RADII, True)
     growth_rays = _as_int(gdoc.get("rays", _GROWTH_RAYS), "$.growth.rays")
     if growth_rays < 1:
         _fail("$.growth.rays", "needs at least one ray")
@@ -482,26 +480,21 @@ def _check_contour_independence(sc: Scenario, v, rng,
 
 def _check_growth(sc: Scenario, v, rng, tol: None) -> _CheckResult:
     h = lambda w: support_function(sc.domain, w)
-    reports = [growth_ratio_sup(v, h, eps, radii=sc.growth_radii,
-                                rays=sc.growth_rays)
-               for eps in sc.eps_ladder]
+    reports = growth_ratio_sup(v, h, sc.eps_ladder, radii=sc.growth_radii,
+                               rays=sc.growth_rays)
     verdict = exp_class_verdict(reports)
     ladder = ", ".join(f"{e:g}" for e in verdict.epsilons)
     if verdict.member:
         return _CheckResult(True, f"member of the exponential class across "
                                   f"eps ladder {ladder}", reports[-1])
-    for eps, rep in zip(verdict.epsilons, reports):
-        if rep.verdict != "bounded":
-            outermost = [s for s in rep.samples if s.radius == rep.radii[-1]]
-            ray = max(outermost, key=lambda s: s.log_ratio).ray_index
-            angle = 2.0 * math.pi * ray / rep.rays
-            return _CheckResult(
-                False, f"non-member: verdict {rep.verdict} at eps={eps:g}; "
-                f"worst ray {ray} (angle {angle:.3f} rad, "
-                f"growth rate {rep.growth_rate:.3g} per unit radius)",
-                reports[-1])
-    return _CheckResult(False, f"non-member: eps ladder {ladder} inconsistent",
-                        reports[-1])
+    rep = next(r for r in reports if r.verdict != "bounded")
+    outermost = [s for s in rep.samples if s.radius == rep.radii[-1]]
+    ray = max(outermost, key=lambda s: s.log_ratio).ray_index
+    angle = 2.0 * math.pi * ray / rep.rays
+    return _CheckResult(
+        False, f"non-member: verdict {rep.verdict} at eps={rep.epsilon:g}; "
+        f"worst ray {ray} (angle {angle:.3f} rad, "
+        f"growth rate {rep.growth_rate:.3g} per unit radius)", reports[-1])
 
 
 def _check_tail_dominance(sc: Scenario, v, rng, tol: None) -> _CheckResult:
@@ -623,14 +616,15 @@ def _csv_text(report: GrowthReport | None, v) -> str:
 
 def _svg_text(report: GrowthReport) -> str:
     width, height, margin = 640, 480, 60
-    xs = [math.log10(r) for r in report.radii]
     ys = [lr for lr in report.log_radius_sups if math.isfinite(lr)]
     pts = [s.log_ratio for s in report.samples if math.isfinite(s.log_ratio)]
     ys = ys + pts
     y_lo, y_hi = (min(ys), max(ys)) if ys else (-1.0, 1.0)
     if y_hi - y_lo < 1e-9:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    x_lo, x_hi = xs[0], xs[-1]
+    x_lo, x_hi = math.log10(report.radii[0]), math.log10(report.radii[-1])
+    if x_hi - x_lo < 1e-9:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
 
     def sx(x: float) -> float:
         return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
@@ -651,9 +645,9 @@ def _svg_text(report: GrowthReport) -> str:
         f'<text x="18" y="{height // 2}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 18 {height // 2})">log growth ratio</text>',
         f'<text x="{margin}" y="{height - margin + 18}" font-size="11" '
-        f'text-anchor="middle">{report.radii[0]:.3g}</text>',
+        f'text-anchor="middle">{10 ** x_lo:.3g}</text>',
         f'<text x="{width - margin}" y="{height - margin + 18}" '
-        f'font-size="11" text-anchor="middle">{report.radii[-1]:.3g}</text>',
+        f'font-size="11" text-anchor="middle">{10 ** x_hi:.3g}</text>',
         f'<text x="{margin - 6}" y="{height - margin}" font-size="11" '
         f'text-anchor="end">{y_lo:.3g}</text>',
         f'<text x="{margin - 6}" y="{margin + 4}" font-size="11" '
@@ -673,9 +667,18 @@ def _svg_text(report: GrowthReport) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _check_run_options(tolerance_scale: float, seed: int) -> None:
+    if not 0 < tolerance_scale < math.inf:
+        raise ScenarioError("--tolerance-scale must be finite and > 0")
+    if seed < 0:
+        raise ScenarioError("--seed must be non-negative")
+
+
 def run_scenario(sc: Scenario, out_dir: str | Path = ".",
                  tolerance_scale: float = 1.0, seed: int = 0) -> int:
-    """Execute all checks, write artifacts, return the exit status."""
+    """Execute all checks, write artifacts, return the exit status; a run
+    option that main rejects raises ScenarioError before any write."""
+    _check_run_options(tolerance_scale, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Only the Legendre kind's checks draw samples.
@@ -731,10 +734,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if not 0 < args.tolerance_scale < math.inf:
-            raise ScenarioError("--tolerance-scale must be finite and > 0")
-        if args.seed < 0:
-            raise ScenarioError("--seed must be non-negative")
+        _check_run_options(args.tolerance_scale, args.seed)
         sc = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)

@@ -5,8 +5,8 @@ when ``|v(w)| e^{-h(w) - eps*|w|}`` stays bounded for the set's support
 evaluator ``h``, at every tolerance ``eps`` in a ladder.  Growth of this
 kind is dominated along rays, so the functional is sampled on
 equiangular rays crossed with a geometric radius ladder and judged per
-radius.  log|v(w)| and h(w) do not depend on eps: the lattice is sampled
-once per ladder and only the judging is repeated for each eps.
+radius.  log|v(w)| and h(w) do not depend on eps: one call samples the
+lattice once for a whole eps ladder and judges it at each eps.
 
 All internal arithmetic runs in log space through
 ``TransformResult.log_abs`` so that sampling radii in the thousands
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,41 +95,23 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
                  / sum((x - mx) ** 2 for x in xs))
 
 
-@lru_cache(maxsize=1)
-def _sample(v, h, ladder: tuple[float, ...], rays: int) -> tuple:
-    """Per radius, (w, h(w), log|v(w)|, ray index, |w|) at the ray
-    points in v's domain: kept for the next eps (holding v and h keeps
-    their ids from being reused)."""
-    directions = [complex(math.cos(2 * math.pi * k / rays),
-                          math.sin(2 * math.pi * k / rays))
-                  for k in range(rays)]
-    out = []
-    for radius in ladder:
-        ws = [(k, radius * d) for k, d in enumerate(directions)]
-        out.append(tuple((w, float(h(w)), v.log_abs(w), k, abs(w))
-                         for k, w in ws if v.domain_contains(w)))
-        if not out[-1]:
-            raise ValueError(
-                f"empty sample set: no ray point at radius {radius} "
-                "lies in the domain of v")
-    return tuple(out)
-
-
-def growth_ratio_sup(v, h: Callable[[complex], float], eps: float,
+def growth_ratio_sup(v, h: Callable[[complex], float],
+                     eps_ladder: Sequence[float],
                      radii: Sequence[float] | None = None,
-                     rays: int = 64) -> GrowthReport:
-    """Sample |v(w)| e^{-h(w) - eps*|w|} on rays x radii and judge it.
+                     rays: int = 64) -> tuple[GrowthReport, ...]:
+    """Sample |v(w)| e^{-h(w) - eps*|w|} on rays x radii and judge it,
+    one report per eps of the ladder, in the ladder's order.
 
     v needs log_abs(w) and domain_contains(w); sampling skips points
-    outside the domain.  v and h key the cached lattice (_sample), so
-    they must be hashable and pure.  Verdict "bounded" means the
-    per-radius sups stop increasing (within SUP_GROWTH_FACTOR) after the
-    first quartile of the ladder; "unbounded" means the log sup grows
-    linearly in the radius with fitted slope above eps/2; anything else
-    is "inconclusive".
+    outside the domain, and calls log_abs and h once per point it keeps.
+    Verdict "bounded" means the per-radius sups stop increasing (within
+    SUP_GROWTH_FACTOR) after the first quartile of the ladder;
+    "unbounded" means the log sup grows linearly in the radius with
+    fitted slope above eps/2; anything else is "inconclusive".
     """
-    if eps <= 0 or not math.isfinite(eps):
-        raise ValueError("eps must be a positive finite real")
+    eps_ladder = tuple(eps_ladder)
+    if not eps_ladder or not all(0 < eps < math.inf for eps in eps_ladder):
+        raise ValueError("eps ladder needs positive finite entries")
     if rays < 1:
         raise ValueError("need at least one ray")
     ladder = tuple(float(r) for r in (DEFAULT_RADII if radii is None else radii))
@@ -139,9 +120,29 @@ def growth_ratio_sup(v, h: Callable[[complex], float], eps: float,
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] <= 0:
         raise ValueError("radius ladder must be positive and strictly increasing")
 
+    # Per radius, (w, h(w), log|v(w)|, ray index, |w|) at the ray points
+    # in v's domain.
+    directions = [complex(math.cos(2 * math.pi * k / rays),
+                          math.sin(2 * math.pi * k / rays))
+                  for k in range(rays)]
+    lattice = []
+    for radius in ladder:
+        ws = [(k, radius * d) for k, d in enumerate(directions)]
+        lattice.append([(w, float(h(w)), v.log_abs(w), k, abs(w))
+                        for k, w in ws if v.domain_contains(w)])
+        if not lattice[-1]:
+            raise ValueError(
+                f"empty sample set: no ray point at radius {radius} "
+                "lies in the domain of v")
+    return tuple(_judge(eps, ladder, rays, lattice) for eps in eps_ladder)
+
+
+def _judge(eps: float, ladder: tuple[float, ...], rays: int,
+           lattice: list) -> GrowthReport:
+    """growth_ratio_sup's report at one eps on the sampled lattice."""
     samples: list[GrowthSample] = []
     log_sups: list[float] = []
-    for radius, points in zip(ladder, _sample(v, h, ladder, rays)):
+    for radius, points in zip(ladder, lattice):
         best = -math.inf
         for w, hw, log_v, k, nw in points:
             log_ratio = log_v - hw - eps * nw
@@ -214,7 +215,6 @@ def classify_growth(v, h: Callable[[complex], float],
                     eps_ladder: Sequence[float] = DEFAULT_EPS_LADDER,
                     radii: Sequence[float] | None = None,
                     rays: int = 64) -> ExpClassVerdict:
-    """Run growth_ratio_sup across an eps ladder and aggregate."""
-    reports = [growth_ratio_sup(v, h, eps, radii=radii, rays=rays)
-               for eps in eps_ladder]
-    return exp_class_verdict(reports)
+    """Judge v across an eps ladder and aggregate the reports."""
+    return exp_class_verdict(growth_ratio_sup(v, h, eps_ladder, radii=radii,
+                                              rays=rays))

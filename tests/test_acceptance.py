@@ -283,7 +283,7 @@ def test_criterion_7_growth_classification(corpus, meril_setup):
         ok = False
     planted = residue_transform(
         MeromorphicDatum([(2 + 0j, 1, 1 / TWO_PI_I)]))
-    escapee = growth_ratio_sup(planted, lambda w: abs(w), 0.5)
+    (escapee,) = growth_ratio_sup(planted, lambda w: abs(w), [0.5])
     ok = ok and escapee.verdict == "unbounded"
     _verdict(7, "growth classification", ok,
              f"{members}/21 transform outputs members across ladder "

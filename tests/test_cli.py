@@ -1,10 +1,12 @@
 """Scenario parsing, check execution, artifacts, exit codes."""
 
 import dataclasses
+import gc
 import json
 import math
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -41,6 +43,23 @@ def test_minimal_polya_defaults():
     assert any(s.startswith("checks=") for s in sc.defaults_applied)
     assert sc.w_limit == 3.0 and sc.w_count == 21
     assert sc.eps_ladder == (0.5, 0.25, 0.1)
+
+
+@pytest.mark.parametrize("name", ["reference_polya.json",
+                                  "reference_meril.json",
+                                  "reference_legendre.json",
+                                  "planted_growth.json"])
+def test_eps_is_a_default_only_where_it_is_used(name):
+    doc = json.loads((SCENARIO_DIR / name).read_text())
+    doc.pop("eps", None)
+    defaults = parse(doc).defaults_applied
+    eps = [d for d in defaults if d.startswith("eps")]
+    assert eps == (["eps=0.1", "eps_prime=0.1"] if doc["kind"] == "meril"
+                   else [])
+    # A non-positive eps is rejected for every kind all the same.
+    for bad in (0.0, -0.5):
+        with pytest.raises(ScenarioError, match=r"\$\.eps: must be positive"):
+            parse(dict(doc, eps=bad))
 
 
 def test_pole_outside_set_named():
@@ -418,6 +437,17 @@ def test_plot_emitted_when_requested(tmp_path):
     assert svg.rstrip().endswith("</svg>")
 
 
+def test_plot_of_a_one_radius_ladder_centres_its_points(tmp_path):
+    doc = json.loads((SCENARIO_DIR / "reference_polya.json").read_text())
+    sc = parse(dict(doc, growth={"radii": [2.0], "rays": 4},
+                    checks=["growth"]))
+    assert run_scenario(sc, out_dir=tmp_path) == 0
+    svg = (tmp_path / "plot.svg").read_text()
+    # The x range widens to a decade each way, as a flat y range does.
+    assert svg.count('points="320.00,') == 4
+    assert '>0.2</text>' in svg and '>20</text>' in svg
+
+
 def test_tolerance_scale_can_force_failure(tmp_path):
     sc = parse(dict(QUICK_POLYA, checks=["oracle"]))
     assert run_scenario(sc, out_dir=tmp_path / "tight",
@@ -470,12 +500,42 @@ def test_main_rejects_a_negative_seed_for_every_kind(tmp_path, capsys, name):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("name", ["reference_polya.json",
+                                  "reference_legendre.json"])
+@pytest.mark.parametrize("options", [{"seed": -1},
+                                     {"tolerance_scale": 0.0},
+                                     {"tolerance_scale": -1.0},
+                                     {"tolerance_scale": math.nan},
+                                     {"tolerance_scale": math.inf}],
+                         ids=lambda o: "%s=%s" % next(iter(o.items())))
+def test_run_scenario_rejects_the_options_main_rejects(tmp_path, name,
+                                                       options):
+    sc = parse_scenario((SCENARIO_DIR / name).read_text())
+    option = "--" + next(iter(options)).replace("_", "-")
+    with pytest.raises(ScenarioError, match=option):
+        run_scenario(sc, out_dir=tmp_path / "out", **options)
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_rejects_a_scenario_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(json.dumps(dict(QUICK_POLYA, label="P\xf3lya"),
                                ensure_ascii=False).encode("latin-1"))
     err = _rejected(capsys, ["run", str(bad)], tmp_path / "out")
     assert err.startswith("error: cannot read scenario: ")
+
+
+@pytest.mark.parametrize("name", ["reference_polya.json",
+                                  "reference_meril.json"])
+def test_a_finished_run_keeps_no_transform_alive(tmp_path, name):
+    doc = json.loads((SCENARIO_DIR / name).read_text())
+    sc = parse(dict(doc, checks=["growth"],
+                    growth={"rays": 8, "radii": [1.0, 10.0, 100.0]}))
+    transform = weakref.ref(sc.transform)
+    run_scenario(sc, out_dir=tmp_path)
+    del sc
+    gc.collect()
+    assert transform() is None
 
 
 def test_seed_changes_only_sampling(tmp_path):

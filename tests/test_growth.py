@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,7 @@ def exp_at(a: complex):
 
 def test_interior_exponential_is_bounded():
     v = exp_at(0.4 + 0.3j)
-    report = growth_ratio_sup(v, disk_support, 0.25)
+    (report,) = growth_ratio_sup(v, disk_support, [0.25])
     assert report.verdict == "bounded"
     assert report.sup <= TWO_PI / TWO_PI + 1e-12  # |c| = 1 here, so sup <= 1
     assert report.growth_rate < 0
@@ -48,7 +49,7 @@ def test_interior_exponential_is_bounded():
 
 def test_zero_function_is_bounded_with_zero_sup():
     v = residue_transform(MeromorphicDatum([]))
-    report = growth_ratio_sup(v, disk_support, 0.5)
+    (report,) = growth_ratio_sup(v, disk_support, [0.5])
     assert report.verdict == "bounded"
     assert report.sup == 0.0
     assert all(s.ratio == 0.0 for s in report.samples)
@@ -58,15 +59,14 @@ def test_planted_escapee_is_unbounded():
     # dist(2, unit disk) = 1; at eps = 0.5 the best ray grows like
     # e^{(2 - 1 - 0.5) R}.
     v = exp_at(2 + 0j)
-    report = growth_ratio_sup(v, disk_support, 0.5)
+    (report,) = growth_ratio_sup(v, disk_support, [0.5])
     assert report.verdict == "unbounded"
     assert report.growth_rate == pytest.approx(0.5, rel=1e-6)
 
 
 def test_ratio_monotone_in_eps_pointwise():
     v = exp_at(0.9 + 0j)
-    lo = growth_ratio_sup(v, disk_support, 0.25)
-    hi = growth_ratio_sup(v, disk_support, 0.5)
+    hi, lo = growth_ratio_sup(v, disk_support, [0.5, 0.25])
     assert len(lo.samples) == len(hi.samples)
     for a, b in zip(hi.samples, lo.samples):
         assert a.w == b.w
@@ -102,7 +102,7 @@ def test_meril_output_sampled_inside_shifted_cone():
     u = MeromorphicDatum([(1 + 0j, 1, 1.0)])
     v = meril_transform(u, region, 0.1, 0.1)
     h = lambda w: support_function(region, w)
-    report = growth_ratio_sup(v, h, 0.25)
+    (report,) = growth_ratio_sup(v, h, [0.25])
     assert report.verdict == "bounded"
     assert 0 < len(report.samples) < len(report.radii) * report.rays
     assert all(v.domain_contains(s.w) for s in report.samples)
@@ -111,8 +111,8 @@ def test_meril_output_sampled_inside_shifted_cone():
 
 def test_sampling_lattice_recorded():
     v = exp_at(0j)
-    report = growth_ratio_sup(v, disk_support, 0.5, radii=[1.0, 10.0, 100.0],
-                              rays=8)
+    (report,) = growth_ratio_sup(v, disk_support, [0.5],
+                                 radii=[1.0, 10.0, 100.0], rays=8)
     assert report.radii == (1.0, 10.0, 100.0)
     assert report.rays == 8
     assert len(report.samples) == 24
@@ -125,14 +125,15 @@ def test_sampling_lattice_recorded():
 
 def test_growth_validation():
     v = exp_at(0j)
+    for ladder in ([], [0.0], [0.5, -0.25], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="eps ladder"):
+            growth_ratio_sup(v, disk_support, ladder)
     with pytest.raises(ValueError):
-        growth_ratio_sup(v, disk_support, 0.0)
+        growth_ratio_sup(v, disk_support, [0.5], radii=[])
     with pytest.raises(ValueError):
-        growth_ratio_sup(v, disk_support, 0.5, radii=[])
+        growth_ratio_sup(v, disk_support, [0.5], radii=[2.0, 1.0])
     with pytest.raises(ValueError):
-        growth_ratio_sup(v, disk_support, 0.5, radii=[2.0, 1.0])
-    with pytest.raises(ValueError):
-        growth_ratio_sup(v, disk_support, 0.5, rays=0)
+        growth_ratio_sup(v, disk_support, [0.5], rays=0)
 
 
 def test_empty_sample_set_rejected():
@@ -141,7 +142,25 @@ def test_empty_sample_set_rejected():
         MeromorphicDatum([(1 + 0j, 1, 1.0)]), region, 0.1, 0.1)
     # The lone ray at angle 0 points away from the left-opening cone.
     with pytest.raises(ValueError, match="empty sample set"):
-        growth_ratio_sup(v, lambda w: 0.0, 0.25, rays=1)
+        growth_ratio_sup(v, lambda w: 0.0, [0.25], rays=1)
+
+
+@dataclass
+class _ScaledDiskSupport:
+    """A support callable that is unhashable, as a plain dataclass is."""
+
+    radius: float
+
+    def __call__(self, w: complex) -> float:
+        return self.radius * abs(w)
+
+
+def test_an_unhashable_support_callable_is_accepted():
+    h = _ScaledDiskSupport(1.0)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(h)
+    assert classify_growth(exp_at(0.4 + 0.3j), h).member
+    assert not classify_growth(exp_at(2 + 0j), h).member
 
 
 def _fake_report(eps: float, verdict: str) -> GrowthReport:
@@ -258,7 +277,8 @@ def test_lattice_is_sampled_once_per_ladder(v, body):
         h_calls[w] += 1
         return support_function(body, w)
 
-    verdict = classify_growth(counted, h, radii=radii, rays=12)
+    got = growth_ratio_sup(counted, h, DEFAULT_EPS_LADDER, radii=radii,
+                           rays=12)
     lattice = [r * complex(math.cos(2 * math.pi * k / 12),
                            math.sin(2 * math.pi * k / 12))
                for r in radii for k in range(12)]
@@ -268,12 +288,11 @@ def test_lattice_is_sampled_once_per_ladder(v, body):
     assert set(h_calls.values()) == {1}
     # Field for field the reports of sampling once per eps.
     h_plain = lambda w: support_function(body, w)
-    want = [_per_eps_reference(v, h_plain, eps, radii, 12, growth._slope)
-            for eps in DEFAULT_EPS_LADDER]
-    got = [growth_ratio_sup(counted, h, eps, radii=radii, rays=12)
-           for eps in DEFAULT_EPS_LADDER]
+    want = tuple(_per_eps_reference(v, h_plain, eps, radii, 12, growth._slope)
+                 for eps in DEFAULT_EPS_LADDER)
     assert got == want
-    assert verdict == exp_class_verdict(want)
+    assert (classify_growth(v, h_plain, radii=radii, rays=12)
+            == exp_class_verdict(want))
     # np.polyfit, which the slope replaced, gives the same verdicts.
     fitted = [_per_eps_reference(v, h_plain, eps, radii, 12, _polyfit_slope)
               for eps in DEFAULT_EPS_LADDER]

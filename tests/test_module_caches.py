@@ -23,10 +23,6 @@ SHARED = {
     "dolbeault._gauss_legendre": "Gauss-Legendre rules per order: no data",
     "dolbeault._band_nodes":
         "a cut-off profile's band rule per grid, shared by every datum",
-    "growth._sample":
-        "the last growth lattice, shared across an eps ladder (moving it "
-        "to the scenario that samples it waits on a benchmark change, "
-        "whose traced pass enters the growth check)",
 }
 
 _CACHING = {"lru_cache", "cache"}
