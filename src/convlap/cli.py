@@ -489,7 +489,7 @@ def _check_growth(sc: Scenario, v, rng, tol: None) -> _CheckResult:
                                   f"eps ladder {ladder}", reports[-1])
     rep = next(r for r in reports if r.verdict != "bounded")
     outermost = [s for s in rep.samples if s.radius == rep.radii[-1]]
-    ray = max(outermost, key=lambda s: s.log_ratio).ray_index
+    ray = max(outermost, key=rep.log_ratio).ray_index
     angle = 2.0 * math.pi * ray / rep.rays
     return _CheckResult(
         False, f"non-member: verdict {rep.verdict} at eps={rep.epsilon:g}; "
@@ -550,7 +550,7 @@ def _interior_samples(body: ConvexBody, rng, count: int) -> list[complex]:
 
 def _check_biconjugation(sc: Scenario, v, rng, tol: float) -> _CheckResult:
     f = sc.pl_function
-    f_cc = conjugate(conjugate(f))
+    f_cc = conjugate(f._conjugate)
     worst = 0.0
     for z in _interior_samples(f.domain, rng, sc.samples_count):
         a, b = f.value(z), f_cc.value(z)
@@ -610,15 +610,20 @@ def _csv_text(report: GrowthReport | None, v) -> str:
             except (OverflowError, QuadratureError, ConvergenceError):
                 val, err = complex(math.nan, math.nan), math.inf
             writer.writerow([s.w.real, s.w.imag, val.real, val.imag, err,
-                             s.support, s.ratio, s.ray_index, s.radius])
+                             s.support, report.ratio(s), s.ray_index,
+                             s.radius])
     return buf.getvalue()
 
 
 def _svg_text(report: GrowthReport) -> str:
     width, height, margin = 640, 480, 60
-    ys = [lr for lr in report.log_radius_sups if math.isfinite(lr)]
-    pts = [s.log_ratio for s in report.samples if math.isfinite(s.log_ratio)]
-    ys = ys + pts
+    by_ray: dict[int, list[tuple[float, float]]] = {}
+    for s in report.samples:
+        if math.isfinite(lr := report.log_ratio(s)):
+            by_ray.setdefault(s.ray_index, []).append(
+                (math.log10(s.radius), lr))
+    # Each finite radius sup is one of these, so they span the y range.
+    ys = [y for pts in by_ray.values() for _, y in pts]
     y_lo, y_hi = (min(ys), max(ys)) if ys else (-1.0, 1.0)
     if y_hi - y_lo < 1e-9:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
@@ -653,15 +658,15 @@ def _svg_text(report: GrowthReport) -> str:
         f'<text x="{margin - 6}" y="{margin + 4}" font-size="11" '
         f'text-anchor="end">{y_hi:.3g}</text>',
     ]
-    by_ray: dict[int, list[tuple[float, float]]] = {}
-    for s in report.samples:
-        if math.isfinite(s.log_ratio):
-            by_ray.setdefault(s.ray_index, []).append(
-                (math.log10(s.radius), s.log_ratio))
     for ray in sorted(by_ray):
+        colour = f"hsl({round(360.0 * ray / max(1, report.rays))},65%,40%)"
+        (x, y), *rest = by_ray[ray]
+        if not rest:  # a one-point polyline would draw nothing
+            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" '
+                         f'fill="{colour}"/>')
+            continue
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in by_ray[ray])
-        hue = round(360.0 * ray / max(1, report.rays))
-        parts.append(f'<polyline fill="none" stroke="hsl({hue},65%,40%)" '
+        parts.append(f'<polyline fill="none" stroke="{colour}" '
                      f'stroke-width="1.2" points="{pts}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -670,6 +675,8 @@ def _svg_text(report: GrowthReport) -> str:
 def _check_run_options(tolerance_scale: float, seed: int) -> None:
     if not 0 < tolerance_scale < math.inf:
         raise ScenarioError("--tolerance-scale must be finite and > 0")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ScenarioError("--seed must be an integer")
     if seed < 0:
         raise ScenarioError("--seed must be non-negative")
 

@@ -6,7 +6,8 @@ evaluator ``h``, at every tolerance ``eps`` in a ladder.  Growth of this
 kind is dominated along rays, so the functional is sampled on
 equiangular rays crossed with a geometric radius ladder and judged per
 radius.  log|v(w)| and h(w) do not depend on eps: one call samples the
-lattice once for a whole eps ladder and judges it at each eps.
+lattice once for a whole eps ladder, and every report of the ladder
+holds those same samples; a report gives a sample's ratio at its own eps.
 
 All internal arithmetic runs in log space through
 ``TransformResult.log_abs`` so that sampling radii in the thousands
@@ -43,34 +44,42 @@ SUP_GROWTH_FACTOR = 1.05
 
 @dataclass(frozen=True)
 class GrowthSample:
-    """One evaluation of the growth functional.
+    """One lattice point: w, h(w) = support and log|v(w)| = log_abs.
 
-    ratio is |v(w)| e^{-h(w)-eps*|w|}; log_ratio is its logarithm,
-    kept separately because the linear value may overflow to inf.
+    Nothing here depends on eps; GrowthReport.ratio reads the growth
+    ratio at the report's eps.
     """
 
     w: complex
     support: float
-    ratio: float
-    log_ratio: float
+    log_abs: float
     ray_index: int
     radius: float
 
 
 @dataclass(frozen=True)
 class GrowthReport:
+    """The verdict at one eps.  samples is the lattice, sorted by ray and
+    radius, and is the same tuple in every report of one ladder."""
+
     epsilon: float
     radii: tuple[float, ...]
     rays: int
     samples: tuple[GrowthSample, ...]
-    radius_sups: tuple[float, ...]
     log_radius_sups: tuple[float, ...]
     verdict: str
     growth_rate: float
 
     @property
     def sup(self) -> float:
-        return max(self.radius_sups)
+        return _lin(max(self.log_radius_sups))
+
+    def log_ratio(self, s: GrowthSample) -> float:
+        """log(|v(w)| e^{-h(w)-eps*|w|}) at s, finite where ratio overflows."""
+        return s.log_abs - s.support - self.epsilon * abs(s.w)
+
+    def ratio(self, s: GrowthSample) -> float:
+        return _lin(self.log_ratio(s))
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,11 @@ def _lin(value: float) -> float:
         return math.inf
 
 
+def _check_decreasing(epsilons: Sequence[float]) -> None:
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise ValueError("eps ladder must be strictly decreasing")
+
+
 def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of ys against xs, which are not all equal."""
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
@@ -100,7 +114,7 @@ def growth_ratio_sup(v, h: Callable[[complex], float],
                      radii: Sequence[float] | None = None,
                      rays: int = 64) -> tuple[GrowthReport, ...]:
     """Sample |v(w)| e^{-h(w) - eps*|w|} on rays x radii and judge it,
-    one report per eps of the ladder, in the ladder's order.
+    one report per eps of the ladder, which must strictly decrease.
 
     v needs log_abs(w) and domain_contains(w); sampling skips points
     outside the domain, and calls log_abs and h once per point it keeps.
@@ -112,6 +126,7 @@ def growth_ratio_sup(v, h: Callable[[complex], float],
     eps_ladder = tuple(eps_ladder)
     if not eps_ladder or not all(0 < eps < math.inf for eps in eps_ladder):
         raise ValueError("eps ladder needs positive finite entries")
+    _check_decreasing(eps_ladder)
     if rays < 1:
         raise ValueError("need at least one ray")
     ladder = tuple(float(r) for r in (DEFAULT_RADII if radii is None else radii))
@@ -120,38 +135,30 @@ def growth_ratio_sup(v, h: Callable[[complex], float],
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] <= 0:
         raise ValueError("radius ladder must be positive and strictly increasing")
 
-    # Per radius, (w, h(w), log|v(w)|, ray index, |w|) at the ray points
-    # in v's domain.
     directions = [complex(math.cos(2 * math.pi * k / rays),
                           math.sin(2 * math.pi * k / rays))
                   for k in range(rays)]
-    lattice = []
+    rings = []  # per radius, the samples at the ray points in v's domain
     for radius in ladder:
         ws = [(k, radius * d) for k, d in enumerate(directions)]
-        lattice.append([(w, float(h(w)), v.log_abs(w), k, abs(w))
-                        for k, w in ws if v.domain_contains(w)])
-        if not lattice[-1]:
+        rings.append([GrowthSample(w, float(h(w)), v.log_abs(w), k, radius)
+                      for k, w in ws if v.domain_contains(w)])
+        if not rings[-1]:
             raise ValueError(
                 f"empty sample set: no ray point at radius {radius} "
                 "lies in the domain of v")
-    return tuple(_judge(eps, ladder, rays, lattice) for eps in eps_ladder)
+    samples = tuple(sorted((s for ring in rings for s in ring),
+                           key=lambda s: (s.ray_index, s.radius)))
+    return tuple(_judge(eps, ladder, rays, rings, samples)
+                 for eps in eps_ladder)
 
 
-def _judge(eps: float, ladder: tuple[float, ...], rays: int,
-           lattice: list) -> GrowthReport:
+def _judge(eps: float, ladder: tuple[float, ...], rays: int, rings: list,
+           samples: tuple[GrowthSample, ...]) -> GrowthReport:
     """growth_ratio_sup's report at one eps on the sampled lattice."""
-    samples: list[GrowthSample] = []
-    log_sups: list[float] = []
-    for radius, points in zip(ladder, lattice):
-        best = -math.inf
-        for w, hw, log_v, k, nw in points:
-            log_ratio = log_v - hw - eps * nw
-            samples.append(GrowthSample(
-                w=w, support=hw, ratio=_lin(log_ratio), log_ratio=log_ratio,
-                ray_index=k, radius=radius))
-            if log_ratio > best:
-                best = log_ratio
-        log_sups.append(best)
+    # -inf first, so that a nan ratio never becomes a ring's sup.
+    log_sups = [max(-math.inf, *(s.log_abs - s.support - eps * abs(s.w)
+                                 for s in ring)) for ring in rings]
 
     q = len(ladder) // 4
     window = log_sups[q:]
@@ -173,10 +180,8 @@ def _judge(eps: float, ladder: tuple[float, ...], rays: int,
     else:
         verdict = "inconclusive"
 
-    samples.sort(key=lambda s: (s.ray_index, s.radius))
     return GrowthReport(
-        epsilon=eps, radii=ladder, rays=rays, samples=tuple(samples),
-        radius_sups=tuple(_lin(s) for s in log_sups),
+        epsilon=eps, radii=ladder, rays=rays, samples=samples,
         log_radius_sups=tuple(log_sups), verdict=verdict, growth_rate=rate)
 
 
@@ -192,8 +197,7 @@ def exp_class_verdict(reports: Sequence[GrowthReport]) -> ExpClassVerdict:
     if not reports:
         raise ValueError("need at least one growth report")
     epsilons = tuple(r.epsilon for r in reports)
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
+    _check_decreasing(epsilons)
     base = reports[0]
     for r in reports[1:]:
         if r.radii != base.radii or r.rays != base.rays:

@@ -17,7 +17,8 @@ Three routines compute conjugates, all exact up to rounding:
 * conjugate_at: values at one w or an array of w, from one table of
   plain numbers that f keeps: max(x*u - y*v + c) at (u, v) = w - s plus
   rounding*|w - s| and an offset, +inf past a domain half-plane; built
-  by symbolic_conjugate(f) for at most one distinct piece, else conjugate(f).
+  by symbolic_conjugate(f) for at most one distinct piece, else from
+  conjugate(f), which f keeps for every reader.
 
 legendre_dimensions reads the dimension of dom(f*), the gradient hull
 plus the polar of the domain's recession cone, off one span test.
@@ -88,6 +89,11 @@ class PLConvexFunction:
         return max((z * b).real + c for b, c in self.pieces)
 
     @cached_property
+    def _conjugate(self) -> PLConvexFunction:
+        """conjugate(self), computed once for every reader."""
+        return conjugate(self)
+
+    @cached_property
     def _table(self):
         """conjugate_at's table: (s, centres b, rows (x, y, c), half-planes
         (nx, ny, k), rounding, offset)."""
@@ -98,7 +104,7 @@ class PLConvexFunction:
             return (form.shift, [0j], [(x, y, 0.0) for x, y in core.points],
                     [(dx, -dy, 0.0) for dx, dy in core.rays],
                     form.base.rounding, form.offset)
-        g = conjugate(self)
+        g = self._conjugate
         return (0j, [b for b, _ in pieces],
                 [(p.real, p.imag, c) for p, c in g.pieces],
                 g.domain.halfplanes, 0.0, 0.0)

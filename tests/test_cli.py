@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convlap import cli
+from convlap import cli, legendre
 from convlap.cli import Scenario, ScenarioError, main, parse_scenario, run_scenario
 from convlap.convexgeom import ConvexBody, signed_distance
+from convlap.growth import GrowthReport, GrowthSample
+from convlap.legendre import conjugate
 from convlap.transforms import polya_transform, residue_oracle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -337,6 +339,22 @@ def test_legendre_scenario_runs(tmp_path):
     assert (tmp_path / "samples.csv").read_text().count("\n") == 1
 
 
+def test_legendre_run_computes_each_conjugate_once(tmp_path, monkeypatch):
+    # conjugate(f) serves both checks; the biconjugation adds conjugate(f*).
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return conjugate(f)
+
+    monkeypatch.setattr(legendre, "conjugate", counted)
+    monkeypatch.setattr(cli, "conjugate", counted)
+    sc = parse_scenario((SCENARIO_DIR / "reference_legendre.json").read_text())
+    assert run_scenario(sc, out_dir=tmp_path) == 0
+    assert len(calls) == 2
+    assert calls[0] is sc.pl_function and calls[1] is not sc.pl_function
+
+
 def test_meril_scenario_runs(tmp_path):
     text = (SCENARIO_DIR / "reference_meril.json").read_text()
     sc = parse_scenario(text)
@@ -444,8 +462,27 @@ def test_plot_of_a_one_radius_ladder_centres_its_points(tmp_path):
     assert run_scenario(sc, out_dir=tmp_path) == 0
     svg = (tmp_path / "plot.svg").read_text()
     # The x range widens to a decade each way, as a flat y range does.
-    assert svg.count('points="320.00,') == 4
+    # Each ray's one sample is a mark, since a one-point line draws nothing.
+    assert svg.count('<circle cx="320.00"') == 4
+    assert "<polyline" not in svg
     assert '>0.2</text>' in svg and '>20</text>' in svg
+
+
+def test_plot_marks_only_the_rays_with_one_finite_sample():
+    def sample(k, radius, log_abs):
+        return GrowthSample(complex(radius), 0.0, log_abs, k, radius)
+
+    report = GrowthReport(
+        epsilon=0.5, radii=(1.0, 10.0), rays=3,
+        samples=(sample(0, 1.0, 0.0), sample(0, 10.0, 1.0),
+                 sample(1, 1.0, -math.inf), sample(1, 10.0, 2.0),
+                 sample(2, 1.0, -math.inf), sample(2, 10.0, -math.inf)),
+        log_radius_sups=(-0.5, -3.0), verdict="bounded", growth_rate=0.0)
+    svg = cli._svg_text(report)
+    assert svg.count("<polyline") == 1 and svg.count("<circle") == 1
+    assert 'stroke="hsl(0,65%,40%)"' in svg
+    assert '<circle cx="580.00" cy="' in svg
+    assert 'fill="hsl(120,65%,40%)"' in svg
 
 
 def test_tolerance_scale_can_force_failure(tmp_path):
@@ -503,6 +540,10 @@ def test_main_rejects_a_negative_seed_for_every_kind(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", ["reference_polya.json",
                                   "reference_legendre.json"])
 @pytest.mark.parametrize("options", [{"seed": -1},
+                                     {"seed": 1.5},
+                                     {"seed": 1.0},
+                                     {"seed": "1"},
+                                     {"seed": True},
                                      {"tolerance_scale": 0.0},
                                      {"tolerance_scale": -1.0},
                                      {"tolerance_scale": math.nan},
@@ -515,6 +556,15 @@ def test_run_scenario_rejects_the_options_main_rejects(tmp_path, name,
     with pytest.raises(ScenarioError, match=option):
         run_scenario(sc, out_dir=tmp_path / "out", **options)
     assert not (tmp_path / "out").exists()
+
+
+def test_run_scenario_takes_a_numpy_integer_seed(tmp_path):
+    sc = parse_scenario((SCENARIO_DIR / "reference_legendre.json").read_text())
+    assert run_scenario(sc, out_dir=tmp_path / "a", seed=np.int64(7)) == 0
+    assert run_scenario(sc, out_dir=tmp_path / "b", seed=7) == 0
+    for name in ("report.txt", "samples.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
 
 
 def test_main_rejects_a_scenario_that_is_not_utf8(tmp_path, capsys):

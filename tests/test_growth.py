@@ -52,7 +52,7 @@ def test_zero_function_is_bounded_with_zero_sup():
     (report,) = growth_ratio_sup(v, disk_support, [0.5])
     assert report.verdict == "bounded"
     assert report.sup == 0.0
-    assert all(s.ratio == 0.0 for s in report.samples)
+    assert all(report.ratio(s) == 0.0 for s in report.samples)
 
 
 def test_planted_escapee_is_unbounded():
@@ -68,9 +68,8 @@ def test_ratio_monotone_in_eps_pointwise():
     v = exp_at(0.9 + 0j)
     hi, lo = growth_ratio_sup(v, disk_support, [0.5, 0.25])
     assert len(lo.samples) == len(hi.samples)
-    for a, b in zip(hi.samples, lo.samples):
-        assert a.w == b.w
-        assert a.ratio <= b.ratio
+    for s in hi.samples:
+        assert hi.ratio(s) <= lo.ratio(s)
 
 
 def test_polya_output_is_member():
@@ -118,9 +117,12 @@ def test_sampling_lattice_recorded():
     assert len(report.samples) == 24
     assert report.samples == tuple(sorted(
         report.samples, key=lambda s: (s.ray_index, s.radius)))
-    assert len(report.radius_sups) == 3
-    for lin, log in zip(report.radius_sups, report.log_radius_sups):
-        assert lin == pytest.approx(math.exp(log), rel=1e-12)
+    assert len(report.log_radius_sups) == 3
+    for radius, log in zip(report.radii, report.log_radius_sups):
+        assert log == max(report.log_ratio(s) for s in report.samples
+                          if s.radius == radius)
+    assert report.sup == pytest.approx(
+        max(report.ratio(s) for s in report.samples), rel=1e-12)
 
 
 def test_growth_validation():
@@ -166,8 +168,7 @@ def test_an_unhashable_support_callable_is_accepted():
 def _fake_report(eps: float, verdict: str) -> GrowthReport:
     return GrowthReport(
         epsilon=eps, radii=(1.0, 2.0), rays=4, samples=(),
-        radius_sups=(1.0, 1.0), log_radius_sups=(0.0, 0.0),
-        verdict=verdict, growth_rate=0.0)
+        log_radius_sups=(0.0, 0.0), verdict=verdict, growth_rate=0.0)
 
 
 def test_exp_class_verdict_aggregation():
@@ -186,8 +187,8 @@ def test_exp_class_verdict_aggregation():
         exp_class_verdict([
             _fake_report(0.5, "bounded"),
             GrowthReport(epsilon=0.25, radii=(1.0, 3.0), rays=4, samples=(),
-                         radius_sups=(1.0, 1.0), log_radius_sups=(0.0, 0.0),
-                         verdict="bounded", growth_rate=0.0)])
+                         log_radius_sups=(0.0, 0.0), verdict="bounded",
+                         growth_rate=0.0)])
     with pytest.raises(ValueError):
         exp_class_verdict([])
 
@@ -195,12 +196,13 @@ def test_exp_class_verdict_aggregation():
 # ---- one lattice per ladder ----
 
 def _per_eps_reference(v, h, eps, radii, rays, fit):
-    """growth_ratio_sup with the lattice sampled anew for each eps, and
-    fit(xs, ys) for the slope."""
+    """growth_ratio_sup's report at eps with the lattice sampled anew for
+    this eps alone, and fit(xs, ys) for the slope; with it the sup and
+    each sample's (log ratio, ratio), computed here, in sample order."""
     directions = [complex(math.cos(2 * math.pi * k / rays),
                           math.sin(2 * math.pi * k / rays))
                   for k in range(rays)]
-    samples, log_sups = [], []
+    rows, log_sups = [], []
     for radius in radii:
         best = -math.inf
         for k, d in enumerate(directions):
@@ -210,10 +212,9 @@ def _per_eps_reference(v, h, eps, radii, rays, fit):
             hw = float(h(w))
             log_v = v.log_abs(w)
             log_ratio = log_v - hw - eps * abs(w)
-            samples.append(GrowthSample(
-                w=w, support=hw,
-                ratio=growth._lin(log_ratio), log_ratio=log_ratio,
-                ray_index=k, radius=radius))
+            rows.append((GrowthSample(w=w, support=hw, log_abs=log_v,
+                                      ray_index=k, radius=radius),
+                         (log_ratio, growth._lin(log_ratio))))
             if log_ratio > best:
                 best = log_ratio
         log_sups.append(best)
@@ -230,11 +231,13 @@ def _per_eps_reference(v, h, eps, radii, rays, fit):
         rate = 0.0
     verdict = ("bounded" if nonincreasing else
                "unbounded" if rate > eps / 2 else "inconclusive")
-    samples.sort(key=lambda s: (s.ray_index, s.radius))
-    return GrowthReport(
-        epsilon=eps, radii=tuple(radii), rays=rays, samples=tuple(samples),
-        radius_sups=tuple(growth._lin(s) for s in log_sups),
-        log_radius_sups=tuple(log_sups), verdict=verdict, growth_rate=rate)
+    rows.sort(key=lambda row: (row[0].ray_index, row[0].radius))
+    report = GrowthReport(
+        epsilon=eps, radii=tuple(radii), rays=rays,
+        samples=tuple(s for s, _ in rows), log_radius_sups=tuple(log_sups),
+        verdict=verdict, growth_rate=rate)
+    sup = max(growth._lin(s) for s in log_sups)
+    return report, sup, [ratios for _, ratios in rows]
 
 
 def _polyfit_slope(xs, ys):
@@ -286,19 +289,44 @@ def test_lattice_is_sampled_once_per_ladder(v, body):
     assert inside and sorted(counted.calls.values()) == [1] * len(inside)
     assert set(counted.calls) == set(inside) == set(h_calls)
     assert set(h_calls.values()) == {1}
-    # Field for field the reports of sampling once per eps.
+    # One sample per point, in one tuple that every report holds.
+    assert len(got[0].samples) == len(inside)
+    assert all(report.samples is got[0].samples for report in got)
+    # Field for field, bit for bit, the reports of sampling once per eps,
+    # with their sups and each sample's ratio.
     h_plain = lambda w: support_function(body, w)
-    want = tuple(_per_eps_reference(v, h_plain, eps, radii, 12, growth._slope)
-                 for eps in DEFAULT_EPS_LADDER)
+    refs = [_per_eps_reference(v, h_plain, eps, radii, 12, growth._slope)
+            for eps in DEFAULT_EPS_LADDER]
+    want = tuple(report for report, _, _ in refs)
     assert got == want
+    for report, (_, sup, ratios) in zip(got, refs):
+        assert report.sup == sup
+        assert [(report.log_ratio(s), report.ratio(s))
+                for s in report.samples] == ratios
     assert (classify_growth(v, h_plain, radii=radii, rays=12)
             == exp_class_verdict(want))
     # np.polyfit, which the slope replaced, gives the same verdicts.
-    fitted = [_per_eps_reference(v, h_plain, eps, radii, 12, _polyfit_slope)
+    fitted = [_per_eps_reference(v, h_plain, eps, radii, 12, _polyfit_slope)[0]
               for eps in DEFAULT_EPS_LADDER]
     assert [r.verdict for r in fitted] == [r.verdict for r in got]
     for a, b in zip(got, fitted):
         assert a.growth_rate == pytest.approx(b.growth_rate, rel=1e-12)
+
+
+@pytest.mark.parametrize("ladder", [(0.1, 0.5), (0.5, 0.5), (0.5, 0.1, 0.25)])
+def test_ladder_order_is_checked_before_sampling(ladder):
+    counted = _CountedLogAbs(exp_at(0j))
+    h_calls = []
+
+    def h(w):
+        h_calls.append(w)
+        return abs(w)
+
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        classify_growth(counted, h, eps_ladder=ladder)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        growth_ratio_sup(counted, h, ladder)
+    assert not h_calls and not counted.calls
 
 
 def test_slope_matches_polyfit_and_exact_least_squares():
